@@ -190,14 +190,16 @@ fn universe_mask(live: &[bool]) -> Option<Vec<bool>> {
 }
 
 /// Merges incremental-pass stats into the session-level training stats.
+/// `final_loss` is a mean over one sample per token, so tokens weight it.
 fn merge_train_stats(total: &mut TrainStats, pass: &TrainStats) {
-    let pairs = total.pairs_processed + pass.pairs_processed;
-    if pairs > 0 {
-        total.final_loss = (total.final_loss * total.pairs_processed as f64
-            + pass.final_loss * pass.pairs_processed as f64)
-            / pairs as f64;
+    let tokens = total.tokens_processed + pass.tokens_processed;
+    if tokens > 0 {
+        total.final_loss = (total.final_loss * total.tokens_processed as f64
+            + pass.final_loss * pass.tokens_processed as f64)
+            / tokens as f64;
     }
-    total.pairs_processed = pairs;
+    total.tokens_processed = tokens;
+    total.pairs_processed += pass.pairs_processed;
 }
 
 /// Runs the full dynamic pipeline: initial walk corpus over `graph`,

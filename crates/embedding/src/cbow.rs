@@ -1,112 +1,65 @@
 //! Continuous bag-of-words (CBOW) with negative sampling — the second
 //! word2vec objective mentioned in the paper's pipeline description.
+//!
+//! CBOW is the [`skipgram`](crate::skipgram) window kernel with a single
+//! input vector per window — the mean of the context words' input rows —
+//! whose gradient is then added to every one of those rows.
 
 use rand::Rng;
 
 use crate::matrix::EmbeddingMatrix;
 use crate::negative::UnigramTable;
 use crate::sigmoid::SigmoidTable;
-
-/// One CBOW update: the averaged context window predicts the center node.
-///
-/// Returns the negative log-likelihood contribution of the update.
-#[allow(clippy::too_many_arguments)]
-pub fn train_window<R: Rng>(
-    input: &EmbeddingMatrix,
-    output: &EmbeddingMatrix,
-    center: u32,
-    context: &[u32],
-    negative: usize,
-    alpha: f32,
-    sigmoid: &SigmoidTable,
-    table: &UnigramTable,
-    rng: &mut R,
-) -> f32 {
-    if context.is_empty() {
-        return 0.0;
-    }
-    let dim = input.dim();
-    // Average of the context vectors.
-    let mut hidden = vec![0.0f32; dim];
-    let mut row = vec![0.0f32; dim];
-    for &c in context {
-        input.read_row(c as usize, &mut row);
-        for j in 0..dim {
-            hidden[j] += row[j];
-        }
-    }
-    let inv = 1.0 / context.len() as f32;
-    for h in hidden.iter_mut() {
-        *h *= inv;
-    }
-
-    let mut grad_hidden = vec![0.0f32; dim];
-    let mut loss = 0.0f32;
-    for i in 0..=negative {
-        let (target, label) = if i == 0 {
-            (center, 1.0f32)
-        } else {
-            (table.sample_excluding(center, rng), 0.0f32)
-        };
-        let score = output.dot_row(target as usize, &hidden);
-        let pred = sigmoid.sigmoid(score);
-        let g = (label - pred) * alpha;
-        loss += if label > 0.5 {
-            -(pred.max(1e-7)).ln()
-        } else {
-            -((1.0 - pred).max(1e-7)).ln()
-        };
-        let mut out_row = vec![0.0f32; dim];
-        output.read_row(target as usize, &mut out_row);
-        for j in 0..dim {
-            grad_hidden[j] += g * out_row[j];
-            out_row[j] = g * hidden[j];
-        }
-        output.add_row(target as usize, &out_row);
-    }
-    // Propagate the averaged gradient back to every context vector.
-    for &c in context {
-        input.add_row(c as usize, &grad_hidden);
-    }
-    loss
-}
+use crate::skipgram::{dynamic_window, WindowScratch};
 
 /// Trains CBOW over one walk with a dynamic window, mirroring
-/// [`crate::skipgram::train_walk`].
+/// [`crate::skipgram::train_walk`]: in every window the averaged context
+/// predicts the center node.
+///
+/// Returns the number of (context, center) pairs covered and the negative
+/// log-likelihood summed over the windows.
 #[allow(clippy::too_many_arguments)]
 pub fn train_walk<R: Rng>(
     input: &EmbeddingMatrix,
     output: &EmbeddingMatrix,
     walk: &[u32],
     window: usize,
-    negative: usize,
     alpha: f32,
     sigmoid: &SigmoidTable,
     table: &UnigramTable,
+    scratch: &mut WindowScratch,
     rng: &mut R,
-) -> f32 {
+) -> (u64, f32) {
+    let mut pairs = 0u64;
     let mut loss = 0.0f32;
-    let mut context = Vec::with_capacity(2 * window);
     for (pos, &center) in walk.iter().enumerate() {
-        let b = rng.gen_range(0..window.max(1));
-        let lo = pos.saturating_sub(window - b);
-        let hi = (pos + window - b + 1).min(walk.len());
-        context.clear();
-        for (ctx_pos, &ctx) in walk.iter().enumerate().take(hi).skip(lo) {
-            if ctx_pos != pos {
-                context.push(ctx);
-            }
+        let (lo, hi) = dynamic_window(pos, walk.len(), window, rng);
+        if hi - lo < 2 {
+            continue;
         }
-        loss += train_window(
-            input, output, center, &context, negative, alpha, sigmoid, table, rng,
-        );
+        let context = || (lo..hi).filter(|&p| p != pos).map(|p| walk[p] as usize);
+        let inv = 1.0 / (hi - lo - 1) as f32;
+        let hidden = scratch.input_mut();
+        hidden.fill(0.0);
+        for c in context() {
+            input.accumulate_row(c, inv, hidden);
+        }
+        scratch.gather_targets(output, center, table, rng);
+        loss += scratch.update(alpha, sigmoid, true);
+        scratch.scatter_targets(output);
+        // Propagate the gradient of the average back to every context vector.
+        for c in context() {
+            input.add_row(c, scratch.input_gradient());
+        }
+        pairs += (hi - lo - 1) as u64;
     }
-    loss
+    (pairs, loss)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels;
     use crate::vocab::Vocabulary;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -123,52 +76,75 @@ mod tests {
     }
 
     #[test]
-    fn empty_context_is_a_noop() {
+    fn a_walk_without_context_is_a_noop() {
         let (input, output, sigmoid, table) = setup(5, 4);
         let mut rng = SmallRng::seed_from_u64(1);
-        let loss = train_window(&input, &output, 0, &[], 3, 0.05, &sigmoid, &table, &mut rng);
-        assert_eq!(loss, 0.0);
+        let mut scratch = WindowScratch::new(4, 3);
+        let before = (input.to_flat(), output.to_flat());
+        let stats = train_walk(
+            &input,
+            &output,
+            &[0],
+            3,
+            0.05,
+            &sigmoid,
+            &table,
+            &mut scratch,
+            &mut rng,
+        );
+        assert_eq!(stats, (0, 0.0));
+        assert_eq!((input.to_flat(), output.to_flat()), before);
     }
 
     #[test]
     fn repeated_training_raises_positive_score() {
         let (input, output, sigmoid, table) = setup(10, 8);
         let mut rng = SmallRng::seed_from_u64(2);
+        let mut scratch = WindowScratch::new(8, 4);
+        // Radius 1: the only window with two context words is {1, 2} -> 3.
         for _ in 0..300 {
-            train_window(
+            train_walk(
                 &input,
                 &output,
-                3,
-                &[1, 2],
-                4,
+                &[1, 3, 2],
+                1,
                 0.05,
                 &sigmoid,
                 &table,
+                &mut scratch,
                 &mut rng,
             );
         }
         let mut hidden = vec![0.0; 8];
-        let mut row = vec![0.0; 8];
-        for &c in &[1u32, 2] {
-            input.read_row(c as usize, &mut row);
-            for j in 0..8 {
-                hidden[j] += row[j] / 2.0;
-            }
+        for c in [1, 2] {
+            input.accumulate_row(c, 0.5, &mut hidden);
         }
-        assert!(output.dot_row(3, &hidden) > 1.0);
+        let mut center = vec![0.0; 8];
+        output.read_row(3, &mut center);
+        assert!(kernels::dot(&center, &hidden) > 1.0);
     }
 
     #[test]
     fn walk_loss_decreases() {
         let (input, output, sigmoid, table) = setup(12, 8);
         let mut rng = SmallRng::seed_from_u64(3);
+        let mut scratch = WindowScratch::new(8, 4);
         let walk: Vec<u32> = vec![0, 1, 2, 3, 0, 1, 2, 3];
         let mut first = 0.0;
         let mut last = 0.0;
         for epoch in 0..30 {
-            let loss = train_walk(
-                &input, &output, &walk, 2, 4, 0.05, &sigmoid, &table, &mut rng,
+            let (pairs, loss) = train_walk(
+                &input,
+                &output,
+                &walk,
+                2,
+                0.05,
+                &sigmoid,
+                &table,
+                &mut scratch,
+                &mut rng,
             );
+            assert!(pairs >= 14, "every position has a neighbour: {pairs}");
             if epoch == 0 {
                 first = loss;
             }

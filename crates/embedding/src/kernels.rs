@@ -1,11 +1,12 @@
-//! Unified SIMD distance kernels — the single dot/cosine/norm implementation
-//! for the whole query plane.
+//! Unified SIMD kernels — the single dot/cosine/norm implementation for the
+//! whole query plane, and the trainer's fused SGNS update.
 //!
 //! Every similarity computed while serving queries (the exact scan in
 //! `store.rs`, HNSW traversal and neighbour selection in `ann.rs`,
-//! [`Embeddings::cosine_similarity`](crate::Embeddings::cosine_similarity),
-//! and the training-side [`EmbeddingMatrix::dot_row`](crate::EmbeddingMatrix))
-//! routes through this module, so:
+//! [`Embeddings::cosine_similarity`](crate::Embeddings::cosine_similarity))
+//! and every score of the training window kernel
+//! ([`skipgram::WindowScratch`](crate::skipgram::WindowScratch)) routes
+//! through this module, so:
 //!
 //! * the hot loops are vectorized once, not four times, and
 //! * **every path produces bit-identical scores**, which keeps top-k
@@ -74,6 +75,21 @@ pub mod reference {
             acc += x * x;
         }
         acc
+    }
+
+    /// Scalar fused SGNS update, lane by lane and in this order:
+    /// `d_in += g·out; out += g·inp; d_out += g·inp` — the input gradient
+    /// sees the output row as it was *before* this update moved it.
+    #[inline]
+    pub fn sgns_update(g: f32, inp: &[f32], out: &mut [f32], d_in: &mut [f32], d_out: &mut [f32]) {
+        debug_assert!(
+            inp.len() == out.len() && inp.len() == d_in.len() && inp.len() == d_out.len()
+        );
+        for (((&x, o), di), d_o) in inp.iter().zip(out).zip(d_in).zip(d_out) {
+            *di += g * *o;
+            *o += g * x;
+            *d_o += g * x;
+        }
     }
 
     /// Scalar i8·i8 → i32 dot product (exact; no overflow for dims < 2^16).
@@ -218,6 +234,44 @@ mod x86 {
         out
     }
 
+    /// AVX2+FMA fused SGNS update (see [`super::sgns_update`]): one pass over
+    /// the four rows, three FMAs per 8 lanes.
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA (checked by the dispatcher) and four slices of
+    /// one length (checked by [`super::sgns_update`]).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn sgns_update_avx2(
+        g: f32,
+        inp: &[f32],
+        out: &mut [f32],
+        d_in: &mut [f32],
+        d_out: &mut [f32],
+    ) {
+        let n = inp.len();
+        debug_assert!(out.len() == n && d_in.len() == n && d_out.len() == n);
+        let chunks = n / 8;
+        let vg = _mm256_set1_ps(g);
+        for i in 0..chunks {
+            let at = i * 8;
+            let vi = _mm256_loadu_ps(inp.as_ptr().add(at));
+            let vo = _mm256_loadu_ps(out.as_ptr().add(at));
+            let vdi = _mm256_loadu_ps(d_in.as_ptr().add(at));
+            let vdo = _mm256_loadu_ps(d_out.as_ptr().add(at));
+            _mm256_storeu_ps(d_in.as_mut_ptr().add(at), _mm256_fmadd_ps(vg, vo, vdi));
+            _mm256_storeu_ps(out.as_mut_ptr().add(at), _mm256_fmadd_ps(vg, vi, vo));
+            _mm256_storeu_ps(d_out.as_mut_ptr().add(at), _mm256_fmadd_ps(vg, vi, vdo));
+        }
+        let done = chunks * 8;
+        super::reference::sgns_update(
+            g,
+            &inp[done..],
+            &mut out[done..],
+            &mut d_in[done..],
+            &mut d_out[done..],
+        );
+    }
+
     /// AVX2 i8 dot product: sign-extend 16 lanes at a time to i16, multiply
     /// into i32 pairs with `madd`, accumulate in i32 lanes. Exact.
     ///
@@ -284,6 +338,48 @@ mod x86 {
             out += x * x;
         }
         out
+    }
+
+    /// SSE2 fused SGNS update (see [`super::sgns_update`]): 4-lane
+    /// multiply-add, rounding exactly as the scalar reference does.
+    ///
+    /// # Safety
+    /// Requires SSE2 (checked by the dispatcher) and four slices of one
+    /// length (checked by [`super::sgns_update`]).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn sgns_update_sse2(
+        g: f32,
+        inp: &[f32],
+        out: &mut [f32],
+        d_in: &mut [f32],
+        d_out: &mut [f32],
+    ) {
+        let n = inp.len();
+        debug_assert!(out.len() == n && d_in.len() == n && d_out.len() == n);
+        let chunks = n / 4;
+        let vg = _mm_set1_ps(g);
+        for i in 0..chunks {
+            let at = i * 4;
+            let vi = _mm_loadu_ps(inp.as_ptr().add(at));
+            let vo = _mm_loadu_ps(out.as_ptr().add(at));
+            let vdi = _mm_loadu_ps(d_in.as_ptr().add(at));
+            let vdo = _mm_loadu_ps(d_out.as_ptr().add(at));
+            let step = _mm_mul_ps(vg, vi);
+            _mm_storeu_ps(
+                d_in.as_mut_ptr().add(at),
+                _mm_add_ps(vdi, _mm_mul_ps(vg, vo)),
+            );
+            _mm_storeu_ps(out.as_mut_ptr().add(at), _mm_add_ps(vo, step));
+            _mm_storeu_ps(d_out.as_mut_ptr().add(at), _mm_add_ps(vdo, step));
+        }
+        let done = chunks * 4;
+        super::reference::sgns_update(
+            g,
+            &inp[done..],
+            &mut out[done..],
+            &mut d_in[done..],
+            &mut d_out[done..],
+        );
     }
 
     /// SSE2 i8 dot product via i16 widening + `madd`. Exact.
@@ -395,6 +491,47 @@ pub fn squared_norm(a: &[f32]) -> f32 {
     reference::squared_norm(a)
 }
 
+/// The fused SGNS (skip-gram / CBOW with negative sampling) update of one
+/// `(input, output)` row pair at gradient scale `g`, SIMD-dispatched:
+///
+/// ```text
+/// d_in  += g · out      (the output row as it was before this call)
+/// out   += g · inp
+/// d_out += g · inp
+/// ```
+///
+/// `out` is a thread-local copy of a shared output row that later updates of
+/// the same window must see moved; `d_in`/`d_out` accumulate what the caller
+/// scatters back onto the shared matrices once per window. One pass over the
+/// four rows instead of three.
+///
+/// # Panics
+///
+/// Panics unless the four slices have one length.
+#[inline]
+pub fn sgns_update(g: f32, inp: &[f32], out: &mut [f32], d_in: &mut [f32], d_out: &mut [f32]) {
+    let n = inp.len();
+    assert!(
+        out.len() == n && d_in.len() == n && d_out.len() == n,
+        "sgns_update rows differ in length"
+    );
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    {
+        match dispatch::backend() {
+            // SAFETY: feature presence verified by the dispatcher; the four
+            // lengths were checked equal above.
+            KernelBackend::Avx2 => {
+                return unsafe { x86::sgns_update_avx2(g, inp, out, d_in, d_out) }
+            }
+            KernelBackend::Sse2 => {
+                return unsafe { x86::sgns_update_sse2(g, inp, out, d_in, d_out) }
+            }
+            KernelBackend::Scalar => {}
+        }
+    }
+    reference::sgns_update(g, inp, out, d_in, d_out)
+}
+
 /// L2 norm (`‖a‖`), SIMD-dispatched.
 #[inline]
 pub fn l2_norm(a: &[f32]) -> f32 {
@@ -501,6 +638,38 @@ mod tests {
                 "dim {dim}: {got} vs {want} (tol {tol})"
             );
         }
+    }
+
+    #[test]
+    fn sgns_update_matches_reference_across_dims_and_remainders() {
+        for dim in (0usize..20).chain([31, 32, 33, 64, 100, 128, 129]) {
+            let inp = pseudo_vec(dim, 5 + dim as u32);
+            let out = pseudo_vec(dim, 50 + dim as u32);
+            let d_in = pseudo_vec(dim, 500 + dim as u32);
+            let d_out = pseudo_vec(dim, 5000 + dim as u32);
+            let g = 0.37f32;
+            let (mut got_out, mut got_di, mut got_do) = (out.clone(), d_in.clone(), d_out.clone());
+            sgns_update(g, &inp, &mut got_out, &mut got_di, &mut got_do);
+            let (mut want_out, mut want_di, mut want_do) = (out.clone(), d_in, d_out);
+            reference::sgns_update(g, &inp, &mut want_out, &mut want_di, &mut want_do);
+            // One multiply-add per lane: FMA and mul+add differ by at most
+            // one rounding of a value no larger than |a| + |g·b| < 2.
+            for (got, want) in [
+                (&got_out, &want_out),
+                (&got_di, &want_di),
+                (&got_do, &want_do),
+            ] {
+                for (x, y) in got.iter().zip(want) {
+                    assert!((x - y).abs() <= 2.0 * f32::EPSILON, "dim {dim}: {x} vs {y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn sgns_update_rejects_ragged_rows() {
+        sgns_update(1.0, &[0.0; 4], &mut [0.0; 4], &mut [0.0; 3], &mut [0.0; 4]);
     }
 
     #[test]

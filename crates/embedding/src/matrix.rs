@@ -96,31 +96,15 @@ impl EmbeddingMatrix {
         }
     }
 
-    /// Dot product between row `row` and `other` (length `dim`).
-    ///
-    /// Hogwild rows live in relaxed atomics, so the row is first snapshotted
-    /// lane-by-lane into a per-thread buffer (cheap, cache-resident) and then
-    /// scored through the SIMD-dispatched [`kernels::dot`](crate::kernels::dot)
-    /// — the same kernel every query-plane distance goes through. Racing
-    /// writers can still tear *across* lanes, exactly as the scalar loop
-    /// could; Hogwild tolerates that by design.
+    /// Adds `scale` times row `row` onto `acc` (length `dim`) — the CBOW
+    /// context average without a temporary row.
     #[inline]
-    pub fn dot_row(&self, row: usize, other: &[f32]) -> f32 {
-        debug_assert_eq!(other.len(), self.dim);
-        thread_local! {
-            static ROW_BUF: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+    pub fn accumulate_row(&self, row: usize, scale: f32, acc: &mut [f32]) {
+        debug_assert_eq!(acc.len(), self.dim);
+        let base = row * self.dim;
+        for (a, cell) in acc.iter_mut().zip(&self.data[base..base + self.dim]) {
+            *a += scale * f32::from_bits(cell.load(Ordering::Relaxed));
         }
-        ROW_BUF.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            buf.clear();
-            let base = row * self.dim;
-            buf.extend(
-                self.data[base..base + self.dim]
-                    .iter()
-                    .map(|cell| f32::from_bits(cell.load(Ordering::Relaxed))),
-            );
-            crate::kernels::dot(&buf, other)
-        })
     }
 
     /// Grows the matrix to `new_rows`, zero-initializing the added rows.
@@ -207,7 +191,9 @@ mod tests {
         let mut buf = vec![0.0; 3];
         m.read_row(1, &mut buf);
         assert_eq!(buf, vec![1.0, 2.0, 3.0]);
-        assert_eq!(m.dot_row(1, &[1.0, 1.0, 1.0]), 6.0);
+        let mut acc = vec![1.0; 3];
+        m.accumulate_row(1, 2.0, &mut acc);
+        assert_eq!(acc, vec![3.0, 5.0, 7.0]);
         // row 0 untouched
         m.read_row(0, &mut buf);
         assert_eq!(buf, vec![0.0, 0.0, 0.0]);

@@ -1,8 +1,9 @@
 //! The multi-threaded word2vec training driver.
 //!
-//! Walks are sharded across threads; every thread runs skip-gram or CBOW
-//! updates against the shared [`EmbeddingMatrix`] (Hogwild). The learning rate
-//! decays linearly with training progress, as in word2vec.c.
+//! Walks are sharded across threads; every thread runs the skip-gram or CBOW
+//! window kernel ([`skipgram::WindowScratch`]) against the shared
+//! [`EmbeddingMatrix`] (Hogwild). The learning rate decays linearly with
+//! training progress, as in word2vec.c.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use crate::matrix::EmbeddingMatrix;
 use crate::negative::UnigramTable;
 use crate::sigmoid::SigmoidTable;
+use crate::skipgram::WindowScratch;
 use crate::vocab::Vocabulary;
 use crate::{cbow, skipgram, Embeddings};
 
@@ -66,9 +68,16 @@ impl Default for Word2VecConfig {
 /// Summary statistics of a training run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrainStats {
-    /// Total (center, context) pairs processed.
+    /// Walk tokens trained (after sub-sampling), over all epochs. Every token
+    /// is the center of one window.
+    pub tokens_processed: u64,
+    /// (context, center) pairs inside those windows, over all epochs: one
+    /// SGNS update each in skip-gram, one averaged input row each in CBOW.
     pub pairs_processed: u64,
-    /// Mean negative log-likelihood per pair in the final epoch.
+    /// Mean negative log-likelihood per window in the final epoch — a
+    /// *sampled* monitoring estimate: skip-gram scores one (context, center)
+    /// pair per window, not all of them, so the logarithms stay off the hot
+    /// path. Comparable between runs of one mode, not between modes.
     pub final_loss: f64,
 }
 
@@ -127,110 +136,100 @@ pub(crate) fn run_sgd_pass(
 ) -> TrainStats {
     let total_tokens = vocab.total_tokens().max(1) * epochs.max(1) as u64;
     let progress = AtomicU64::new(0);
-    let pairs = AtomicU64::new(0);
-    let loss_bits = AtomicU64::new(0f64.to_bits());
 
     let num_threads = cfg.num_threads.max(1).min(walks.len().max(1));
     let chunk = walks.len().div_ceil(num_threads.max(1)).max(1);
+    let train_walk = match cfg.mode {
+        TrainingMode::SkipGram => skipgram::train_walk,
+        TrainingMode::Cbow => cbow::train_walk,
+    };
 
-    crossbeam::thread::scope(|scope| {
-        for (tid, shard) in walks.chunks(chunk).enumerate() {
-            let progress = &progress;
-            let pairs = &pairs;
-            let loss_bits = &loss_bits;
-            scope.spawn(move |_| {
-                let mut rng = SmallRng::seed_from_u64(
-                    cfg.seed ^ (tid as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
-                );
-                let mut sentence: Vec<u32> = Vec::new();
-                let mut local_loss = 0.0f64;
-                let mut local_pairs = 0u64;
-                for epoch in 0..epochs {
-                    for walk in shard {
-                        // Sub-sample frequent nodes.
-                        sentence.clear();
-                        for &v in walk {
-                            if cfg.subsample > 0.0 {
-                                let keep = vocab.keep_probability(v, cfg.subsample);
-                                if rng.gen::<f64>() > keep {
-                                    continue;
+    let (tokens, pairs, final_loss, final_tokens) = crossbeam::thread::scope(|scope| {
+        let workers: Vec<_> = walks
+            .chunks(chunk)
+            .enumerate()
+            .map(|(tid, shard)| {
+                let progress = &progress;
+                scope.spawn(move |_| {
+                    let mut rng = SmallRng::seed_from_u64(
+                        cfg.seed ^ (tid as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
+                    );
+                    // Everything a thread allocates, it allocates here.
+                    let mut scratch = WindowScratch::new(cfg.dim, cfg.negative);
+                    let longest = shard.iter().map(Vec::len).max().unwrap_or(0);
+                    let mut sentence: Vec<u32> = Vec::with_capacity(longest);
+                    let (mut tokens, mut pairs) = (0u64, 0u64);
+                    let (mut final_loss, mut final_tokens) = (0.0f64, 0u64);
+                    for epoch in 0..epochs {
+                        for walk in shard {
+                            // Sub-sample frequent nodes.
+                            sentence.clear();
+                            for &v in walk {
+                                if cfg.subsample > 0.0 {
+                                    let keep = vocab.keep_probability(v, cfg.subsample);
+                                    if rng.gen::<f64>() > keep {
+                                        continue;
+                                    }
                                 }
+                                sentence.push(v);
                             }
-                            sentence.push(v);
-                        }
-                        if sentence.len() < 2 {
+                            if sentence.len() < 2 {
+                                progress.fetch_add(walk.len() as u64, Ordering::Relaxed);
+                                continue;
+                            }
+                            let alpha = match schedule {
+                                AlphaSchedule::Constant(a) => a,
+                                AlphaSchedule::LinearDecay => {
+                                    // Linear decay based on global progress.
+                                    let done = progress.load(Ordering::Relaxed) as f64;
+                                    let frac = (done / total_tokens as f64).min(1.0);
+                                    (cfg.initial_alpha as f64 * (1.0 - frac))
+                                        .max(cfg.initial_alpha as f64 * 1e-4)
+                                        as f32
+                                }
+                            };
+                            let (walk_pairs, loss) = train_walk(
+                                input,
+                                output,
+                                &sentence,
+                                cfg.window,
+                                alpha,
+                                sigmoid,
+                                table,
+                                &mut scratch,
+                                &mut rng,
+                            );
+                            tokens += sentence.len() as u64;
+                            pairs += walk_pairs;
+                            if epoch + 1 == epochs {
+                                // Every token of a sentence of two or more
+                                // has a non-empty window: one loss sample.
+                                final_loss += loss as f64;
+                                final_tokens += sentence.len() as u64;
+                            }
                             progress.fetch_add(walk.len() as u64, Ordering::Relaxed);
-                            continue;
                         }
-                        let alpha = match schedule {
-                            AlphaSchedule::Constant(a) => a,
-                            AlphaSchedule::LinearDecay => {
-                                // Linear decay based on global progress.
-                                let done = progress.load(Ordering::Relaxed) as f64;
-                                let frac = (done / total_tokens as f64).min(1.0);
-                                (cfg.initial_alpha as f64 * (1.0 - frac))
-                                    .max(cfg.initial_alpha as f64 * 1e-4)
-                                    as f32
-                            }
-                        };
-                        let loss = match cfg.mode {
-                            TrainingMode::SkipGram => skipgram::train_walk(
-                                input,
-                                output,
-                                &sentence,
-                                cfg.window,
-                                cfg.negative,
-                                alpha,
-                                sigmoid,
-                                table,
-                                &mut rng,
-                            ),
-                            TrainingMode::Cbow => cbow::train_walk(
-                                input,
-                                output,
-                                &sentence,
-                                cfg.window,
-                                cfg.negative,
-                                alpha,
-                                sigmoid,
-                                table,
-                                &mut rng,
-                            ),
-                        };
-                        if epoch + 1 == epochs {
-                            local_loss += loss as f64;
-                            local_pairs += sentence.len() as u64;
-                        }
-                        progress.fetch_add(walk.len() as u64, Ordering::Relaxed);
                     }
-                }
-                pairs.fetch_add(local_pairs, Ordering::Relaxed);
-                // Accumulate the loss with a CAS loop over f64 bits.
-                let mut current = loss_bits.load(Ordering::Relaxed);
-                loop {
-                    let new = (f64::from_bits(current) + local_loss).to_bits();
-                    match loss_bits.compare_exchange(
-                        current,
-                        new,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => current = actual,
-                    }
-                }
-            });
-        }
+                    (tokens, pairs, final_loss, final_tokens)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("training thread panicked"))
+            .fold((0u64, 0u64, 0.0f64, 0u64), |a, b| {
+                (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)
+            })
     })
-    .expect("training thread panicked");
+    .expect("training scope panicked");
 
-    let total_pairs = pairs.load(Ordering::Relaxed);
     TrainStats {
-        pairs_processed: total_pairs,
-        final_loss: if total_pairs == 0 {
+        tokens_processed: tokens,
+        pairs_processed: pairs,
+        final_loss: if final_tokens == 0 {
             0.0
         } else {
-            f64::from_bits(loss_bits.load(Ordering::Relaxed)) / total_pairs as f64
+            final_loss / final_tokens as f64
         },
     }
 }

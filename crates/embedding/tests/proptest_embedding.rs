@@ -67,9 +67,12 @@ proptest! {
         for j in 0..dim {
             prop_assert!((after[j] - before[j] - values[j]).abs() < 1e-5);
         }
-        // dot_row equals the manual dot product.
-        let manual: f32 = after.iter().zip(values).map(|(a, b)| a * b).sum();
-        prop_assert!((m.dot_row(target, values) - manual).abs() < 1e-4);
+        // accumulate_row adds the scaled row onto an accumulator.
+        let mut acc = values.to_vec();
+        m.accumulate_row(target, 0.5, &mut acc);
+        for j in 0..dim {
+            prop_assert!((acc[j] - values[j] - 0.5 * after[j]).abs() < 1e-5);
+        }
     }
 
     #[test]

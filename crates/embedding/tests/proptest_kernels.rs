@@ -1,4 +1,5 @@
-//! Property-based equivalence layer for the query-plane kernels.
+//! Property-based equivalence layer for the query-plane kernels and the
+//! trainer's fused SGNS update.
 //!
 //! Fast-but-wrong kernels would silently corrupt every recall number the
 //! benches report, so this suite pins the dispatched implementations to the
@@ -13,7 +14,8 @@
 //! ```
 //!
 //! Three layers of property: (1) the f32/int8 kernels against the scalar
-//! reference with a forward-error summation bound, (2) the int8 quantized
+//! reference with a forward-error summation bound (the fused SGNS update
+//! lane by lane, within one rounding), (2) the int8 quantized
 //! `top_k` against the f32 exact scan (recall@10 ≥ 0.95), and (3) the
 //! incremental HNSW graft against a from-scratch rebuild (recall parity
 //! within 0.02) across ≥ 5 epochs of drift and node churn.
@@ -95,6 +97,58 @@ proptest! {
             (got_norm - want_norm).abs() <= tol,
             "squared_norm dim={dim}: {got_norm} vs {want_norm} (tol {tol})"
         );
+    }
+
+    /// Property 1c: the dispatched fused SGNS update agrees with the scalar
+    /// reference lane by lane on arbitrary dims, gradient scales and slice
+    /// alignments of all four rows. Each lane is one multiply-add, so a
+    /// backend may differ from the reference only by FMA's single rounding.
+    #[test]
+    fn dispatched_sgns_update_matches_scalar_reference(
+        dim in 0usize..300,
+        offsets in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
+        g in -2.0f32..2.0,
+        scale in 0.01f32..100.0,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut buf = |offset: usize| -> Vec<f32> {
+            (0..dim + offset).map(|_| rng.gen_range(-1.0f32..1.0) * scale).collect()
+        };
+        let inp = buf(offsets.0);
+        let (out, d_in, d_out) = (buf(offsets.1), buf(offsets.2), buf(offsets.3));
+        let inp = &inp[offsets.0..];
+
+        let (mut got_out, mut got_d_in, mut got_d_out) = (out.clone(), d_in.clone(), d_out.clone());
+        kernels::sgns_update(
+            g,
+            inp,
+            &mut got_out[offsets.1..],
+            &mut got_d_in[offsets.2..],
+            &mut got_d_out[offsets.3..],
+        );
+        let (mut want_out, mut want_d_in, mut want_d_out) = (out.clone(), d_in, d_out);
+        kernels::reference::sgns_update(
+            g,
+            inp,
+            &mut want_out[offsets.1..],
+            &mut want_d_in[offsets.2..],
+            &mut want_d_out[offsets.3..],
+        );
+
+        // |a + g·b| ≤ scale · (1 + |g|); one rounding of that at most.
+        let tol = 2.0 * f32::EPSILON * scale * (1.0 + g.abs());
+        for (name, got, want) in [
+            ("out", &got_out, &want_out),
+            ("d_in", &got_d_in, &want_d_in),
+            ("d_out", &got_d_out, &want_d_out),
+        ] {
+            for (j, (x, y)) in got.iter().zip(want).enumerate() {
+                prop_assert!((x - y).abs() <= tol, "{name}[{j}] dim={dim}: {x} vs {y} (tol {tol})");
+            }
+        }
+        // The lanes before each offset are not the kernel's to touch.
+        prop_assert_eq!(&got_out[..offsets.1], &out[..offsets.1]);
     }
 
     /// Property 1b: the int8 dot kernel is *exact* — integer accumulation has
