@@ -1081,7 +1081,10 @@ fn main() {
     let churn_wall_s = t.elapsed().as_secs_f64();
     let churn_report = outcome.report;
     assert_eq!(churn_report.arrivals, arrivals_n, "every arrival applied");
-    assert_eq!(churn_report.retirements, retire_n, "every retirement applied");
+    assert_eq!(
+        churn_report.retirements, retire_n,
+        "every retirement applied"
+    );
     let snapshot = engine.snapshot();
     assert_eq!(
         snapshot.live_count(),
@@ -1143,10 +1146,7 @@ fn main() {
     let burn_in_p95_ms = burn_in.map_or(0.0, |h| h.quantile(0.95) as f64 / 1e6);
     let mut table = Table::new(
         "Open-world churn — arrivals, retirements and cold-start quality",
-        &[
-            "metric",
-            "value",
-        ],
+        &["metric", "value"],
     );
     table.add_row(&[
         "churn updates/s".to_string(),

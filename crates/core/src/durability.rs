@@ -13,10 +13,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use uninet_dyngraph::UpdateBatch;
-use uninet_embedding::Embeddings;
+use uninet_embedding::{EmbeddingStore, Embeddings};
 use uninet_graph::Graph;
 use uninet_persist::{
-    write_snapshot, FsyncPolicy, PersistError, RecoveredState, SamplerState, Snapshot, WalWriter,
+    write_snapshot_with_index, FsyncPolicy, PersistError, RecoveredState, SamplerState, Snapshot,
+    WalWriter,
 };
 
 /// Engine-level durability options, set through
@@ -80,6 +81,13 @@ pub struct RecoverySummary {
     pub snapshots_skipped: usize,
     /// Whether an embedding matrix was restored into the serving store.
     pub restored_embeddings: bool,
+    /// Whether the serving index came out of the snapshot as it was, so the
+    /// restart built nothing and answers ANN queries exactly as the process
+    /// that wrote the snapshot did. `false` when the index was rebuilt (no
+    /// index section, one the importer refused, a different
+    /// `(m, ef_construction, seed)`), grafted onto a universe the WAL suffix
+    /// changed, or not wanted (the engine serves exact scans only).
+    pub restored_index: bool,
     /// Wall-clock time of the recovery (snapshot load + WAL replay).
     pub recovery_time: Duration,
 }
@@ -94,6 +102,7 @@ impl RecoverySummary {
             truncated_tail_bytes: state.truncated_tail_bytes,
             snapshots_skipped: state.snapshots_skipped,
             restored_embeddings: state.embeddings.is_some(),
+            restored_index: false,
             recovery_time,
         }
     }
@@ -178,12 +187,20 @@ impl SessionPersist {
     /// claims a `wal_seq` the log might lose. `live` is the open-world
     /// universe mask (`None` = fully live), persisted so retired ids stay
     /// retired across a crash.
+    ///
+    /// `serving` is the store these embeddings were published to. Its index
+    /// goes into the snapshot when, and only when, its current snapshot is
+    /// the epoch being written and holds exactly these vectors — anything
+    /// else (a throttled publish, a foreign publisher) would persist a graph
+    /// built for a different matrix. A snapshot without an index recovers by
+    /// rebuilding one.
     pub(crate) fn write_state(
         &mut self,
         graph: Graph,
         embeddings: Option<Embeddings>,
         epoch: u64,
         live: Option<Vec<bool>>,
+        serving: Option<&EmbeddingStore>,
     ) {
         if self.degraded {
             return;
@@ -192,6 +209,17 @@ impl SessionPersist {
             self.degrade(e);
             return;
         }
+        let served = serving.map(|store| store.snapshot());
+        let index = served
+            .as_deref()
+            .zip(embeddings.as_ref())
+            .filter(|(served, embeddings)| {
+                served.epoch() == epoch
+                    && served.embeddings().dim() == embeddings.dim()
+                    && served.embeddings().as_flat() == embeddings.as_flat()
+            })
+            .and_then(|(served, _)| served.ann())
+            .map(|index| index.export_graph());
         let snap = Snapshot {
             wal_seq: self.wal.last_seq(),
             epoch,
@@ -201,7 +229,7 @@ impl SessionPersist {
             embeddings,
             live,
         };
-        match write_snapshot(&self.dir, &snap) {
+        match write_snapshot_with_index(&self.dir, &snap, index.as_deref()) {
             Ok(_) => {
                 self.report.snapshots_written += 1;
                 self.batches_since_snapshot = 0;
@@ -218,8 +246,15 @@ impl SessionPersist {
         embeddings: &Embeddings,
         epoch: u64,
         live: Option<Vec<bool>>,
+        serving: Option<&EmbeddingStore>,
     ) -> DurabilityReport {
-        self.write_state(graph.clone(), Some(embeddings.clone()), epoch, live);
+        self.write_state(
+            graph.clone(),
+            Some(embeddings.clone()),
+            epoch,
+            live,
+            serving,
+        );
         self.report
     }
 }
@@ -252,11 +287,11 @@ mod tests {
         let dir = tmp_dir("final-snap");
         let opts = PersistOptions::new(&dir);
         let mut p = SessionPersist::begin(&opts, true, SamplerState::default()).unwrap();
-        p.write_state(tiny_graph(), None, 0, None);
+        p.write_state(tiny_graph(), None, 0, None, None);
         p.log_batch(&one_batch());
         p.log_batch(&one_batch());
         let emb = Embeddings::from_flat(2, vec![0.5; 24]);
-        let report = p.finish(&tiny_graph(), &emb, 3, None);
+        let report = p.finish(&tiny_graph(), &emb, 3, None, None);
         assert_eq!(report.batches_logged, 2);
         assert_eq!(report.last_wal_seq, 2);
         assert_eq!(report.snapshots_written, 2, "initial + final");
@@ -285,7 +320,7 @@ mod tests {
         assert!(!p.snapshot_due());
         p.log_batch(&one_batch());
         assert!(p.snapshot_due());
-        p.write_state(tiny_graph(), None, 1, None);
+        p.write_state(tiny_graph(), None, 1, None, None);
         assert!(!p.snapshot_due(), "writing a snapshot resets the cadence");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -299,8 +334,14 @@ mod tests {
         // Replace the WAL directory out from under the writer: the open file
         // handle keeps appends working, but snapshot writes must fail.
         std::fs::remove_dir_all(&dir).unwrap();
-        p.write_state(tiny_graph(), None, 1, None);
-        let report = p.finish(&tiny_graph(), &Embeddings::from_flat(1, vec![0.0; 12]), 1, None);
+        p.write_state(tiny_graph(), None, 1, None, None);
+        let report = p.finish(
+            &tiny_graph(),
+            &Embeddings::from_flat(1, vec![0.0; 12]),
+            1,
+            None,
+            None,
+        );
         assert!(report.wal_error.is_some(), "degradation must be reported");
         assert_eq!(report.snapshots_written, 0);
         let _ = std::fs::remove_dir_all(&dir);

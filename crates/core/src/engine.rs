@@ -11,7 +11,7 @@
 //!   background thread and returns a [`StreamHandle`]; the engine stays
 //!   queryable the whole time, and with
 //!   [`StreamingConfig::incremental_train`](crate::StreamingConfig) every
-//!   refresh round publishes an updated snapshot.
+//!   batch that trained publishes an updated snapshot.
 //! * [`Engine::top_k`] / [`Engine::cosine`] / [`Engine::vector`] — embedding
 //!   queries served lock-free from the latest published snapshot; with
 //!   [`EngineBuilder::ann_index`] top-k routes through a per-snapshot HNSW
@@ -45,7 +45,8 @@ use std::time::Instant;
 
 use uninet_dyngraph::GraphMutation;
 use uninet_embedding::{
-    AnnConfig, EmbeddingSnapshot, EmbeddingStore, QueryMode, StoreTelemetry, TrainStats,
+    AnnConfig, EmbeddingSnapshot, EmbeddingStore, Embeddings, HnswIndex, QueryMode, StoreTelemetry,
+    TrainStats,
 };
 use uninet_graph::io::{read_edge_list_file, EdgeListOptions};
 use uninet_graph::Graph;
@@ -449,7 +450,7 @@ impl EngineBuilder {
         // Crash recovery is a graph *source*; mixing it with an explicit one
         // would silently discard whichever lost the race.
         let mut recovery: Option<RecoverySummary> = None;
-        let mut restored_embeddings: Option<(uninet_embedding::Embeddings, u64)> = None;
+        let mut restored: Option<(Embeddings, u64, Option<Vec<u8>>)> = None;
         let mut live: Option<Vec<bool>> = None;
         let graph = if let Some(dir) = &recover_dir {
             if source.is_some() {
@@ -462,7 +463,7 @@ impl EngineBuilder {
             let t = Instant::now();
             let state = uninet_persist::recover(dir)?;
             recovery = Some(RecoverySummary::from_state(&state, t.elapsed()));
-            restored_embeddings = state.embeddings.map(|e| (e, state.epoch));
+            restored = state.embeddings.map(|e| (e, state.epoch, state.index));
             live = state.live;
             state.graph
         } else {
@@ -637,8 +638,25 @@ impl EngineBuilder {
         // the snapshot recorded — readers observe the same epoch sequence
         // (and the same open-world universe) they would have seen had the
         // process never died.
-        if let Some((embeddings, epoch)) = restored_embeddings {
-            store.restore_with_universe(embeddings, epoch, live.clone());
+        if let Some((embeddings, epoch, graph_bytes)) = restored {
+            // Arrivals replayed from the WAL suffix have graph rows but no
+            // vectors yet; the serving universe is the part of the mask the
+            // matrix covers.
+            let serving_live = live.as_ref().map(|mask| {
+                let mut mask = mask.clone();
+                mask.resize(embeddings.num_nodes(), true);
+                mask
+            });
+            let (index, verbatim) = recovered_index(
+                store.ann_config(),
+                graph_bytes.as_deref(),
+                &embeddings,
+                serving_live.as_deref(),
+            );
+            if let Some(summary) = recovery.as_mut() {
+                summary.restored_index = verbatim;
+            }
+            store.restore(embeddings, epoch, serving_live, index);
         }
 
         let num_nodes = graph.num_nodes();
@@ -657,6 +675,38 @@ impl EngineBuilder {
                 core: Mutex::new(CoreState::Idle(EngineCore { graph, live })),
             }),
         })
+    }
+}
+
+/// The index a recovered matrix is served with, from the graph its snapshot
+/// carried, and whether that graph is used exactly as it was written.
+///
+/// A graph the importer accepts is installed as it is when it holds exactly
+/// the live ids — the restart then builds nothing. When the WAL suffix (or
+/// the batch the snapshot was cut in) moved the universe, the graph is run
+/// through the incremental graft instead: the vectors are the ones it was
+/// built on, so nothing counts as drifted, dead ids are filtered out of every
+/// list and new ids inserted. No graph, a refused one or an engine without
+/// ANN yields `None`, and the store builds from scratch (or not at all).
+fn recovered_index(
+    config: Option<&AnnConfig>,
+    graph_bytes: Option<&[u8]>,
+    embeddings: &Embeddings,
+    live: Option<&[bool]>,
+) -> (Option<HnswIndex>, bool) {
+    let (Some(config), Some(bytes)) = (config, graph_bytes) else {
+        return (None, false);
+    };
+    match HnswIndex::import_graph(bytes, embeddings, config) {
+        Ok(index) if index.covers_universe(live) => (Some(index), true),
+        Ok(index) => {
+            let grafted = HnswIndex::build_incremental_masked(embeddings, config, &index, live);
+            (Some(grafted), false)
+        }
+        Err(e) => {
+            eprintln!("warning: the snapshot's index is not usable, rebuilding it: {e}");
+            (None, false)
+        }
     }
 }
 
@@ -999,9 +1049,13 @@ impl Engine {
         if let (Some(opts), Some(embeddings)) = (self.inner.persist.as_ref(), durable_copy) {
             match SessionPersist::begin(opts, self.inner.streaming.symmetric, self.sampler_state())
             {
-                Ok(mut p) => {
-                    p.write_state(core.graph.clone(), Some(embeddings), epoch, core.live.clone())
-                }
+                Ok(mut p) => p.write_state(
+                    core.graph.clone(),
+                    Some(embeddings),
+                    epoch,
+                    core.live.clone(),
+                    Some(&self.inner.store),
+                ),
                 Err(e) => eprintln!("warning: post-train durability snapshot failed: {e}"),
             }
         }
@@ -1020,7 +1074,7 @@ impl Engine {
     /// The engine stays queryable while the session runs: reads are served
     /// from the latest published snapshot (with
     /// [`StreamingConfig::incremental_train`](crate::StreamingConfig) each
-    /// refresh round publishes one; otherwise the final embeddings are
+    /// batch that trained publishes one; otherwise the final embeddings are
     /// published at end-of-stream). A second `stream` or a `train` during the
     /// session fails with [`UniNetError::EngineBusy`].
     pub fn stream(&self, mutations: Vec<GraphMutation>) -> Result<StreamHandle, UniNetError> {

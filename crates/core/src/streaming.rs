@@ -213,9 +213,9 @@ fn merge_train_stats(total: &mut TrainStats, pass: &TrainStats) {
 /// long-lived engine can keep its graph current.
 ///
 /// When `store` is set, trained embedding versions are published to it: the
-/// initial online model, incremental passes (subject to
-/// [`StreamingConfig::snapshot_interval_ms`] throttling), and the
-/// end-of-stream state. The returned epoch is that of this session's last
+/// initial online model, one version per batch that trained or changed the
+/// universe (subject to [`StreamingConfig::snapshot_interval_ms`]
+/// throttling), and the end-of-stream state. The returned epoch is that of this session's last
 /// publish (0 when `store` is `None`). The spec must already have passed
 /// [`ModelSpec::validate`] — the engine builder guarantees this.
 ///
@@ -242,7 +242,13 @@ pub(crate) fn run_streaming_session(
     persist: Option<SessionPersist>,
     ingest_metrics: &IngestMetrics,
     engine_metrics: &EngineMetrics,
-) -> (PipelineResult, StreamingReport, Graph, Option<Vec<bool>>, u64) {
+) -> (
+    PipelineResult,
+    StreamingReport,
+    Graph,
+    Option<Vec<bool>>,
+    u64,
+) {
     let model = spec
         .instantiate(&graph)
         .expect("model spec is validated before a streaming session starts");
@@ -305,7 +311,7 @@ pub(crate) fn run_streaming_session(
     let mut persist = persist;
     if let Some(p) = persist.as_mut() {
         let initial = online.as_ref().map(|s| s.embeddings());
-        p.write_state(graph.clone(), initial, last_epoch, live.clone());
+        p.write_state(graph.clone(), initial, last_epoch, live.clone(), store);
     }
     let persist = RefCell::new(persist);
 
@@ -370,10 +376,17 @@ pub(crate) fn run_streaming_session(
                                 emb,
                                 *last_epoch,
                                 universe_mask(dg.live_mask()),
+                                store,
                             );
                         }
                     }
                 }
+                // Whether this batch leaves the store serving something out of
+                // date — the universe changed (a retiree must stop being
+                // served whether or not any walk passed through it) or, set
+                // below, a pass moved the model. Decides the one publish at
+                // the end of the callback.
+                let mut stale = !r.arrivals.is_empty() || !r.retirements.is_empty();
                 // Open-world churn: grow every per-node plane to the new
                 // capacity, evict retirees from the walk corpus (so no stale
                 // trajectory can resurrect them), and queue arrivals for a
@@ -385,9 +398,7 @@ pub(crate) fn run_streaming_session(
                     refresher.grow(capacity);
                     if !r.retirements.is_empty() {
                         let evicted = refresher.evict_walks(corpus, &r.retirements);
-                        ingest_metrics
-                            .refresh_dirty_walks
-                            .add(evicted.len() as u64);
+                        ingest_metrics.refresh_dirty_walks.add(evicted.len() as u64);
                         pending_seed.retain(|v| !r.retirements.contains(v));
                     }
                     if let Some(session) = online.as_mut() {
@@ -404,8 +415,14 @@ pub(crate) fn run_streaming_session(
                     touched.sort_unstable();
                     touched.dedup();
                     if !touched.is_empty() {
-                        let outcome = refresher
-                            .refresh_parallel(corpus, dg.base(), model, mgr, &touched, threads);
+                        let outcome = refresher.refresh_parallel(
+                            corpus,
+                            dg.base(),
+                            model,
+                            mgr,
+                            &touched,
+                            threads,
+                        );
                         ingest_metrics
                             .refresh_round_ns
                             .record_duration(outcome.elapsed);
@@ -430,26 +447,7 @@ pub(crate) fn run_streaming_session(
                                 merge_train_stats(train_stats, &stats);
                                 report.incremental_walks_trained += regenerated.len();
                                 report.incremental_passes += 1;
-                                // Publish the adapted vectors so concurrent
-                                // readers track the stream instead of serving
-                                // the initial model until end-of-stream.
-                                // Publishing copies the matrix and recomputes
-                                // norms, so it is throttled by
-                                // `snapshot_interval_ms` on the ingestion
-                                // path.
-                                if let Some(store) = store {
-                                    if last_publish.elapsed() >= snapshot_interval {
-                                        *last_epoch = store.publish_with_universe(
-                                            session.embeddings(),
-                                            universe_mask(dg.live_mask()),
-                                        );
-                                        report.snapshots_published += 1;
-                                        *last_publish = Instant::now();
-                                        *store_current = true;
-                                    } else {
-                                        *store_current = false;
-                                    }
-                                }
+                                stale = true;
                             }
                         }
                     }
@@ -528,21 +526,30 @@ pub(crate) fn run_streaming_session(
                                 report.incremental_passes += streaming.cold_start_burn_in;
                                 report.incremental_walks_trained +=
                                     walks.len() * streaming.cold_start_burn_in;
-                                if let Some(store) = store {
-                                    if last_publish.elapsed() >= snapshot_interval {
-                                        *last_epoch = store.publish_with_universe(
-                                            session.embeddings(),
-                                            universe_mask(dg.live_mask()),
-                                        );
-                                        report.snapshots_published += 1;
-                                        *last_publish = Instant::now();
-                                        *store_current = true;
-                                    } else {
-                                        *store_current = false;
-                                    }
-                                }
+                                stale = true;
                             }
                         }
+                    }
+                }
+
+                // One publish per batch, after everything that trains: the
+                // adapted vectors reach concurrent readers while the stream
+                // is still being ingested, and a batch that both refreshed
+                // and cold-started costs one matrix copy, one index graft
+                // and one epoch, not two. Publishing copies the matrix and
+                // recomputes norms, so it is throttled by
+                // `snapshot_interval_ms` on the ingestion path.
+                if let (true, Some(store), Some(session)) = (stale, store, online.as_ref()) {
+                    if last_publish.elapsed() >= snapshot_interval {
+                        *last_epoch = store.publish_with_universe(
+                            session.embeddings(),
+                            universe_mask(dg.live_mask()),
+                        );
+                        report.snapshots_published += 1;
+                        *last_publish = Instant::now();
+                        *store_current = true;
+                    } else {
+                        *store_current = false;
                     }
                 }
             },
@@ -595,7 +602,13 @@ pub(crate) fn run_streaming_session(
 
     let final_graph = dyn_graph.into_base();
     if let Some(p) = persist.into_inner() {
-        report.durability = Some(p.finish(&final_graph, &embeddings, last_epoch, final_live.clone()));
+        report.durability = Some(p.finish(
+            &final_graph,
+            &embeddings,
+            last_epoch,
+            final_live.clone(),
+            store,
+        ));
     }
     let timing = PhaseTiming {
         init,
@@ -891,6 +904,52 @@ mod tests {
     }
 
     #[test]
+    fn a_retirement_no_walk_passes_through_still_leaves_the_store() {
+        // The arrival never gains an edge, so its retirement touches no walk
+        // and trains nothing; the store must stop serving it all the same.
+        let graph = test_graph();
+        let n = graph.num_nodes() as NodeId;
+        let mutations = [
+            GraphMutation::AddNode { node: n },
+            GraphMutation::RemoveNode { node: n },
+        ];
+        let mut cfg = UniNetConfig::small();
+        cfg.walk.num_walks = 1;
+        cfg.walk.walk_length = 8;
+        cfg.embedding.epochs = 1;
+        let streaming = StreamingConfig {
+            batch_size: 1,
+            incremental_train: true,
+            allow_churn: true,
+            ..Default::default()
+        };
+        let store = EmbeddingStore::new();
+        let (_, report, _, final_live, last_epoch) = run_streaming_session(
+            &cfg,
+            &streaming,
+            &ModelSpec::DeepWalk,
+            graph,
+            None,
+            &mutations,
+            Some(&store),
+            None,
+            &IngestMetrics::detached(),
+            &EngineMetrics::detached(),
+        );
+        assert_eq!((report.arrivals, report.retirements), (1, 1));
+        assert_eq!(report.incremental_passes, 0, "nothing trained");
+        assert_eq!(
+            report.snapshots_published, 3,
+            "initial, arrival, retirement"
+        );
+        assert_eq!(last_epoch, store.epoch());
+        let snap = store.snapshot();
+        assert!(snap.in_range(n) && !snap.is_live(n));
+        assert_eq!(store.vector(n), None, "retired id must not be served");
+        assert_eq!(snap.live_mask(), final_live.as_deref());
+    }
+
+    #[test]
     fn session_publishes_snapshots_and_returns_final_graph() {
         let graph = test_graph();
         let n = graph.num_nodes();
@@ -919,19 +978,76 @@ mod tests {
             &EngineMetrics::detached(),
         );
         assert_eq!(last_epoch, store.epoch());
-        // Initial online model + one per incremental pass; the end-of-stream
-        // state is identical to the last pass, so no extra version is cut.
-        assert_eq!(
-            report.snapshots_published,
-            1 + report.incremental_passes,
-            "initial + per-pass snapshots"
-        );
+        // The initial online model, then at most one version per batch and
+        // one for the end-of-stream flush; the final state is identical to
+        // the last of those, so no extra version is cut. Without churn every
+        // pass is its own batch.
         assert!(
             report.incremental_passes > 0,
             "stream produced no refreshes"
         );
+        assert_eq!(report.snapshots_published, 1 + report.incremental_passes);
+        assert!(report.snapshots_published <= 2 + report.batches);
         assert_eq!(store.epoch(), report.snapshots_published as u64);
         assert_eq!(store.num_nodes(), n);
         assert_eq!(final_graph.num_nodes(), n);
+    }
+
+    #[test]
+    fn a_batch_that_refreshes_and_cold_starts_publishes_once() {
+        let graph = test_graph();
+        let n = graph.num_nodes() as NodeId;
+        // Every batch of 8 carries an arrival wired to a hub plus edge churn:
+        // it trains in the refresh pass and again in the burn-in passes.
+        let mut mutations = Vec::new();
+        for (i, chunk) in mixed_stream(&graph, 48, 37).chunks(6).enumerate() {
+            let node = n + i as NodeId;
+            mutations.push(GraphMutation::AddNode { node });
+            mutations.push(GraphMutation::AddEdge {
+                src: node,
+                dst: i as NodeId,
+                weight: 1.0,
+            });
+            mutations.extend_from_slice(chunk);
+        }
+        let mut cfg = UniNetConfig::small();
+        cfg.walk.num_walks = 1;
+        cfg.walk.walk_length = 8;
+        cfg.walk.sampler = EdgeSamplerKind::MetropolisHastings(InitStrategy::Random);
+        cfg.embedding.epochs = 1;
+        let streaming = StreamingConfig {
+            batch_size: 8,
+            incremental_train: true,
+            allow_churn: true,
+            ..Default::default()
+        };
+        let store = EmbeddingStore::new();
+        let (_, report, _, _, last_epoch) = run_streaming_session(
+            &cfg,
+            &streaming,
+            &ModelSpec::DeepWalk,
+            graph,
+            None,
+            &mutations,
+            Some(&store),
+            None,
+            &IngestMetrics::detached(),
+            &EngineMetrics::detached(),
+        );
+        assert!(report.cold_starts > 0, "no arrival cold-started");
+        assert!(
+            report.incremental_passes > 1 + report.batches,
+            "the stream should train more than once per batch ({} passes, {} batches)",
+            report.incremental_passes,
+            report.batches
+        );
+        assert!(
+            report.snapshots_published <= 2 + report.batches,
+            "{} versions for {} batches",
+            report.snapshots_published,
+            report.batches
+        );
+        assert_eq!(store.epoch(), report.snapshots_published as u64);
+        assert_eq!(last_epoch, store.epoch());
     }
 }

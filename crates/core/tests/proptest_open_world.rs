@@ -10,7 +10,10 @@
 //! * incrementally maintained alias sampler tables draw the same sequences
 //!   as tables built fresh over the final graph (sampler-weight equivalence);
 //! * a snapshot published with the final universe mask never surfaces a
-//!   retired id from `top_k` — exact scan or ANN index.
+//!   retired id from `top_k` — exact scan or ANN index;
+//! * a durable engine session over the same kind of stream restarts into
+//!   exactly what it was serving — vectors and ANN answers, bit for bit —
+//!   and a crash that loses the last snapshot still never serves a retiree.
 
 use std::collections::BTreeMap;
 
@@ -19,8 +22,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use uninet_core::{
-    AnnConfig, DynamicGraph, EdgeSamplerKind, EmbeddingStore, Embeddings, GraphMutation,
-    QueryMode,
+    AnnConfig, DynamicGraph, EdgeSamplerKind, EmbeddingStore, Embeddings, Engine, EngineBuilder,
+    FsyncPolicy, GraphMutation, QueryMode,
 };
 use uninet_graph::{Graph, GraphBuilder, NodeId};
 use uninet_ingest::{run_pipeline, IngestConfig};
@@ -66,15 +69,13 @@ impl OpenWorldModel {
                 true
             }
             GraphMutation::RemoveEdge { .. } => self.edges.remove(&(src, dst)).is_some(),
-            GraphMutation::UpdateWeight { weight, .. } => {
-                match self.edges.get_mut(&(src, dst)) {
-                    Some(w) => {
-                        *w = weight;
-                        true
-                    }
-                    None => false,
+            GraphMutation::UpdateWeight { weight, .. } => match self.edges.get_mut(&(src, dst)) {
+                Some(w) => {
+                    *w = weight;
+                    true
                 }
-            }
+                None => false,
+            },
             GraphMutation::AddNode { .. } | GraphMutation::RemoveNode { .. } => {
                 unreachable!("node ops never reach the directed edge path")
             }
@@ -305,5 +306,115 @@ proptest! {
                 prop_assert!(store.vector(v).is_none(), "retired id {} served a vector", v);
             }
         }
+    }
+}
+
+/// The durable open-world engine of the restart property, minus its source.
+fn durable_builder(batch_size: usize, snapshot_every: usize) -> EngineBuilder {
+    Engine::builder()
+        .num_walks(2)
+        .walk_length(6)
+        .dim(8)
+        .threads(1)
+        .seed(5)
+        .incremental_train(true)
+        .allow_churn(true)
+        .ann_index(true)
+        .ann_m(4)
+        .ann_ef_construction(16)
+        .ann_ef_search(16)
+        .update_batch_size(batch_size)
+        .snapshot_every(snapshot_every)
+        .wal_fsync(FsyncPolicy::Never)
+}
+
+/// One row as a reader sees it: its vector and its ANN answer, floats as bits.
+type ServedRow = (Option<Vec<u32>>, Vec<(u32, u32)>);
+
+fn served(engine: &Engine) -> Vec<ServedRow> {
+    (0..engine.snapshot().num_nodes() as u32)
+        .map(|v| {
+            let vector = engine
+                .vector(v)
+                .map(|row| row.iter().map(|x| x.to_bits()).collect());
+            let hits = engine
+                .top_k_mode(v, 6, QueryMode::Ann)
+                .into_iter()
+                .map(|(u, s)| (u, s.to_bits()))
+                .collect();
+            (vector, hits)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Restart == no-restart at the engine facade, ANN answers included: the
+    /// index a session grafted batch by batch comes back from the snapshot,
+    /// not from a fresh build that would link differently.
+    #[test]
+    fn durable_churn_session_restarts_into_what_it_served(
+        edges in prop::collection::vec((0u32..N, 0u32..N, 0.5f32..4.0), 8..40),
+        mutations in prop::collection::vec(churn_mutation(), 1..60),
+        batch_size in 2usize..12,
+        snapshot_every in 0usize..4,
+        case in 0u32..u32::MAX,
+    ) {
+        let g = base_graph(&edges);
+        prop_assume!(g.num_edges() > 0);
+        let dir = std::env::temp_dir().join(format!(
+            "uninet-prop-open-world-{}-{case}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = durable_builder(batch_size, snapshot_every)
+            .graph(g)
+            .wal(&dir)
+            .build()
+            .unwrap();
+        let outcome = engine.stream_blocking(mutations).unwrap();
+        let epoch = outcome.epoch;
+        let live: Vec<bool> = (0..engine.snapshot().num_nodes() as u32)
+            .map(|v| engine.snapshot().is_live(v))
+            .collect();
+        let before = served(&engine);
+        drop(engine);
+
+        let recovered = durable_builder(batch_size, snapshot_every)
+            .recover(&dir)
+            .build()
+            .unwrap();
+        let summary = recovered.recovery().unwrap();
+        prop_assert!(summary.restored_index, "a clean shutdown restores its index");
+        prop_assert_eq!(recovered.snapshot().epoch(), epoch);
+        prop_assert_eq!(&served(&recovered), &before);
+        drop(recovered);
+
+        // The crash that loses the final snapshot: an older one plus a WAL
+        // suffix that may arrive and retire ids the older index never saw.
+        let snapshots = uninet_persist::list_snapshots(&dir).unwrap();
+        prop_assert!(snapshots.len() >= 2);
+        std::fs::remove_file(&snapshots[0]).unwrap();
+        let crashed = durable_builder(batch_size, snapshot_every)
+            .recover(&dir)
+            .build()
+            .unwrap();
+        let snap = crashed.snapshot();
+        for v in 0..snap.num_nodes() as u32 {
+            let retired = !live.get(v as usize).copied().unwrap_or(true);
+            if retired {
+                prop_assert!(crashed.vector(v).is_none(), "retired id {} served a vector", v);
+            }
+            for mode in [QueryMode::Ann, QueryMode::Exact] {
+                for (u, _) in crashed.top_k_mode(v, live.len(), mode) {
+                    prop_assert!(
+                        live[u as usize],
+                        "retired id {} surfaced from {:?} top_k({}) after the crash", u, mode, v
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

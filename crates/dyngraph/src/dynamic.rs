@@ -489,7 +489,11 @@ impl DynamicGraph {
         }
         let (src, dst) = m.endpoints();
         let n = self.num_nodes() as NodeId;
-        if src >= n || dst >= n || src == dst || !self.live[src as usize] || !self.live[dst as usize]
+        if src >= n
+            || dst >= n
+            || src == dst
+            || !self.live[src as usize]
+            || !self.live[dst as usize]
         {
             self.rejected += 1;
             return (MutationEffect::Rejected, MutationEffect::Rejected);
@@ -806,7 +810,11 @@ impl ShardView<'_> {
         );
         let (src, dst) = m.endpoints();
         let n = self.num_nodes as NodeId;
-        if src >= n || dst >= n || src == dst || !self.live[src as usize] || !self.live[dst as usize]
+        if src >= n
+            || dst >= n
+            || src == dst
+            || !self.live[src as usize]
+            || !self.live[dst as usize]
         {
             self.outcome.rejected += 1;
             return (MutationEffect::Rejected, MutationEffect::Rejected);

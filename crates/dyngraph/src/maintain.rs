@@ -192,7 +192,8 @@ impl IncrementalMaintainer {
         // that don't exist yet.
         let universe_changed = !report.arrivals.is_empty() || !report.retirements.is_empty();
         if universe_changed
-            || (report.topology_mutations > 0 && graph.pending() >= self.config.compaction_threshold)
+            || (report.topology_mutations > 0
+                && graph.pending() >= self.config.compaction_threshold)
         {
             report.merge_compaction(self.compact_now(graph, manager, model));
         }

@@ -106,10 +106,7 @@ impl WalkRefresher {
     /// Walk ids currently indexed under `v` (empty for ids past the index,
     /// e.g. nodes that arrived after the last [`WalkRefresher::grow`]).
     pub fn walks_through(&self, v: NodeId) -> &[u32] {
-        self.index
-            .get(v as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.index.get(v as usize).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Extends the node → walks index to cover `num_nodes` ids (open-world
@@ -533,7 +530,9 @@ mod tests {
         let posted = refresher.walks_through(0).to_vec();
         refresher.grow(g.num_nodes() + 10);
         assert_eq!(refresher.walks_through(0), posted.as_slice());
-        assert!(refresher.walks_through((g.num_nodes() + 5) as NodeId).is_empty());
+        assert!(refresher
+            .walks_through((g.num_nodes() + 5) as NodeId)
+            .is_empty());
         // Out-of-index lookups are safe even before grow.
         let fresh = WalkRefresher::new(&corpus, g.num_nodes(), cfg.walk_length, 44);
         assert!(fresh.walks_through(10_000).is_empty());

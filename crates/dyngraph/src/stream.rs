@@ -588,8 +588,7 @@ rmnode 2
             other => panic!("unexpected: {other}"),
         }
         // Growth to id 5 leaves 4 vacant: edge ops on 4 are unknown-node.
-        let err =
-            read_update_stream_validated("addnode 5\nadd 0 4\n".as_bytes(), 3).unwrap_err();
+        let err = read_update_stream_validated("addnode 5\nadd 0 4\n".as_bytes(), 3).unwrap_err();
         match err {
             StreamError::Parse { line, issue, .. } => {
                 assert_eq!(line, 2);

@@ -25,6 +25,12 @@
 //!   carries a [`QuantizedMatrix`] of the normalized vectors; queries walk the
 //!   graph scoring candidates in int8 and re-score only the top
 //!   `k · rerank` candidates in f32, so reported similarities stay exact.
+//! * **Only the graph is worth persisting.** [`HnswIndex::export_graph`]
+//!   writes the adjacency lists, the entry point and the build parameters;
+//!   normalized rows, norms and int8 codes are an `O(n·d)` pass over the
+//!   matrix and are recomputed by [`HnswIndex::import_graph`], which
+//!   validates every count, id and level it reads before trusting it. A
+//!   restart then costs a decode instead of `n` insertions.
 //!
 //! ```
 //! use uninet_embedding::{AnnConfig, Embeddings, HnswIndex};
@@ -187,6 +193,95 @@ enum QueryRef<'a> {
     I8 { codes: &'a [i8], scale: f32 },
 }
 
+/// Magic and format number of an exported graph (see
+/// [`HnswIndex::export_graph`] for the layout).
+const GRAPH_MAGIC: [u8; 4] = *b"UNHG";
+const GRAPH_FORMAT: u32 = 1;
+
+/// Why [`HnswIndex::import_graph`] refused a byte string.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GraphImportError {
+    /// The bytes are not a well-formed graph: truncated, a count that the
+    /// remaining bytes cannot hold, a neighbour id out of range or not
+    /// indexed on that layer, a node on the wrong number of layers, an
+    /// over-long list, or an entry point that is not the top node.
+    Corrupt {
+        /// Byte offset at which validation failed.
+        offset: usize,
+        /// What failed to validate.
+        reason: String,
+    },
+    /// A well-formed graph, but over a different number of rows or built
+    /// with a different `(m, ef_construction, seed)` than the importer's:
+    /// its levels and links do not belong to this index.
+    Mismatch {
+        /// Which parameter differs, with both values.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for GraphImportError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphImportError::Corrupt { offset, reason } => {
+                write!(f, "corrupt HNSW graph at byte {offset}: {reason}")
+            }
+            GraphImportError::Mismatch { reason } => {
+                write!(f, "HNSW graph does not match this index: {reason}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GraphImportError {}
+
+/// Bounds-checked little-endian cursor over an exported graph.
+struct GraphReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> GraphReader<'a> {
+    fn corrupt(&self, reason: impl Into<String>) -> GraphImportError {
+        GraphImportError::Corrupt {
+            offset: self.pos,
+            reason: reason.into(),
+        }
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], GraphImportError> {
+        if self.remaining() < n {
+            return Err(self.corrupt(format!(
+                "truncated: need {n} bytes, {} left",
+                self.remaining()
+            )));
+        }
+        let bytes = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    fn u8(&mut self) -> Result<u8, GraphImportError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, GraphImportError> {
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn u64(&mut self) -> Result<u64, GraphImportError> {
+        let b = self.take(8)?;
+        Ok(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]))
+    }
+}
+
 /// The layer of `node` under `seed`: a splitmix64 hash mapped through the
 /// standard HNSW exponential (`P(level >= l) = m^-l` via `ml = 1/ln m`).
 /// Being a pure per-node function — not a sequential RNG draw — is what lets
@@ -244,6 +339,12 @@ pub struct HnswIndex {
     top_level: usize,
     /// Whether any node has been inserted yet (the first one seeds `entry`).
     seeded: bool,
+    /// The `(m, ef_construction, seed)` the graph was built with: together
+    /// with the vectors they determine every level and every link, so an
+    /// exported graph is only valid for an importer configured the same.
+    m: usize,
+    ef_construction: usize,
+    seed: u64,
     build_time: Duration,
     incremental: Option<IncrementalStats>,
 }
@@ -336,7 +437,7 @@ impl HnswIndex {
                 "live mask length must equal the embedding row count"
             );
         }
-        let is_live = |v: usize| live.map_or(true, |m| m[v]);
+        let is_live = |v: usize| live.is_none_or(|m| m[v]);
         let start = Instant::now();
         let n = embeddings.num_nodes();
         let n_old = prev.num_nodes;
@@ -435,6 +536,9 @@ impl HnswIndex {
             entry: 0,
             top_level: 0,
             seeded: false,
+            m: config.m,
+            ef_construction: config.ef_construction,
+            seed: config.seed,
             build_time: Duration::ZERO,
             incremental: None,
         }
@@ -447,6 +551,200 @@ impl HnswIndex {
             self.quant = Some(QuantizedMatrix::quantize(self.dim, &self.normalized));
         }
         self.build_time = start.elapsed();
+    }
+
+    /// Serializes the graph — and nothing else — so a restart can skip the
+    /// build. Little-endian:
+    ///
+    /// ```text
+    /// graph := "UNHG" u32:format(=1) u64:seed u32:m u32:ef_construction
+    ///          u32:nodes u32:entry u32:top_level nodes×node
+    /// node  := u8:layers (0 = not indexed) layers×(u32:len len×u32:neighbour)
+    /// ```
+    ///
+    /// Vectors, norms and int8 codes are not written: they are recomputed
+    /// from the matrix the graph is imported against.
+    pub fn export_graph(&self) -> Vec<u8> {
+        let links: usize = self.neighbors.iter().flatten().map(Vec::len).sum();
+        let lists: usize = self.neighbors.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(36 + self.num_nodes + 4 * (lists + links));
+        out.extend_from_slice(&GRAPH_MAGIC);
+        out.extend_from_slice(&GRAPH_FORMAT.to_le_bytes());
+        out.extend_from_slice(&self.seed.to_le_bytes());
+        for v in [
+            self.m,
+            self.ef_construction,
+            self.num_nodes,
+            self.entry as usize,
+            self.top_level,
+        ] {
+            out.extend_from_slice(&(v as u32).to_le_bytes());
+        }
+        for adj in &self.neighbors {
+            out.push(adj.len() as u8);
+            for list in adj {
+                out.extend_from_slice(&(list.len() as u32).to_le_bytes());
+                for &u in list {
+                    out.extend_from_slice(&u.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    /// Rebuilds an index from an [`export_graph`](Self::export_graph) byte
+    /// string and the matrix it was serving, without inserting anything:
+    /// rows are normalized (and quantized, when configured) from
+    /// `embeddings`, the adjacency is taken from `bytes`. With the same
+    /// matrix and config the result answers every query exactly as the
+    /// exporting index did.
+    ///
+    /// Nothing read is trusted. The graph must cover exactly
+    /// `embeddings.num_nodes()` rows and carry `config`'s
+    /// `(m, ef_construction, seed)` ([`GraphImportError::Mismatch`]
+    /// otherwise); every indexed node must sit on exactly the layers its
+    /// hash assigns it, every list must fit its cap (`2m` on layer 0, `m`
+    /// above), every neighbour must be an indexed node present on that
+    /// layer, and the entry point must be an indexed node on the top layer
+    /// ([`GraphImportError::Corrupt`] otherwise). Counts are checked against
+    /// the bytes that remain before anything is allocated from them.
+    pub fn import_graph(
+        bytes: &[u8],
+        embeddings: &Embeddings,
+        config: &AnnConfig,
+    ) -> Result<Self, GraphImportError> {
+        assert!(config.m >= 2, "HNSW needs m >= 2");
+        let start = Instant::now();
+        let mut r = GraphReader { buf: bytes, pos: 0 };
+        if r.take(4)? != GRAPH_MAGIC {
+            r.pos = 0;
+            return Err(r.corrupt("bad magic (not an exported HNSW graph)"));
+        }
+        let format = r.u32()?;
+        if format != GRAPH_FORMAT {
+            return Err(r.corrupt(format!("unsupported graph format {format}")));
+        }
+        let seed = r.u64()?;
+        let m = r.u32()? as usize;
+        let ef_construction = r.u32()? as usize;
+        if (m, ef_construction, seed) != (config.m, config.ef_construction, config.seed) {
+            return Err(GraphImportError::Mismatch {
+                reason: format!(
+                    "built with (m, ef_construction, seed) = ({m}, {ef_construction}, {seed}), \
+                     importer has ({}, {}, {})",
+                    config.m, config.ef_construction, config.seed
+                ),
+            });
+        }
+        let n = r.u32()? as usize;
+        if n != embeddings.num_nodes() {
+            return Err(GraphImportError::Mismatch {
+                reason: format!(
+                    "graph covers {n} rows, the matrix has {}",
+                    embeddings.num_nodes()
+                ),
+            });
+        }
+        let entry = r.u32()?;
+        let top_level = r.u32()? as usize;
+        // `n` is the row count of a matrix that exists, so sizing by it is
+        // safe; each node still needs its layer byte to be there.
+        if r.remaining() < n {
+            return Err(r.corrupt(format!("{n} nodes cannot fit in {} bytes", r.remaining())));
+        }
+        let ml = 1.0 / (m as f64).ln();
+        let mut neighbors: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
+        let mut highest: Option<usize> = None;
+        for (v, adj) in neighbors.iter_mut().enumerate() {
+            let layers = r.u8()? as usize;
+            if layers == 0 {
+                continue;
+            }
+            let level = level_for(seed, v as u32, ml);
+            if layers != level + 1 {
+                return Err(r.corrupt(format!(
+                    "node {v} is on {layers} layers, its hash assigns {}",
+                    level + 1
+                )));
+            }
+            highest = highest.max(Some(level));
+            adj.reserve_exact(layers);
+            for l in 0..layers {
+                let len = r.u32()? as usize;
+                let cap = if l == 0 { 2 * m } else { m };
+                if len > cap || len > r.remaining() / 4 {
+                    return Err(r.corrupt(format!(
+                        "node {v} layer {l}: {len} neighbours (cap {cap}, {} bytes left)",
+                        r.remaining()
+                    )));
+                }
+                let list: Vec<u32> = r
+                    .take(4 * len)?
+                    .chunks_exact(4)
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
+                if let Some(&u) = list.iter().find(|&&u| u as usize >= n) {
+                    return Err(r.corrupt(format!(
+                        "node {v} layer {l}: neighbour {u} is out of range (n = {n})"
+                    )));
+                }
+                adj.push(list);
+            }
+        }
+        if r.remaining() != 0 {
+            return Err(r.corrupt(format!("{} trailing bytes", r.remaining())));
+        }
+        // A link to a node that is not indexed on that layer would let a
+        // search score (and return) an id the graph does not hold — a
+        // retired one, say.
+        for (v, adj) in neighbors.iter().enumerate() {
+            for (l, list) in adj.iter().enumerate() {
+                if let Some(&u) = list.iter().find(|&&u| neighbors[u as usize].len() <= l) {
+                    return Err(r.corrupt(format!(
+                        "node {v} layer {l}: neighbour {u} is not indexed on that layer"
+                    )));
+                }
+            }
+        }
+        let seeded = highest.is_some();
+        if let Some(highest) = highest {
+            let entry_layers = neighbors.get(entry as usize).map_or(0, Vec::len);
+            if top_level != highest || entry_layers != top_level + 1 {
+                return Err(r.corrupt(format!(
+                    "entry {entry} (on {entry_layers} layers) / top level {top_level} do not \
+                     name the top of a graph whose highest layer is {highest}"
+                )));
+            }
+        }
+        let mut index = Self::empty_shell(embeddings, config);
+        index.neighbors = neighbors;
+        index.seeded = seeded;
+        if seeded {
+            index.entry = entry;
+            index.top_level = top_level;
+        }
+        index.finish_build(config, start);
+        Ok(index)
+    }
+
+    /// Whether the graph holds exactly the live ids of `live` (`None` =
+    /// every row): the condition under which an imported graph can serve a
+    /// universe as it is, with no retired id reachable and no live id
+    /// missing.
+    pub fn covers_universe(&self, live: Option<&[bool]>) -> bool {
+        live.is_none_or(|mask| mask.len() == self.num_nodes)
+            && self
+                .neighbors
+                .iter()
+                .enumerate()
+                .all(|(v, adj)| adj.is_empty() != live.is_none_or(|mask| mask[v]))
+    }
+
+    /// `(indexed nodes, directed links)` of the graph.
+    pub fn graph_size(&self) -> (usize, usize) {
+        let indexed = self.neighbors.iter().filter(|adj| !adj.is_empty()).count();
+        let links = self.neighbors.iter().flatten().map(Vec::len).sum();
+        (indexed, links)
     }
 
     /// Number of indexed vectors.
@@ -974,8 +1272,8 @@ mod tests {
         assert!(re.search_node(1, 161).iter().any(|&(u, _)| u == 0));
 
         // An all-dead universe still answers (with nothing).
-        let none = HnswIndex::build_masked(&emb, &cfg, Some(&vec![false; 200]));
-        assert!(none.search(&vec![1.0; 16], 5).is_empty());
+        let none = HnswIndex::build_masked(&emb, &cfg, Some(&[false; 200]));
+        assert!(none.search(&[1.0; 16], 5).is_empty());
     }
 
     #[test]
@@ -986,5 +1284,167 @@ mod tests {
         let inc = HnswIndex::build_incremental(&b, &AnnConfig::default(), &prev);
         assert!(inc.incremental_stats().is_none(), "should be a full build");
         assert_eq!(inc.search_node(0, 3).len(), 3);
+    }
+
+    /// Bit-level equality of two indices' answers over every node.
+    fn assert_same_answers(a: &HnswIndex, b: &HnswIndex, k: usize) {
+        assert_eq!(a.neighbors, b.neighbors);
+        assert_eq!(
+            (a.entry, a.top_level, a.seeded),
+            (b.entry, b.top_level, b.seeded)
+        );
+        for node in 0..a.num_nodes() as u32 {
+            let (x, y) = (a.search_node(node, k), b.search_node(node, k));
+            assert_eq!(x.len(), y.len(), "node {node}");
+            for (p, q) in x.iter().zip(&y) {
+                assert_eq!((p.0, p.1.to_bits()), (q.0, q.1.to_bits()), "node {node}");
+            }
+        }
+    }
+
+    #[test]
+    fn exported_graph_imports_to_an_index_with_identical_answers() {
+        let emb = random_unit_embeddings(300, 16, 41);
+        for quantize in [false, true] {
+            let cfg = AnnConfig {
+                seed: 7,
+                quantize,
+                ..Default::default()
+            };
+            let built = HnswIndex::build(&emb, &cfg);
+            let bytes = built.export_graph();
+            let imported = HnswIndex::import_graph(&bytes, &emb, &cfg).expect("round trip");
+            assert_eq!(imported.is_quantized(), quantize);
+            assert!(imported.incremental_stats().is_none());
+            assert!(imported.covers_universe(None));
+            assert_eq!(imported.graph_size(), built.graph_size());
+            assert_same_answers(&built, &imported, 10);
+            assert_eq!(imported.export_graph(), bytes, "export is a fixed point");
+        }
+    }
+
+    #[test]
+    fn grafted_and_masked_graphs_round_trip_too() {
+        let cfg = AnnConfig::default();
+        let emb = random_unit_embeddings(200, 16, 29);
+        let mut live = vec![true; 200];
+        for v in (0..200).step_by(5) {
+            live[v] = false;
+        }
+        let prev = HnswIndex::build(&emb, &cfg);
+        let grafted = HnswIndex::build_incremental_masked(&emb, &cfg, &prev, Some(&live));
+        let imported =
+            HnswIndex::import_graph(&grafted.export_graph(), &emb, &cfg).expect("round trip");
+        assert_same_answers(&grafted, &imported, 10);
+        assert!(imported.covers_universe(Some(&live)));
+        assert!(!imported.covers_universe(None), "dead ids are not indexed");
+        assert_eq!(imported.graph_size().0, 160);
+        // The fully-live graph does not cover a universe with retirements,
+        // nor one of another size.
+        assert!(!prev.covers_universe(Some(&live)));
+        assert!(!prev.covers_universe(Some(&[true; 199])));
+
+        // Degenerate universes: nothing indexed, and no rows at all.
+        let none = HnswIndex::build_masked(&emb, &cfg, Some(&[false; 200]));
+        let back = HnswIndex::import_graph(&none.export_graph(), &emb, &cfg).expect("empty graph");
+        assert!(back.search(&[1.0; 16], 5).is_empty());
+        assert!(back.covers_universe(Some(&[false; 200])));
+        let empty = Embeddings::from_flat(4, Vec::new());
+        let shell = HnswIndex::build(&empty, &cfg);
+        assert!(HnswIndex::import_graph(&shell.export_graph(), &empty, &cfg).is_ok());
+    }
+
+    #[test]
+    fn import_refuses_a_graph_built_for_another_index() {
+        let emb = random_unit_embeddings(60, 8, 3);
+        let cfg = AnnConfig::default();
+        let bytes = HnswIndex::build(&emb, &cfg).export_graph();
+        for other in [
+            AnnConfig { m: 8, ..cfg },
+            AnnConfig {
+                ef_construction: 64,
+                ..cfg
+            },
+            AnnConfig { seed: 43, ..cfg },
+        ] {
+            assert!(matches!(
+                HnswIndex::import_graph(&bytes, &emb, &other),
+                Err(GraphImportError::Mismatch { .. })
+            ));
+        }
+        let fewer = random_unit_embeddings(59, 8, 3);
+        assert!(matches!(
+            HnswIndex::import_graph(&bytes, &fewer, &cfg),
+            Err(GraphImportError::Mismatch { .. })
+        ));
+        // Search-time parameters are not part of the graph.
+        let wider = AnnConfig {
+            ef_search: 200,
+            ..cfg
+        };
+        assert!(HnswIndex::import_graph(&bytes, &emb, &wider).is_ok());
+    }
+
+    #[test]
+    fn import_refuses_structural_damage_with_a_typed_error() {
+        const HEADER: usize = 36;
+        let emb = random_unit_embeddings(80, 8, 5);
+        let cfg = AnnConfig::default();
+        let index = HnswIndex::build(&emb, &cfg);
+        let bytes = index.export_graph();
+        let corrupt = |bytes: &[u8], what: &str| match HnswIndex::import_graph(bytes, &emb, &cfg) {
+            Err(GraphImportError::Corrupt { reason, .. }) => reason,
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        };
+        let patch = |at: usize, v: u32| {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+
+        corrupt(&bytes[..bytes.len() - 1], "truncated");
+        corrupt(&[bytes.as_slice(), &[0]].concat(), "trailing byte");
+        corrupt(&bytes[..10], "header cut short");
+        let mut bad_magic = bytes.clone();
+        bad_magic[0] ^= 0xFF;
+        corrupt(&bad_magic, "magic");
+        corrupt(&patch(4, 9), "format");
+
+        // Node 0 sits at the header's end: its layer byte, then its layer-0
+        // list (length, ids).
+        let layers = bytes[HEADER];
+        assert!(layers >= 1);
+        let mut wrong_layers = bytes.clone();
+        wrong_layers[HEADER] = layers + 1;
+        assert!(corrupt(&wrong_layers, "layer count").contains("layers"));
+        let len0 = u32::from_le_bytes(bytes[HEADER + 1..HEADER + 5].try_into().unwrap());
+        assert!(len0 >= 1);
+        assert!(corrupt(&patch(HEADER + 5, 80), "id == n").contains("out of range"));
+        assert!(corrupt(&patch(HEADER + 5, u32::MAX), "huge id").contains("out of range"));
+        corrupt(&patch(HEADER + 1, 2 * 16 + 1), "list over its cap");
+        corrupt(&patch(HEADER + 1, u32::MAX), "lying length");
+
+        // Entry and top level must name the top of the graph.
+        corrupt(&patch(28, 80), "entry out of range");
+        corrupt(
+            &patch(32, index.top_level() as u32 + 1),
+            "top level too high",
+        );
+        let low = (0..80u32)
+            .find(|&v| index.neighbors[v as usize].len() <= index.top_level())
+            .expect("some node is below the top layer");
+        corrupt(&patch(28, low), "entry below the top layer");
+
+        // A link to an id the graph does not index (a retired one) is refused
+        // even though the id is in range.
+        let mut live = vec![true; 80];
+        live[7] = false;
+        let masked = HnswIndex::build_masked(&emb, &cfg, Some(&live));
+        let mut b = masked.export_graph();
+        b[HEADER + 5..HEADER + 9].copy_from_slice(&7u32.to_le_bytes());
+        assert!(matches!(
+            HnswIndex::import_graph(&b, &emb, &cfg),
+            Err(GraphImportError::Corrupt { reason, .. }) if reason.contains("not indexed")
+        ));
     }
 }

@@ -53,7 +53,7 @@ pub mod telemetry;
 pub mod trainer;
 pub mod vocab;
 
-pub use ann::{AnnConfig, HnswIndex, IncrementalStats, QueryMode};
+pub use ann::{AnnConfig, GraphImportError, HnswIndex, IncrementalStats, QueryMode};
 pub use kernels::KernelBackend;
 pub use matrix::EmbeddingMatrix;
 pub use negative::UnigramTable;

@@ -20,7 +20,7 @@
 //!
 //! **When do snapshots publish?** Batch training publishes once at the end of
 //! the run. Incremental streaming publishes the initial online model and then
-//! one snapshot per walk-refresh round, throttled by the engine's
+//! one snapshot per update batch that trained, throttled by the engine's
 //! `snapshot_interval_ms` (publishing copies the matrix, recomputes norms and
 //! — when ANN serving is enabled — rebuilds the HNSW index, all `O(n·d)` or
 //! worse, so on large graphs an unthrottled per-round publish would dominate
@@ -33,6 +33,11 @@
 //! the cost is borne once per epoch instead of `O(n·d)` per query. Queries
 //! pick their path per call via [`QueryMode`] ([`QueryMode::Ann`] falls back
 //! to the exact scan when a snapshot has no index).
+//!
+//! **Restart.** [`EmbeddingStore::restore`] installs a recovered matrix at
+//! its original epoch, and with it the index that was serving it when the
+//! caller read one back ([`HnswIndex::import_graph`]): norms and int8 codes
+//! are recomputed, the graph is not rebuilt.
 //!
 //! ```
 //! use uninet_embedding::{Embeddings, EmbeddingStore, QueryMode};
@@ -77,15 +82,6 @@ pub struct EmbeddingSnapshot {
 }
 
 impl EmbeddingSnapshot {
-    fn new(
-        epoch: u64,
-        embeddings: Embeddings,
-        ann_config: Option<&AnnConfig>,
-        live: Option<Vec<bool>>,
-    ) -> Self {
-        Self::new_timed(epoch, embeddings, ann_config, None, live).0
-    }
-
     /// Builds a snapshot and reports how long its two expensive stages took:
     /// the `O(n·d)` norms pass and the (optional) HNSW construction. When
     /// `prev` carries an index of the same dimensionality and the config
@@ -98,21 +94,6 @@ impl EmbeddingSnapshot {
         prev: Option<&EmbeddingSnapshot>,
         live: Option<Vec<bool>>,
     ) -> (Self, Duration, Duration) {
-        if let Some(mask) = &live {
-            assert_eq!(
-                mask.len(),
-                embeddings.num_nodes(),
-                "live mask length must equal the embedding row count"
-            );
-        }
-        let t_norms = Instant::now();
-        let norms = (0..embeddings.num_nodes() as u32)
-            .map(|v| kernels::l2_norm(embeddings.vector(v)))
-            .collect();
-        let quant = ann_config
-            .filter(|cfg| cfg.quantize && embeddings.num_nodes() > 0)
-            .map(|_| QuantizedMatrix::quantize(embeddings.dim(), embeddings.as_flat()));
-        let norms_time = t_norms.elapsed();
         let t_ann = Instant::now();
         let ann = ann_config
             .filter(|_| embeddings.num_nodes() > 0)
@@ -131,19 +112,42 @@ impl EmbeddingSnapshot {
                 }
             });
         let ann_time = t_ann.elapsed();
-        (
-            EmbeddingSnapshot {
-                epoch,
-                embeddings,
-                norms,
-                quant,
-                rerank: ann_config.map(|cfg| cfg.rerank.max(1)).unwrap_or(1),
-                ann,
-                live,
-            },
-            norms_time,
-            ann_time,
-        )
+        let t_norms = Instant::now();
+        let snapshot = Self::with_index(epoch, embeddings, ann_config, ann, live);
+        (snapshot, t_norms.elapsed(), ann_time)
+    }
+
+    /// Assembles a snapshot around an index that already exists (or around
+    /// none): the norms pass and the int8 codes are all that is computed.
+    fn with_index(
+        epoch: u64,
+        embeddings: Embeddings,
+        ann_config: Option<&AnnConfig>,
+        ann: Option<HnswIndex>,
+        live: Option<Vec<bool>>,
+    ) -> Self {
+        if let Some(mask) = &live {
+            assert_eq!(
+                mask.len(),
+                embeddings.num_nodes(),
+                "live mask length must equal the embedding row count"
+            );
+        }
+        let norms = (0..embeddings.num_nodes() as u32)
+            .map(|v| kernels::l2_norm(embeddings.vector(v)))
+            .collect();
+        let quant = ann_config
+            .filter(|cfg| cfg.quantize && embeddings.num_nodes() > 0)
+            .map(|_| QuantizedMatrix::quantize(embeddings.dim(), embeddings.as_flat()));
+        EmbeddingSnapshot {
+            epoch,
+            embeddings,
+            norms,
+            quant,
+            rerank: ann_config.map(|cfg| cfg.rerank.max(1)).unwrap_or(1),
+            ann,
+            live,
+        }
     }
 
     /// The snapshot's publication epoch (0 = the initial empty snapshot).
@@ -170,11 +174,7 @@ impl EmbeddingSnapshot {
 
     /// Whether `node` is a live member of the snapshot's universe.
     pub fn is_live(&self, node: u32) -> bool {
-        self.in_range(node)
-            && self
-                .live
-                .as_ref()
-                .map_or(true, |mask| mask[node as usize])
+        self.in_range(node) && self.live.as_ref().is_none_or(|mask| mask[node as usize])
     }
 
     /// Number of live nodes (== [`num_nodes`](Self::num_nodes) when no churn
@@ -399,9 +399,10 @@ impl EmbeddingStore {
     fn with_ann_config(ann: Option<AnnConfig>) -> Self {
         EmbeddingStore {
             next_epoch: std::sync::atomic::AtomicU64::new(0),
-            slot: RwLock::new(Arc::new(EmbeddingSnapshot::new(
+            slot: RwLock::new(Arc::new(EmbeddingSnapshot::with_index(
                 0,
                 Embeddings::from_flat(1, Vec::new()),
+                None,
                 None,
                 None,
             ))),
@@ -488,28 +489,47 @@ impl EmbeddingStore {
     /// epoch, `restore` installs the snapshot at precisely `epoch` and moves
     /// the allocator to `max(current, epoch)` — so a process that recovers
     /// from disk resumes the epoch sequence where the crashed process left
-    /// off instead of restarting from 1. Intended for crash recovery on an
-    /// otherwise idle store; a concurrent publisher with a higher epoch wins,
-    /// preserving monotonicity.
-    pub fn restore(&self, embeddings: Embeddings, epoch: u64) -> u64 {
-        self.restore_with_universe(embeddings, epoch, None)
-    }
-
-    /// [`restore`](EmbeddingStore::restore) with an explicit live universe —
-    /// crash recovery of an open-world session reinstates the retired-id mask
-    /// alongside the vectors.
-    pub fn restore_with_universe(
+    /// off instead of restarting from 1. `live` reinstates the open-world
+    /// retired-id mask alongside the vectors (`None` = fully live).
+    ///
+    /// `index` is the HNSW index that was serving these vectors, when the
+    /// caller has it (see [`HnswIndex::import_graph`]): it is installed as
+    /// it is, so the restart pays no build and answers ANN queries exactly
+    /// as before. It must be over these `embeddings` and hold exactly the
+    /// live ids ([`HnswIndex::covers_universe`]). With `None`, an ANN store
+    /// builds one from scratch; a store without ANN ignores it.
+    ///
+    /// Intended for crash recovery on an otherwise idle store; a concurrent
+    /// publisher with a higher epoch wins, preserving monotonicity.
+    pub fn restore(
         &self,
         embeddings: Embeddings,
         epoch: u64,
         live: Option<Vec<bool>>,
+        index: Option<HnswIndex>,
     ) -> u64 {
         use std::sync::atomic::Ordering;
         self.next_epoch.fetch_max(epoch, Ordering::Relaxed);
-        let snapshot = Arc::new(EmbeddingSnapshot::new(
+        let ann = self
+            .ann
+            .as_ref()
+            .filter(|_| embeddings.num_nodes() > 0)
+            .map(|cfg| match index {
+                Some(index) => {
+                    assert!(
+                        index.num_nodes() == embeddings.num_nodes()
+                            && index.covers_universe(live.as_deref()),
+                        "a restored index must cover exactly the live rows it is restored with"
+                    );
+                    index
+                }
+                None => HnswIndex::build_masked(&embeddings, cfg, live.as_deref()),
+            });
+        let snapshot = Arc::new(EmbeddingSnapshot::with_index(
             epoch,
             embeddings,
             self.ann.as_ref(),
+            ann,
             live,
         ));
         self.telemetry.live_nodes.set(snapshot.live_count() as i64);
@@ -864,15 +884,51 @@ mod tests {
     #[test]
     fn restore_resumes_epoch_sequence() {
         let store = EmbeddingStore::new();
-        assert_eq!(store.restore(sample(), 7), 7);
+        assert_eq!(store.restore(sample(), 7, None, None), 7);
         assert_eq!(store.epoch(), 7);
         assert_eq!(store.num_nodes(), 5);
         // The next publish continues after the restored epoch.
         assert_eq!(store.publish(sample()), 8);
         // Restoring an older epoch never rolls the store back.
-        store.restore(Embeddings::from_flat(2, vec![1.0, 1.0]), 3);
+        store.restore(Embeddings::from_flat(2, vec![1.0, 1.0]), 3, None, None);
         assert_eq!(store.epoch(), 8);
         assert_eq!(store.num_nodes(), 5);
+    }
+
+    #[test]
+    fn restore_installs_the_index_it_is_given() {
+        let cfg = AnnConfig::default();
+        let live = vec![true, false, true, true, true];
+        let first = EmbeddingStore::with_ann(cfg);
+        first.publish_with_universe(sample(), Some(live.clone()));
+        let before = first.snapshot();
+        let graph = before
+            .ann()
+            .expect("published with an index")
+            .export_graph();
+
+        let import = || HnswIndex::import_graph(&graph, &sample(), &cfg).expect("round trip");
+        let second = EmbeddingStore::with_ann(cfg);
+        second.restore(sample(), 1, Some(live.clone()), Some(import()));
+        let after = second.snapshot();
+        assert_eq!(after.epoch(), 1);
+        assert_eq!(
+            after.ann().map(|i| i.export_graph()),
+            Some(graph.clone()),
+            "the given graph serves, not a rebuilt one"
+        );
+        for node in [0u32, 2, 3, 4] {
+            assert_eq!(
+                after.top_k_mode(node, 3, QueryMode::Ann),
+                before.top_k_mode(node, 3, QueryMode::Ann)
+            );
+        }
+        assert!(second.top_k_mode(1, 3, QueryMode::Ann).is_empty());
+
+        // A store that serves exact scans only has no use for the index.
+        let plain = EmbeddingStore::new();
+        plain.restore(sample(), 1, Some(live), Some(import()));
+        assert!(plain.snapshot().ann().is_none());
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Telemetry overhead budget: the instrumented query-service path must stay
+//! Telemetry on the query path: the instrumented store must answer exactly
+//! what the raw snapshot answers and record every query once — and stay
 //! within a few percent of the raw snapshot query.
 //!
 //! The store path adds, on top of the query itself: one `RwLock` read to
 //! acquire the snapshot, two monotonic clock reads, and one histogram record
 //! (five relaxed atomic RMWs). Against an exact top-k scan over thousands of
-//! nodes that is noise — this test pins the budget so a future accidental
-//! lock or allocation on the hot path fails loudly.
+//! nodes that is noise — the budget test pins it so a future accidental lock
+//! or allocation on the hot path fails loudly. A 5% wall-clock budget cannot
+//! be held in an unoptimized build on a shared box (it failed one debug run
+//! in three), so that test is `#[ignore]`d out of tier-1 and CI runs it with
+//! `cargo test --release -p uninet-embedding --test metrics_overhead -- --ignored`;
+//! the structural half runs everywhere.
 
 use std::time::Instant;
 
@@ -43,11 +48,44 @@ fn median_query_ns(mut query: impl FnMut(u32)) -> u64 {
     laps[laps.len() / 2]
 }
 
-#[test]
-fn instrumented_store_query_overhead_is_within_budget() {
+fn instrumented_store() -> (MetricsRegistry, EmbeddingStore) {
     let registry = MetricsRegistry::new();
     let store = EmbeddingStore::new().instrumented(StoreTelemetry::registered(&registry));
     store.publish(test_embeddings());
+    (registry, store)
+}
+
+fn recorded_exact_queries(registry: &MetricsRegistry) -> usize {
+    registry
+        .snapshot()
+        .histogram("query.top_k.exact_ns")
+        .expect("exact-path histogram is registered")
+        .count() as usize
+}
+
+#[test]
+fn instrumented_store_records_every_query_and_answers_the_same() {
+    let (registry, store) = instrumented_store();
+    let snapshot = store.snapshot();
+    for i in 0..QUERIES {
+        let node = ((i * 17) % NODES) as u32;
+        let hits = store.top_k_mode(node, 10, QueryMode::Exact);
+        assert_eq!(hits.len(), 10);
+        assert_eq!(hits, snapshot.top_k(node, 10), "node {node}");
+    }
+    // Once per query, and only on its own path.
+    assert_eq!(recorded_exact_queries(&registry), QUERIES);
+    let ann = registry
+        .snapshot()
+        .histogram("query.top_k.ann_ns")
+        .map_or(0, |h| h.count());
+    assert_eq!(ann, 0, "exact queries must not count as ANN ones");
+}
+
+#[test]
+#[ignore = "wall-clock budget: run with --release -- --ignored (the CI test job does)"]
+fn instrumented_store_query_overhead_is_within_budget() {
+    let (registry, store) = instrumented_store();
     let snapshot = store.snapshot();
 
     // Best-of-N medians: each round measures both variants back to back, so a
@@ -67,12 +105,7 @@ fn instrumented_store_query_overhead_is_within_budget() {
     }
 
     // The recording really happened — this is not comparing two raw paths.
-    let recorded = registry
-        .snapshot()
-        .histogram("query.top_k.exact_ns")
-        .expect("exact-path histogram is registered")
-        .count();
-    assert_eq!(recorded as usize, QUERIES * ROUNDS);
+    assert_eq!(recorded_exact_queries(&registry), QUERIES * ROUNDS);
 
     // 5% budget per the telemetry-plane contract, with a small absolute floor
     // so sub-microsecond jitter cannot fail the test on a tiny workload.

@@ -1,9 +1,48 @@
 //! Property-based tests of the embedding layer: matrix algebra invariants,
-//! vocabulary bookkeeping, and sigmoid-table accuracy over arbitrary inputs.
+//! vocabulary bookkeeping, sigmoid-table accuracy over arbitrary inputs, and
+//! the HNSW graph importer under hostile bytes.
 
 use proptest::prelude::*;
 
-use uninet_embedding::{EmbeddingMatrix, Embeddings, SigmoidTable, UnigramTable, Vocabulary};
+use uninet_embedding::{
+    AnnConfig, EmbeddingMatrix, Embeddings, GraphImportError, HnswIndex, SigmoidTable,
+    UnigramTable, Vocabulary,
+};
+
+/// `n` deterministic pseudo-random rows and a live mask retiring every
+/// `retire_every`-th id (0 = nobody).
+fn rows_and_mask(n: usize, dim: usize, seed: u64, retire_every: usize) -> (Embeddings, Vec<bool>) {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let flat = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let live = (0..n)
+        .map(|v| retire_every == 0 || v % retire_every != 0)
+        .collect();
+    (Embeddings::from_flat(dim, flat), live)
+}
+
+/// Whatever the importer accepted must be safe to serve: every query
+/// returns, names rows that exist, and — when the graph holds exactly the
+/// live ids, the condition recovery installs it under — never a retired one.
+fn check_servable(
+    index: &HnswIndex,
+    live: &[bool],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let exact = index.covers_universe(Some(live));
+    for node in 0..index.num_nodes() as u32 {
+        for (u, score) in index.search_node(node, 8) {
+            prop_assert!((u as usize) < index.num_nodes());
+            prop_assert!(!score.is_nan());
+            prop_assert!(
+                !exact || live[u as usize],
+                "retired id {} surfaced from top_k({})",
+                u,
+                node
+            );
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
@@ -82,7 +121,6 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
-        use uninet_embedding::{AnnConfig, HnswIndex};
 
         // Random unit vectors — the adversarial (structure-free) case for a
         // proximity-graph index.
@@ -109,6 +147,67 @@ proptest! {
         }
         let recall = hits as f64 / total.max(1) as f64;
         prop_assert!(recall >= 0.9, "recall@10 = {} (n={}, dim={})", recall, n, dim);
+    }
+
+    #[test]
+    fn graph_import_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..400),
+        with_header in any::<bool>(),
+    ) {
+        let cfg = AnnConfig { m: 4, ef_construction: 8, ..Default::default() };
+        let (emb, live) = rows_and_mask(24, 4, 1, 0);
+        // Half the cases get past the header checks and into the node lists.
+        let mut input = Vec::new();
+        if with_header {
+            let good = HnswIndex::build(&emb, &cfg).export_graph();
+            input.extend_from_slice(&good[..36]);
+        }
+        input.extend_from_slice(&bytes);
+        if let Ok(index) = HnswIndex::import_graph(&input, &emb, &cfg) {
+            check_servable(&index, &live)?;
+        }
+    }
+
+    #[test]
+    fn mutated_graphs_are_refused_or_safe_to_serve(
+        n in 2usize..60,
+        seed in 0u64..500,
+        retire_every in 0usize..5,
+        flips in prop::collection::vec((0u32..1_000_000, any::<u8>()), 1..4),
+        cut in 0u32..1_000_000,
+        truncate in any::<bool>(),
+    ) {
+        let cfg = AnnConfig { m: 4, ef_construction: 8, seed, ..Default::default() };
+        let (emb, live) = rows_and_mask(n, 4, seed, retire_every);
+        let clean = HnswIndex::build_masked(&emb, &cfg, Some(&live)).export_graph();
+        let back = HnswIndex::import_graph(&clean, &emb, &cfg);
+        prop_assert!(back.is_ok(), "{:?}", back.err());
+        let back = back.unwrap();
+        prop_assert!(back.covers_universe(Some(&live)));
+        check_servable(&back, &live)?;
+
+        let mut bytes = clean.clone();
+        for &(at, xor) in &flips {
+            let at = at as usize % bytes.len();
+            bytes[at] ^= xor;
+        }
+        if truncate {
+            bytes.truncate(cut as usize % (bytes.len() + 1));
+        }
+        match HnswIndex::import_graph(&bytes, &emb, &cfg) {
+            // Accepted: the damage was a no-op, or stayed within what the
+            // validation proves harmless (a link moved to another node
+            // indexed on that layer).
+            Ok(index) => check_servable(&index, &live)?,
+            Err(GraphImportError::Corrupt { offset, .. }) => {
+                prop_assert!(offset <= bytes.len());
+            }
+            // Only damage to the header's parameters can read as a graph
+            // built for another index.
+            Err(GraphImportError::Mismatch { .. }) => {
+                prop_assert!(flips.iter().any(|&(at, _)| (at as usize % clean.len()) < 28));
+            }
+        }
     }
 
     #[test]

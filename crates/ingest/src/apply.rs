@@ -320,8 +320,9 @@ mod tests {
             0,
         );
         let metrics = IngestMetrics::detached();
-        let sharded = ShardedMaintainer::instrumented(MaintainerConfig::default(), 4, metrics.clone())
-            .apply_batch(&mut dg_sharded, &mut m_sharded, &model, &batch, &plan);
+        let sharded =
+            ShardedMaintainer::instrumented(MaintainerConfig::default(), 4, metrics.clone())
+                .apply_batch(&mut dg_sharded, &mut m_sharded, &model, &batch, &plan);
 
         assert_eq!(serial.arrivals, sharded.arrivals);
         assert_eq!(serial.retirements, sharded.retirements);

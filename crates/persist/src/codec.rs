@@ -153,6 +153,11 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
+    /// Reads `n` raw bytes (the counterpart of [`Enc::raw`]).
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        self.take(n, "byte string")
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1, "u8")?[0])
@@ -195,6 +200,20 @@ impl<'a> Dec<'a> {
         let v = self.usize()?;
         if v > cap {
             return Err(self.err(format!("{what} length {v} exceeds sanity cap {cap}")));
+        }
+        Ok(v)
+    }
+
+    /// Reads a `usize` element count and rejects one whose elements, at
+    /// `elem_bytes` each, the rest of the buffer cannot hold — so nothing is
+    /// ever allocated from a count the bytes behind it do not back.
+    pub fn counted_len(&mut self, elem_bytes: usize, what: &str) -> Result<usize, DecodeError> {
+        let v = self.usize()?;
+        if v > self.remaining() / elem_bytes.max(1) {
+            return Err(self.err(format!(
+                "{what} count {v} needs more than the {} bytes left",
+                self.remaining()
+            )));
         }
         Ok(v)
     }
@@ -297,6 +316,22 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert!(d.bounded_len(1 << 20, "nodes").is_err());
+    }
+
+    #[test]
+    fn counted_len_guards_allocations_the_buffer_cannot_back() {
+        let mut e = Enc::new();
+        e.u64(u64::MAX / 2);
+        let bytes = e.into_bytes();
+        assert!(Dec::new(&bytes).counted_len(1, "nodes").is_err());
+        // Three 4-byte elements announced, two present.
+        let mut e = Enc::new();
+        e.u64(3);
+        e.u32(1);
+        e.u32(2);
+        let bytes = e.into_bytes();
+        assert!(Dec::new(&bytes).counted_len(4, "ids").is_err());
+        assert_eq!(Dec::new(&bytes).counted_len(2, "ids"), Ok(3));
     }
 
     #[test]

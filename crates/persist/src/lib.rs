@@ -9,9 +9,11 @@
 //!   length-prefixed, CRC-32-checksummed record, under a configurable
 //!   [`FsyncPolicy`].
 //! * **[`snapshot`]** — periodic binary snapshots of the full state: the
-//!   compacted CSR graph, the last published embedding matrix, and the
-//!   sampler configuration (strategy + seed; M-H chains are rebuilt
-//!   deterministically on recovery).
+//!   compacted CSR graph, the last published embedding matrix, the sampler
+//!   configuration (strategy + seed; M-H chains are rebuilt
+//!   deterministically on recovery) and, as an opaque trailing section, the
+//!   graph of the HNSW index that was serving that matrix — the one derived
+//!   structure that costs more to rebuild than to read back.
 //!
 //! **[`recovery`]** ties them together: load the newest snapshot that
 //! validates, truncate any torn WAL tail, replay the WAL suffix through the
@@ -34,8 +36,8 @@ pub mod wal;
 
 pub use recovery::{recover, RecoveredState};
 pub use snapshot::{
-    latest_valid_snapshot, list_snapshots, read_snapshot, write_snapshot, LoadedSnapshot,
-    SamplerState, Snapshot,
+    latest_valid_snapshot, list_snapshots, read_snapshot, write_snapshot,
+    write_snapshot_with_index, LoadedSnapshot, SamplerState, Snapshot,
 };
 pub use wal::{read_wal, wal_path, FsyncPolicy, WalScan, WalWriter, WAL_FILE};
 

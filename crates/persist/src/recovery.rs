@@ -27,6 +27,11 @@ pub struct RecoveredState {
     pub graph: Graph,
     /// The last published embedding matrix, when the snapshot carried one.
     pub embeddings: Option<Embeddings>,
+    /// The exported graph of the index that was serving `embeddings` when
+    /// the snapshot was cut (`None` for v1/v2 snapshots and for sessions
+    /// without an index). It predates the replayed WAL suffix: node ops in
+    /// that suffix show in `live`, not here.
+    pub index: Option<Vec<u8>>,
     /// Open-world live mask over the recovered graph's rows (`None` = fully
     /// live). Reflects the snapshot's mask plus every node op replayed from
     /// the WAL suffix, so retired ids stay unreachable across a restart.
@@ -128,6 +133,7 @@ pub fn recover(dir: &Path) -> Result<RecoveredState, PersistError> {
     Ok(RecoveredState {
         graph: dg.into_base(),
         embeddings: snap.embeddings,
+        index: loaded.index,
         live,
         epoch: snap.epoch,
         sampler: snap.sampler,
@@ -275,8 +281,11 @@ mod tests {
         let live = rec.live.expect("churn produces a live mask");
         assert_eq!(live, vec![true, false, true, true, true, true]);
 
-        // Recovering a dir whose snapshot carries the mask round-trips it.
-        write_snapshot(
+        assert_eq!(rec.index, None, "the snapshot had no index section");
+
+        // Recovering a dir whose snapshot carries the mask round-trips it,
+        // and hands the index section through untouched.
+        crate::snapshot::write_snapshot_with_index(
             &dir,
             &Snapshot {
                 wal_seq: 1,
@@ -287,10 +296,12 @@ mod tests {
                 embeddings: None,
                 live: Some(live.clone()),
             },
+            Some(b"index bytes"),
         )
         .unwrap();
         let rec2 = recover(&dir).unwrap();
         assert_eq!(rec2.live, Some(live));
         assert_eq!(rec2.replayed_batches, 0);
+        assert_eq!(rec2.index.as_deref(), Some(b"index bytes".as_slice()));
     }
 }

@@ -470,6 +470,16 @@ fn run() -> Result<(), UniNetError> {
                 "absent (will retrain)"
             },
         );
+        if let Some((nodes, links)) = engine.snapshot().ann().map(|index| index.graph_size()) {
+            eprintln!(
+                "recovery: index {} ({nodes} nodes, {links} links)",
+                if summary.restored_index {
+                    "restored"
+                } else {
+                    "rebuilt"
+                },
+            );
+        }
     }
 
     if let Some(updates_path) = args.get("updates") {

@@ -347,8 +347,7 @@ fn retired_ids_never_surface_to_concurrent_clients_across_epoch_flips() {
                             v
                         }
                     };
-                    let (_, neighbors) =
-                        client.top_k(node, 10, QueryMode::Exact).expect("top_k");
+                    let (_, neighbors) = client.top_k(node, 10, QueryMode::Exact).expect("top_k");
                     assert!(
                         neighbors.iter().all(|&(u, _)| u != RETIRED),
                         "retired id {RETIRED} leaked into top_k({node})"
@@ -364,7 +363,10 @@ fn retired_ids_never_surface_to_concurrent_clients_across_epoch_flips() {
                     }
                     // Naming the retired id is a typed refusal on every
                     // endpoint — never a stale vector, never a panic.
-                    assert!(client.vector(RETIRED).expect_err("retired").is_retired_node());
+                    assert!(client
+                        .vector(RETIRED)
+                        .expect_err("retired")
+                        .is_retired_node());
                     assert!(client
                         .top_k(RETIRED, 5, QueryMode::Exact)
                         .expect_err("retired")
@@ -378,7 +380,10 @@ fn retired_ids_never_surface_to_concurrent_clients_across_epoch_flips() {
                         .expect_err("retired")
                         .is_retired_node());
                     // Beyond the grown universe: unknown, not retired.
-                    assert!(client.vector(N + 50).expect_err("unknown").is_unknown_node());
+                    assert!(client
+                        .vector(N + 50)
+                        .expect_err("unknown")
+                        .is_unknown_node());
                 }
             })
         })
@@ -415,7 +420,10 @@ fn retired_ids_never_surface_to_concurrent_clients_across_epoch_flips() {
     let mut client = Client::connect(addr.as_str()).expect("connect");
     let (_, vector) = client.vector(ARRIVED).expect("arrived node serves");
     assert_eq!(vector.expect("live row").len(), 16);
-    assert!(client.vector(RETIRED).expect_err("still retired").is_retired_node());
+    assert!(client
+        .vector(RETIRED)
+        .expect_err("still retired")
+        .is_retired_node());
     let (_, neighbors) = client.top_k(3, 20, QueryMode::Exact).expect("top_k");
     assert!(neighbors.iter().all(|&(u, _)| u != RETIRED));
     server.shutdown();

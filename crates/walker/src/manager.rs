@@ -987,7 +987,10 @@ mod tests {
             let mut m = SamplerManager::new(&old, &model, kind, 0);
             m.maintain_topology(&grown_empty, &model, &[], &[]);
             let mut rng = SmallRng::seed_from_u64(3);
-            assert_eq!(m.sample(&grown_empty, &model, WalkerState::at(5), &mut rng), None);
+            assert_eq!(
+                m.sample(&grown_empty, &model, WalkerState::at(5), &mut rng),
+                None
+            );
         }
     }
 
