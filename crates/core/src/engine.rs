@@ -618,7 +618,8 @@ impl EngineBuilder {
         let registry = MetricsRegistry::new();
 
         // The serving store; with ANN enabled, every published snapshot gets
-        // an HNSW index whose level RNG derives from the engine seed.
+        // an HNSW index whose level RNG derives from the engine seed, built
+        // on the engine's threads (the graph is the same for any count).
         let store = if streaming.ann_index {
             EmbeddingStore::with_ann(AnnConfig {
                 m: streaming.ann_m,
@@ -629,6 +630,7 @@ impl EngineBuilder {
                 rerank: streaming.ann_rerank,
                 incremental: streaming.ann_incremental,
                 drift_threshold: streaming.ann_drift_threshold,
+                threads: config.walk.num_threads,
             })
         } else {
             EmbeddingStore::new()

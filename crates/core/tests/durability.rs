@@ -9,7 +9,9 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use uninet_core::{Engine, FsyncPolicy, GraphMutation, ModelSpec, QueryMode, UniNetError};
+use uninet_core::{
+    Engine, EngineBuilder, FsyncPolicy, GraphMutation, ModelSpec, QueryMode, UniNetError,
+};
 use uninet_graph::generators::{rmat, RmatConfig};
 use uninet_graph::Graph;
 
@@ -174,15 +176,14 @@ fn churn_stream(graph: &Graph) -> Vec<GraphMutation> {
     out
 }
 
-/// The durable engine of these tests with churn and an ANN index; `graph`
-/// `None` recovers from `dir` instead.
-fn ann_engine(dir: &PathBuf, graph: Option<Graph>, snapshot_every: usize) -> Engine {
-    let builder = Engine::builder()
+/// The durable configuration of these tests with churn and an ANN index,
+/// short of its thread count.
+fn ann_builder(snapshot_every: usize) -> EngineBuilder {
+    Engine::builder()
         .model(ModelSpec::DeepWalk)
         .num_walks(1)
         .walk_length(8)
         .dim(16)
-        .threads(2)
         .seed(11)
         .incremental_train(true)
         .allow_churn(true)
@@ -191,7 +192,13 @@ fn ann_engine(dir: &PathBuf, graph: Option<Graph>, snapshot_every: usize) -> Eng
         .ann_ef_construction(24)
         .update_batch_size(16)
         .snapshot_every(snapshot_every)
-        .wal_fsync(FsyncPolicy::Never);
+        .wal_fsync(FsyncPolicy::Never)
+}
+
+/// [`ann_builder`] on two threads; `graph` `None` recovers from `dir`
+/// instead.
+fn ann_engine(dir: &PathBuf, graph: Option<Graph>, snapshot_every: usize) -> Engine {
+    let builder = ann_builder(snapshot_every).threads(2);
     match graph {
         Some(graph) => builder.graph(graph).wal(dir),
         None => builder.recover(dir),
@@ -266,6 +273,35 @@ fn restart_answers_ann_queries_exactly_as_before() {
     // grafted batch by batch, so a rebuilt one would answer differently.
     assert_eq!(served(&recovered), before);
     assert_retired_unreachable(&recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_index_built_on_one_thread_restores_on_two() {
+    let dir = wal_dir("ann-threads");
+    let writer = ann_builder(4)
+        .threads(1)
+        .graph(test_graph())
+        .wal(&dir)
+        .build()
+        .expect("valid durable configuration");
+    let epoch = writer
+        .stream_blocking(churn_stream(&test_graph()))
+        .expect("stream")
+        .epoch;
+    let before = served(&writer);
+    drop(writer);
+    let recovered = ann_builder(4)
+        .threads(2)
+        .recover(&dir)
+        .build()
+        .expect("recovery");
+    assert!(
+        recovered.recovery().unwrap().restored_index,
+        "the thread count is not part of a graph's identity"
+    );
+    assert_eq!(recovered.snapshot().epoch(), epoch);
+    assert_eq!(served(&recovered), before);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,11 +13,24 @@
 //! * **Immutable after build.** The index is constructed alongside a
 //!   snapshot's norms (outside the store's write lock) and never mutated
 //!   afterwards, so concurrent readers share it without synchronization.
-//! * **Deterministic.** A node's layer is a pure hash of
-//!   `(AnnConfig::seed, node id)` — not a draw from a sequential RNG — so a
-//!   node keeps its layer across rebuilds and [`HnswIndex::build_incremental`]
-//!   can graft an old graph onto a new epoch without reshuffling levels. Two
-//!   builds over the same vectors produce the same graph.
+//! * **Deterministic, for any thread count.** A node's layer is a pure hash
+//!   of `(AnnConfig::seed, node id)` — not a draw from a sequential RNG — so
+//!   a node keeps its layer across rebuilds and
+//!   [`HnswIndex::build_incremental`] can graft an old graph onto a new epoch
+//!   without reshuffling levels. Two builds over the same vectors produce the
+//!   same graph, byte for byte, whatever [`AnnConfig::threads`] is.
+//! * **Batch-parallel construction.** Every build — full, masked or grafted
+//!   — runs one routine (ParlayANN's deterministic prefix-doubling batch
+//!   insertion, Manohar et al., PPoPP 2024). The first node seeds the graph;
+//!   after that nodes go in batches of `min(nodes indexed so far, ~n/50)`
+//!   (1, 1, 2, 4, … then the cap; a graft counts its kept nodes as indexed).
+//!   Each node of a batch plans its per-layer links against the graph as the
+//!   batch found it, in parallel and read-only; then every forward and
+//!   reverse link of the batch is grouped by `(node, layer)` in a fixed
+//!   order, merged, and each list over its cap is pruned once by the
+//!   diversity heuristic, again in parallel. No thread's work depends on
+//!   another's, which is what makes the graph independent of the thread
+//!   count.
 //! * **Cosine via normalization.** Vectors are L2-normalized at build time,
 //!   so similarity is one [`kernels::dot`] — the same SIMD-dispatched kernel
 //!   the exact scan uses — and results carry the same cosine scores.
@@ -30,7 +43,8 @@
 //!   normalized rows, norms and int8 codes are an `O(n·d)` pass over the
 //!   matrix and are recomputed by [`HnswIndex::import_graph`], which
 //!   validates every count, id and level it reads before trusting it. A
-//!   restart then costs a decode instead of `n` insertions.
+//!   restart then costs a decode instead of a build. The thread count is not
+//!   part of a graph's identity: it is neither written nor compared.
 //!
 //! ```
 //! use uninet_embedding::{AnnConfig, Embeddings, HnswIndex};
@@ -43,6 +57,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::kernels;
@@ -52,6 +67,11 @@ use crate::Embeddings;
 /// Hard cap on HNSW layer count; with `m >= 2` the level sampler reaches
 /// this only with astronomically small probability.
 const MAX_LEVEL: usize = 16;
+
+/// A construction batch holds at most `1/BATCH_DIVISOR` of the finished
+/// graph: nodes of one batch cannot see each other while they plan, so the
+/// cap bounds how much of the graph is built blind.
+const BATCH_DIVISOR: usize = 50;
 
 /// How an embedding query selects its top-k candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,6 +112,9 @@ pub struct AnnConfig {
     /// L2 distance between a node's old and new *normalized* vectors above
     /// which an incremental build re-inserts it. 0 re-inserts on any change.
     pub drift_threshold: f32,
+    /// Threads a build runs on (0 counts as 1). The graph is the same for
+    /// every value, so this is not part of an exported graph's identity.
+    pub threads: usize,
 }
 
 impl Default for AnnConfig {
@@ -105,6 +128,7 @@ impl Default for AnnConfig {
             rerank: 4,
             incremental: true,
             drift_threshold: 0.05,
+            threads: 1,
         }
     }
 }
@@ -147,7 +171,7 @@ impl Ord for Sim {
 }
 
 /// A generation-stamped visited set: `clear` is O(1), so one allocation
-/// serves every layer of a search (and every insertion of a build).
+/// serves every layer of a search (and every planned node of a build).
 struct Visited {
     stamp: Vec<u32>,
     gen: u32,
@@ -184,6 +208,96 @@ impl Visited {
         *slot = self.gen;
         seen
     }
+}
+
+/// Working memory of the beam search, reused by every layer of every search
+/// a thread runs, so a search allocates nothing once it is warm.
+struct SearchScratch {
+    visited: Visited,
+    /// Max-heap of the frontier.
+    candidates: BinaryHeap<Sim>,
+    /// Min-heap of the best `ef` found so far.
+    results: BinaryHeap<Reverse<Sim>>,
+    /// The entry points going into [`HnswIndex::search_layer`]; its answer,
+    /// best first, coming out.
+    beam: Vec<Sim>,
+}
+
+impl SearchScratch {
+    fn new(n: usize) -> Self {
+        SearchScratch {
+            visited: Visited::new(n),
+            candidates: BinaryHeap::new(),
+            results: BinaryHeap::new(),
+            beam: Vec::new(),
+        }
+    }
+}
+
+/// One link a construction batch asks for:
+/// `(owner, layer, batch position of the planning node, rank in its
+/// selection, target)`. The first four fields are unique per request, so
+/// sorting groups each list's additions together in an order no thread
+/// count can change.
+type LinkRequest = (u32, u32, u32, u32, u32);
+
+/// One construction worker's memory, allocated once per build and reused by
+/// every batch.
+struct BuildScratch {
+    search: SearchScratch,
+    /// Candidates handed to `select_neighbors`, and its two outputs.
+    pool: Vec<Sim>,
+    selected: Vec<Sim>,
+    skipped: Vec<Sim>,
+    /// Plan-phase output.
+    requests: Vec<LinkRequest>,
+    /// Prune-phase output: `(owner, layer, len)` per pruned list, the kept
+    /// ids of all of them back to back in `kept`.
+    pruned: Vec<(u32, u32, u32)>,
+    kept: Vec<u32>,
+}
+
+impl BuildScratch {
+    fn new(n: usize) -> Self {
+        BuildScratch {
+            search: SearchScratch::new(n),
+            pool: Vec::new(),
+            selected: Vec::new(),
+            skipped: Vec::new(),
+            requests: Vec::new(),
+            pruned: Vec::new(),
+            kept: Vec::new(),
+        }
+    }
+}
+
+/// Runs `work(scratch, i)` for every `i in 0..len` on up to `workers.len()`
+/// threads, each with its own scratch. Indices are handed out one at a time
+/// through a shared cursor: the costly items (old nodes with full lists) are
+/// not spread evenly over the index range, so fixed chunks would leave one
+/// thread with most of them.
+fn par_for<S: Send>(workers: &mut [S], len: usize, work: impl Fn(&mut S, usize) + Sync) {
+    let cursor = AtomicUsize::new(0);
+    let drain = |scratch: &mut S| loop {
+        // Relaxed: the cursor publishes nothing but the index; results travel
+        // through each worker's scratch, ordered by the scope's join.
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= len {
+            break;
+        }
+        work(scratch, i);
+    };
+    let used = workers.len().min(len);
+    let Some((own, helpers)) = workers[..used].split_first_mut() else {
+        return;
+    };
+    let drain = &drain;
+    std::thread::scope(|scope| {
+        for scratch in helpers {
+            scope.spawn(move || drain(scratch));
+        }
+        drain(own);
+    });
 }
 
 /// A query the beam search can score nodes against: the f32 normalized vector
@@ -352,9 +466,10 @@ pub struct HnswIndex {
 impl HnswIndex {
     /// Builds the index over every vector in `embeddings`.
     ///
-    /// Deterministic for a given `(embeddings, config)` pair. Cost is
-    /// `O(n · ef_construction · d)`-ish — this is the per-epoch rebuild the
-    /// serving layer pays so queries get out of the full-scan regime (see
+    /// Deterministic for a given `(embeddings, config)` pair, whatever
+    /// [`AnnConfig::threads`] is. Cost is `O(n · ef_construction · d)`-ish,
+    /// spread over `threads` — this is the per-epoch rebuild the serving
+    /// layer pays so queries get out of the full-scan regime (see
     /// [`build_incremental`](Self::build_incremental) for the streaming-epoch
     /// shortcut).
     pub fn build(embeddings: &Embeddings, config: &AnnConfig) -> Self {
@@ -379,19 +494,11 @@ impl HnswIndex {
             );
         }
         let start = Instant::now();
-        let n = embeddings.num_nodes();
         let mut index = Self::empty_shell(embeddings, config);
-        let ml = 1.0 / (config.m as f64).ln();
-        let mut visited = Visited::new(n);
-        for v in 0..n as u32 {
-            if let Some(mask) = live {
-                if !mask[v as usize] {
-                    continue;
-                }
-            }
-            let level = level_for(config.seed, v, ml);
-            index.insert(v, level, config, &mut visited);
-        }
+        let order: Vec<u32> = (0..embeddings.num_nodes() as u32)
+            .filter(|&v| live.is_none_or(|mask| mask[v as usize]))
+            .collect();
+        index.construct(&order, config);
         index.finish_build(config, start);
         index
     }
@@ -400,9 +507,11 @@ impl HnswIndex {
     ///
     /// Nodes whose normalized vector moved no further than
     /// [`AnnConfig::drift_threshold`] (L2) keep their adjacency lists
-    /// verbatim; drifted nodes and nodes beyond `prev`'s range are re-inserted
-    /// with the standard insertion algorithm, and retired ids (past the new
-    /// node count) are filtered out of every surviving list. Because layer
+    /// verbatim (minus any link to themselves); drifted nodes and nodes
+    /// beyond `prev`'s range are re-inserted by the same batch construction
+    /// a full build runs, counting the kept nodes as already indexed, and
+    /// retired ids (past the new node count) are filtered out of every
+    /// surviving list. Because layer
     /// assignment is a pure per-node hash, surviving nodes keep their layers,
     /// so the grafted graph obeys the same invariants as a full build.
     ///
@@ -483,8 +592,10 @@ impl HnswIndex {
             }
         }
 
-        // Graft the surviving structure, dropping links to retired ids and
-        // tracking the highest surviving layer as the new entry point.
+        // Graft the surviving structure, dropping links to retired ids and to
+        // the node itself (graphs from before construction excluded them can
+        // hold some), and tracking the highest surviving layer as the new
+        // entry point.
         for (v, _) in fresh
             .iter()
             .enumerate()
@@ -493,7 +604,7 @@ impl HnswIndex {
         {
             let mut adj = prev.neighbors[v].clone();
             for level in adj.iter_mut() {
-                level.retain(|&u| (u as usize) < n && is_live(u as usize));
+                level.retain(|&u| u as usize != v && (u as usize) < n && is_live(u as usize));
             }
             let node_top = adj.len().saturating_sub(1);
             if !index.seeded || node_top > index.top_level {
@@ -504,19 +615,8 @@ impl HnswIndex {
             index.neighbors[v] = adj;
         }
 
-        let ml = 1.0 / (config.m as f64).ln();
-        // Pre-size every fresh node's layer lists before any insertion: kept
-        // nodes may still link to a drifted node, so the beam can reach (and
-        // link back into) a fresh node before its own insertion runs.
-        for (v, _) in fresh.iter().enumerate().filter(|&(_, &f)| f) {
-            let level = level_for(config.seed, v as u32, ml);
-            index.neighbors[v] = vec![Vec::new(); level + 1];
-        }
-        let mut visited = Visited::new(n);
-        for (v, _) in fresh.iter().enumerate().filter(|&(_, &f)| f) {
-            let level = level_for(config.seed, v as u32, ml);
-            index.insert(v as u32, level, config, &mut visited);
-        }
+        let order: Vec<u32> = (0..n as u32).filter(|&v| fresh[v as usize]).collect();
+        index.construct(&order, config);
         index.incremental = Some(stats);
         index.finish_build(config, start);
         index
@@ -608,6 +708,12 @@ impl HnswIndex {
     /// layer, and the entry point must be an indexed node on the top layer
     /// ([`GraphImportError::Corrupt`] otherwise). Counts are checked against
     /// the bytes that remain before anything is allocated from them.
+    ///
+    /// A node listed among its own neighbours is accepted: construction no
+    /// longer creates such links, but grafts before it did, and the v3
+    /// snapshots they wrote must still restore verbatim. A self-link costs a
+    /// slot, never a wrong answer ([`search_node`](Self::search_node) drops
+    /// the query node).
     pub fn import_graph(
         bytes: &[u8],
         embeddings: &Embeddings,
@@ -800,22 +906,26 @@ impl HnswIndex {
         }
     }
 
-    /// Beam search on one layer: expands from `entries` keeping the `ef`
-    /// most similar nodes seen; returns them best first.
+    /// Beam search on one layer: expands from the nodes in `scratch.beam`,
+    /// keeping the `ef` most similar nodes seen, and leaves those in
+    /// `scratch.beam`, best first.
     fn search_layer(
         &self,
         query: &QueryRef<'_>,
-        entries: &[Sim],
         ef: usize,
         level: usize,
-        visited: &mut Visited,
-    ) -> Vec<Sim> {
+        scratch: &mut SearchScratch,
+    ) {
+        let SearchScratch {
+            visited,
+            candidates,
+            results,
+            beam,
+        } = scratch;
         visited.clear();
-        // `candidates` is a max-heap of the frontier, `results` a min-heap of
-        // the best `ef` found so far.
-        let mut candidates: BinaryHeap<Sim> = BinaryHeap::new();
-        let mut results: BinaryHeap<Reverse<Sim>> = BinaryHeap::with_capacity(ef + 1);
-        for &e in entries {
+        candidates.clear();
+        results.clear();
+        for &e in beam.iter() {
             if !visited.test_and_set(e.1) {
                 candidates.push(e);
                 results.push(Reverse(e));
@@ -848,18 +958,25 @@ impl HnswIndex {
                 }
             }
         }
-        let mut out: Vec<Sim> = results.into_iter().map(|r| r.0).collect();
-        out.sort_by(|a, b| b.cmp(a));
-        out
+        beam.clear();
+        beam.extend(results.drain().map(|r| r.0));
+        beam.sort_by(|a, b| b.cmp(a));
     }
 
     /// The select-neighbours heuristic (Algorithm 4 of the HNSW paper): a
     /// candidate is kept only when it is closer to the query than to every
     /// neighbour already selected, which preserves links across clusters;
-    /// pruned candidates backfill remaining slots.
-    fn select_neighbors(&self, candidates: &[Sim], m: usize) -> Vec<Sim> {
-        let mut selected: Vec<Sim> = Vec::with_capacity(m);
-        let mut skipped: Vec<Sim> = Vec::new();
+    /// pruned candidates backfill remaining slots. Leaves at most `m` of
+    /// `candidates` (best first) in `selected`; `skipped` is scratch.
+    fn select_neighbors(
+        &self,
+        candidates: &[Sim],
+        m: usize,
+        selected: &mut Vec<Sim>,
+        skipped: &mut Vec<Sim>,
+    ) {
+        selected.clear();
+        skipped.clear();
         for &c in candidates {
             if selected.len() >= m {
                 break;
@@ -875,74 +992,143 @@ impl HnswIndex {
                 skipped.push(c);
             }
         }
-        for c in skipped {
-            if selected.len() >= m {
-                break;
-            }
-            selected.push(c);
-        }
-        selected
+        let room = m.saturating_sub(selected.len());
+        selected.extend(skipped.iter().take(room));
     }
 
-    /// Adds `b` to `a`'s adjacency on `level`, pruning back to `cap` with the
-    /// diversity heuristic when the list overflows.
-    fn link(&mut self, a: u32, b: u32, level: usize, cap: usize) {
-        let list = &mut self.neighbors[a as usize][level];
-        if list.contains(&b) {
-            return;
+    /// The one construction routine: links every id of `order` — none of
+    /// them in the graph yet, live ones only — into the graph, in that
+    /// order, batch by batch (see the module docs for the schedule).
+    ///
+    /// Each batch runs in two phases: every node plans its links against
+    /// the graph as the batch found it ([`plan_links`](Self::plan_links),
+    /// parallel, read-only); then the requests are sorted into
+    /// `(owner, layer)` groups, merged into their lists in that order, and
+    /// every list over its cap is pruned once ([`prune`](Self::prune),
+    /// parallel). Entry point and top level follow the batch, in batch
+    /// order. No result depends on which thread produced it, so the graph is
+    /// the same for every [`AnnConfig::threads`].
+    fn construct(&mut self, order: &[u32], config: &AnnConfig) {
+        let ml = 1.0 / (config.m as f64).ln();
+        let mut indexed = self.neighbors.iter().filter(|adj| !adj.is_empty()).count();
+        // Size every new node's lists before any batch runs: a graft's kept
+        // nodes may still link to a re-inserted node, so a search can reach
+        // (and link back into) it before its own batch.
+        for &v in order {
+            self.neighbors[v as usize] = vec![Vec::new(); level_for(config.seed, v, ml) + 1];
         }
-        list.push(b);
-        if list.len() <= cap {
-            return;
-        }
-        let av = a as usize * self.dim;
-        let query: Vec<f32> = self.normalized[av..av + self.dim].to_vec();
-        let mut scored: Vec<Sim> = self.neighbors[a as usize][level]
-            .iter()
-            .map(|&u| Sim(self.dot(&query, u), u))
-            .collect();
-        scored.sort_by(|x, y| y.cmp(x));
-        let kept = self.select_neighbors(&scored, cap);
-        self.neighbors[a as usize][level] = kept.into_iter().map(|s| s.1).collect();
-    }
-
-    /// Inserts `q` at `level`. Construction always scores in f32: graph
-    /// quality decides recall for every later query, so the build never
-    /// trades it for quantized bandwidth.
-    fn insert(&mut self, q: u32, level: usize, config: &AnnConfig, visited: &mut Visited) {
-        // Keep a correctly pre-sized shell (incremental builds allocate them
-        // up front, and earlier insertions may already have linked into it).
-        if self.neighbors[q as usize].len() != level + 1 {
-            self.neighbors[q as usize] = vec![Vec::new(); level + 1];
-        }
+        let mut rest = order;
         if !self.seeded {
+            let Some((&first, tail)) = order.split_first() else {
+                return;
+            };
             self.seeded = true;
-            self.entry = q;
-            self.top_level = level;
-            return;
+            self.entry = first;
+            self.top_level = self.neighbors[first as usize].len() - 1;
+            indexed = 1;
+            rest = tail;
         }
-        let query: Vec<f32> = self.vec_of(q).to_vec();
-        let qref = QueryRef::F32(&query);
-        let mut ep = vec![Sim(self.dot(&query, self.entry), self.entry)];
-        // Greedy descent through the layers above the new node's level.
-        for l in ((level + 1)..=self.top_level).rev() {
-            ep = self.search_layer(&qref, &ep, 1, l, visited);
-        }
-        // Beam search and bidirectional linking on the layers the node joins.
-        for l in (0..=level.min(self.top_level)).rev() {
-            let found = self.search_layer(&qref, &ep, config.ef_construction.max(1), l, visited);
-            let cap = if l == 0 { config.m * 2 } else { config.m };
-            let chosen = self.select_neighbors(&found, config.m);
-            for s in &chosen {
-                self.link(q, s.1, l, cap);
-                self.link(s.1, q, l, cap);
+        let max_batch = ((indexed + rest.len()) / BATCH_DIVISOR).max(1);
+        let cap = |layer: u32| if layer == 0 { 2 * config.m } else { config.m };
+        let mut workers: Vec<BuildScratch> = (0..config.threads.max(1))
+            .map(|_| BuildScratch::new(self.num_nodes))
+            .collect();
+        let mut requests: Vec<LinkRequest> = Vec::new();
+        let mut overflowing: Vec<(u32, u32)> = Vec::new();
+        while !rest.is_empty() {
+            let (batch, tail) = rest.split_at(indexed.min(max_batch).min(rest.len()));
+
+            let graph = &*self;
+            par_for(&mut workers, batch.len(), |w, i| {
+                graph.plan_links(batch[i], i as u32, config, ml, w)
+            });
+            requests.clear();
+            for w in &mut workers {
+                requests.append(&mut w.requests);
             }
-            ep = found;
+            requests.sort_unstable();
+
+            overflowing.clear();
+            for group in requests.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                let (owner, layer) = (group[0].0, group[0].1);
+                let list = &mut self.neighbors[owner as usize][layer as usize];
+                for &(.., target) in group {
+                    if !list.contains(&target) {
+                        list.push(target);
+                    }
+                }
+                if list.len() > cap(layer) {
+                    overflowing.push((owner, layer));
+                }
+            }
+            let graph = &*self;
+            par_for(&mut workers, overflowing.len(), |w, i| {
+                let (owner, layer) = overflowing[i];
+                graph.prune(owner, layer, cap(layer), w)
+            });
+            for w in &mut workers {
+                let mut kept = &w.kept[..];
+                for &(owner, layer, len) in &w.pruned {
+                    let (ids, more) = kept.split_at(len as usize);
+                    let list = &mut self.neighbors[owner as usize][layer as usize];
+                    list.clear();
+                    list.extend_from_slice(ids);
+                    kept = more;
+                }
+                w.pruned.clear();
+                w.kept.clear();
+            }
+
+            for &q in batch {
+                let level = self.neighbors[q as usize].len() - 1;
+                if level > self.top_level {
+                    self.top_level = level;
+                    self.entry = q;
+                }
+            }
+            indexed += batch.len();
+            rest = tail;
         }
-        if level > self.top_level {
-            self.top_level = level;
-            self.entry = q;
+    }
+
+    /// Plans `q`'s links (`q` sits at position `pos` of its batch) and
+    /// appends them, forward and reverse, to `w.requests`: greedy descent to
+    /// `q`'s level, then an `ef_construction` beam and the diversity
+    /// heuristic on every layer it joins. `q` never selects itself, though a
+    /// graft's stale links can lead the beam to it. Construction always
+    /// scores in f32: graph quality decides recall for every later query, so
+    /// the build never trades it for quantized bandwidth.
+    fn plan_links(&self, q: u32, pos: u32, config: &AnnConfig, ml: f64, w: &mut BuildScratch) {
+        let level = level_for(config.seed, q, ml);
+        let qref = QueryRef::F32(self.vec_of(q));
+        self.greedy_descent(&qref, level, &mut w.search);
+        for l in (0..=level.min(self.top_level)).rev() {
+            self.search_layer(&qref, config.ef_construction.max(1), l, &mut w.search);
+            w.pool.clear();
+            w.pool.extend(w.search.beam.iter().filter(|c| c.1 != q));
+            self.select_neighbors(&w.pool, config.m, &mut w.selected, &mut w.skipped);
+            for (rank, c) in w.selected.iter().enumerate() {
+                let (layer, rank) = (l as u32, rank as u32);
+                w.requests.push((q, layer, pos, rank, c.1));
+                w.requests.push((c.1, layer, pos, rank, q));
+            }
         }
+    }
+
+    /// Cuts `owner`'s merged list on `layer` back to `cap` by the diversity
+    /// heuristic, appending the result to `w.pruned`/`w.kept`.
+    fn prune(&self, owner: u32, layer: u32, cap: usize, w: &mut BuildScratch) {
+        let query = self.vec_of(owner);
+        w.pool.clear();
+        w.pool.extend(
+            self.neighbors[owner as usize][layer as usize]
+                .iter()
+                .map(|&u| Sim(self.dot(query, u), u)),
+        );
+        w.pool.sort_by(|x, y| y.cmp(x));
+        self.select_neighbors(&w.pool, cap, &mut w.selected, &mut w.skipped);
+        w.pruned.push((owner, layer, w.selected.len() as u32));
+        w.kept.extend(w.selected.iter().map(|s| s.1));
     }
 
     /// The `k` indexed vectors most cosine-similar to `query`, best first.
@@ -965,22 +1151,22 @@ impl HnswIndex {
         } else {
             query.iter().map(|x| x / norm).collect()
         };
-        // Reuse a per-thread visited set: allocating (and zeroing) one per
-        // query would put an O(n) memset on the sub-linear serving path.
+        // Reuse per-thread search memory: allocating (and zeroing) a visited
+        // set per query would put an O(n) memset on the sub-linear serving
+        // path.
         thread_local! {
-            static SCRATCH: std::cell::RefCell<Visited> =
-                std::cell::RefCell::new(Visited::new(0));
+            static SCRATCH: std::cell::RefCell<SearchScratch> =
+                std::cell::RefCell::new(SearchScratch::new(0));
         }
         SCRATCH.with(|scratch| {
-            let mut visited = scratch.borrow_mut();
-            visited.ensure(self.num_nodes);
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.visited.ensure(self.num_nodes);
             match &self.quant {
                 None => {
                     let qref = QueryRef::F32(&normalized);
                     let ef = self.ef_search.max(k);
-                    let mut found = self.descend(&qref, ef, &mut visited);
-                    found.truncate(k);
-                    found.into_iter().map(|s| (s.1, s.0)).collect()
+                    self.descend(&qref, ef, scratch);
+                    scratch.beam.iter().take(k).map(|s| (s.1, s.0)).collect()
                 }
                 Some(_) => {
                     let (codes, scale) = QuantizedMatrix::quantize_query(&normalized);
@@ -992,10 +1178,11 @@ impl HnswIndex {
                     // has k·rerank candidates to choose from.
                     let budget = k.saturating_mul(self.rerank);
                     let ef = self.ef_search.max(budget);
-                    let mut found = self.descend(&qref, ef, &mut visited);
-                    found.truncate(budget);
-                    let mut rescored: Vec<Sim> = found
+                    self.descend(&qref, ef, scratch);
+                    let mut rescored: Vec<Sim> = scratch
+                        .beam
                         .iter()
+                        .take(budget)
                         .map(|s| Sim(self.dot(&normalized, s.1), s.1))
                         .collect();
                     rescored.sort_by(|a, b| b.cmp(a));
@@ -1006,13 +1193,21 @@ impl HnswIndex {
         })
     }
 
-    /// Greedy upper-layer descent followed by the layer-0 beam search.
-    fn descend(&self, qref: &QueryRef<'_>, ef: usize, visited: &mut Visited) -> Vec<Sim> {
-        let mut ep = vec![Sim(self.score(qref, self.entry), self.entry)];
-        for l in (1..=self.top_level).rev() {
-            ep = self.search_layer(qref, &ep, 1, l, visited);
+    /// Greedy upper-layer descent followed by the layer-0 beam search; the
+    /// answer is left in `s.beam`, best first.
+    fn descend(&self, qref: &QueryRef<'_>, ef: usize, s: &mut SearchScratch) {
+        self.greedy_descent(qref, 0, s);
+        self.search_layer(qref, ef, 0, s);
+    }
+
+    /// Starts `s.beam` at the entry point and walks it down (beam width 1)
+    /// through every layer above `level`.
+    fn greedy_descent(&self, qref: &QueryRef<'_>, level: usize, s: &mut SearchScratch) {
+        s.beam.clear();
+        s.beam.push(Sim(self.score(qref, self.entry), self.entry));
+        for l in ((level + 1)..=self.top_level).rev() {
+            self.search_layer(qref, 1, l, s);
         }
-        self.search_layer(qref, &ep, ef, 0, visited)
     }
 
     /// The `k` nodes most similar to the indexed `node` (excluding `node`
@@ -1090,18 +1285,86 @@ mod tests {
         }
     }
 
+    /// `emb` with its first `drifted` rows replaced by fresh random ones.
+    fn drift_rows(emb: &Embeddings, drifted: usize, seed: u64) -> Embeddings {
+        let dim = emb.dim();
+        let mut flat = emb.as_flat().to_vec();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for x in &mut flat[..drifted * dim] {
+            *x = rng.gen_range(-1.0f32..1.0);
+        }
+        Embeddings::from_flat(dim, flat)
+    }
+
     #[test]
     fn builds_are_deterministic() {
         let emb = random_unit_embeddings(300, 16, 9);
-        let cfg = AnnConfig {
-            seed: 7,
-            ..Default::default()
+        let mut live = vec![true; 300];
+        for v in (0..300).step_by(7) {
+            live[v] = false;
+        }
+        let drifted = drift_rows(&emb, 120, 4);
+        let mut churned = live.clone();
+        churned[0] = true; // rejoins
+        for v in (3..300).step_by(11) {
+            churned[v] = false;
+        }
+        let graphs = |threads: usize| {
+            let cfg = AnnConfig {
+                seed: 7,
+                threads,
+                ..Default::default()
+            };
+            let masked = HnswIndex::build_masked(&emb, &cfg, Some(&live));
+            let grafted =
+                HnswIndex::build_incremental_masked(&drifted, &cfg, &masked, Some(&churned));
+            assert!(grafted
+                .incremental_stats()
+                .is_some_and(|s| s.reinserted > 0));
+            [
+                HnswIndex::build(&emb, &cfg).export_graph(),
+                masked.export_graph(),
+                grafted.export_graph(),
+            ]
         };
-        let a = HnswIndex::build(&emb, &cfg);
-        let b = HnswIndex::build(&emb, &cfg);
-        assert_eq!(a.top_level(), b.top_level());
-        for node in 0..300u32 {
-            assert_eq!(a.search_node(node, 5), b.search_node(node, 5));
+        let one = graphs(1);
+        for threads in [2, 3, 8] {
+            assert!(
+                graphs(threads) == one,
+                "{threads} threads built another graph"
+            );
+        }
+    }
+
+    #[test]
+    fn no_node_links_to_itself_after_a_graft() {
+        let cfg = AnnConfig::default();
+        let emb = random_unit_embeddings(400, 16, 31);
+        let mut live = vec![true; 400];
+        for v in (0..400).step_by(9) {
+            live[v] = false;
+        }
+        let prev = HnswIndex::build_masked(&emb, &cfg, Some(&live));
+        // Half the rows drift; some ids retire, one rejoins.
+        let next = drift_rows(&emb, 200, 8);
+        let mut churned = live.clone();
+        churned[0] = true;
+        for v in (5..400).step_by(13) {
+            churned[v] = false;
+        }
+        let grafted = HnswIndex::build_incremental_masked(&next, &cfg, &prev, Some(&churned));
+        assert!(grafted
+            .incremental_stats()
+            .is_some_and(|s| s.reinserted >= 150));
+        for index in [&prev, &grafted] {
+            for (v, adj) in index.neighbors.iter().enumerate() {
+                for (l, list) in adj.iter().enumerate() {
+                    assert!(
+                        !list.contains(&(v as u32)),
+                        "node {v} links to itself on layer {l}"
+                    );
+                }
+            }
         }
     }
 

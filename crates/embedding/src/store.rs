@@ -27,10 +27,12 @@
 //! the ingestion path). The final post-stream state is always published.
 //!
 //! **ANN serving.** A store created with [`EmbeddingStore::with_ann`] builds
-//! an [`HnswIndex`] into every published snapshot. The rebuild happens on the
-//! publishing thread *before* the write lock is taken, so however expensive
-//! the index construction, readers still only ever block on the pointer swap;
-//! the cost is borne once per epoch instead of `O(n·d)` per query. Queries
+//! an [`HnswIndex`] into every published snapshot. The build runs inside
+//! `publish`, on the publishing thread plus [`AnnConfig::threads`] − 1
+//! helpers (the engine passes its own thread count), and *before* the write
+//! lock is taken, so however expensive the index construction, readers still
+//! only ever block on the pointer swap; the cost is borne once per epoch
+//! instead of `O(n·d)` per query. Queries
 //! pick their path per call via [`QueryMode`] ([`QueryMode::Ann`] falls back
 //! to the exact scan when a snapshot has no index).
 //!
@@ -432,8 +434,9 @@ impl EmbeddingStore {
     /// Publishes a new embedding version and returns its epoch.
     ///
     /// The snapshot (its norms table, and its HNSW index when the store was
-    /// created via [`EmbeddingStore::with_ann`]) is built *before* the write
-    /// lock is taken, so readers are only ever blocked for a pointer swap.
+    /// created via [`EmbeddingStore::with_ann`], built on
+    /// [`AnnConfig::threads`] threads) is built *before* the write lock is
+    /// taken, so readers are only ever blocked for a pointer swap.
     /// In-flight readers keep the snapshot they already cloned; new readers
     /// see the published version. If two publishers race, the higher epoch
     /// wins regardless of install order.

@@ -211,6 +211,46 @@ proptest! {
     }
 
     #[test]
+    fn builds_are_the_same_graph_on_any_thread_count(
+        // Graphs smaller than the thread count come up in every other case.
+        n in prop_oneof![0usize..5, 5usize..300],
+        seed in 0u64..500,
+        retire_every in 0usize..5,
+        all_dead in any::<bool>(),
+        drifted in 0usize..300,
+    ) {
+        let (emb, mut live) = rows_and_mask(n, 4, seed, retire_every);
+        if all_dead {
+            live.fill(false);
+        }
+        // The next epoch: the first `drifted` rows move, every id is live.
+        let (moved, _) = rows_and_mask(n, 4, seed + 1, 0);
+        let cut = 4 * drifted.min(n);
+        let next = Embeddings::from_flat(
+            4,
+            [&moved.as_flat()[..cut], &emb.as_flat()[cut..]].concat(),
+        );
+        let build = |threads: usize| {
+            let cfg = AnnConfig { m: 4, ef_construction: 8, seed, threads, ..Default::default() };
+            let masked = HnswIndex::build_masked(&emb, &cfg, Some(&live));
+            let grafted = HnswIndex::build_incremental_masked(&next, &cfg, &masked, None);
+            (cfg, masked, grafted)
+        };
+        let (cfg, masked, grafted) = build(1);
+        let (_, masked4, grafted4) = build(4);
+        prop_assert!(masked.export_graph() == masked4.export_graph());
+        prop_assert!(grafted.export_graph() == grafted4.export_graph());
+        for (index, rows, mask) in [(&masked, &emb, Some(&live[..])), (&grafted, &next, None)] {
+            let bytes = index.export_graph();
+            let back = HnswIndex::import_graph(&bytes, rows, &cfg);
+            prop_assert!(back.is_ok(), "{:?}", back.err());
+            let back = back.unwrap();
+            prop_assert!(back.covers_universe(mask));
+            prop_assert!(back.export_graph() == bytes);
+        }
+    }
+
+    #[test]
     fn cosine_similarity_is_symmetric_and_bounded(
         vectors in prop::collection::vec(-3.0f32..3.0, 8..64),
     ) {
