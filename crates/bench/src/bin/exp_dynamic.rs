@@ -206,10 +206,16 @@ fn part2_streaming(graph: &Graph, cfg: &HarnessConfig) {
             touched.sort_unstable();
             touched.dedup();
             if !touched.is_empty() {
-                let (stats, dur) =
-                    refresher.refresh(&mut corpus, dg.base(), &model, &manager, &touched);
-                refresh_time += dur;
-                walks_refreshed += stats.walks_refreshed;
+                let outcome = refresher.refresh_parallel(
+                    &mut corpus,
+                    dg.base(),
+                    &model,
+                    &manager,
+                    &touched,
+                    1,
+                );
+                refresh_time += outcome.elapsed;
+                walks_refreshed += outcome.stats.walks_refreshed;
             }
         }
 

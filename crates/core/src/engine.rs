@@ -14,7 +14,8 @@
 //!   batch that trained publishes an updated snapshot.
 //! * [`Engine::top_k`] / [`Engine::cosine`] / [`Engine::vector`] — embedding
 //!   queries served lock-free from the latest published snapshot; with
-//!   [`EngineBuilder::ann_index`] top-k routes through a per-snapshot HNSW
+//!   [`StreamingConfig::ann_index`](crate::StreamingConfig) top-k routes
+//!   through a per-snapshot HNSW
 //!   index ([`QueryMode`] selects the path per call), and
 //!   [`Engine::top_k_batch`] / [`Engine::cosine_batch`] answer query slabs
 //!   from one snapshot acquisition.
@@ -229,132 +230,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Mutations applied per streaming maintenance batch.
-    pub fn update_batch_size(mut self, n: usize) -> Self {
-        self.streaming.batch_size = n;
-        self
-    }
-
-    /// Pending overlay entries that trigger CSR compaction.
-    pub fn compaction_threshold(mut self, n: usize) -> Self {
-        self.streaming.compaction_threshold = n;
-        self
-    }
-
-    /// Whether streaming mutations mirror onto the reverse edge.
-    pub fn symmetric_updates(mut self, symmetric: bool) -> Self {
-        self.streaming.symmetric = symmetric;
-        self
-    }
-
-    /// Worker threads for the ingestion pipeline (0 = follow
-    /// [`EngineBuilder::threads`]).
-    pub fn ingest_threads(mut self, t: usize) -> Self {
-        self.streaming.ingest_threads = t;
-        self
-    }
-
-    /// Update batches buffered by the intake queue before back-pressure.
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.streaming.queue_capacity = n;
-        self
-    }
-
-    /// Train embeddings incrementally on regenerated walks during streaming.
-    pub fn incremental_train(mut self, on: bool) -> Self {
-        self.streaming.incremental_train = on;
-        self
-    }
-
-    /// Minimum milliseconds between serving-store snapshot publications
-    /// during incremental streaming (0 = publish after every pass). See
-    /// [`StreamingConfig::snapshot_interval_ms`](crate::StreamingConfig).
-    pub fn snapshot_interval_ms(mut self, ms: u64) -> Self {
-        self.streaming.snapshot_interval_ms = ms;
-        self
-    }
-
-    /// Build an HNSW ANN index into every published snapshot, so
-    /// [`Engine::top_k`] serves approximate results in `O(log n · d)`-ish
-    /// time instead of a full scan ([`QueryMode::Exact`] queries stay
-    /// available per call). The per-epoch rebuild runs outside the store's
-    /// write lock.
-    pub fn ann_index(mut self, on: bool) -> Self {
-        self.streaming.ann_index = on;
-        self
-    }
-
-    /// HNSW `M` (max neighbours per node and layer; layer 0 keeps `2M`).
-    pub fn ann_m(mut self, m: usize) -> Self {
-        self.streaming.ann_m = m;
-        self
-    }
-
-    /// HNSW construction beam width (`ef_construction`).
-    pub fn ann_ef_construction(mut self, ef: usize) -> Self {
-        self.streaming.ann_ef_construction = ef;
-        self
-    }
-
-    /// HNSW query beam width (`ef_search`) — the recall/latency knob.
-    pub fn ann_ef_search(mut self, ef: usize) -> Self {
-        self.streaming.ann_ef_search = ef;
-        self
-    }
-
-    /// Score top-k candidates through int8 codes (4x less scan bandwidth for
-    /// both the exact scan and the HNSW traversal), re-scoring the best
-    /// `k · rerank` candidates in f32 so reported similarities stay exact.
-    /// Requires [`ann_index`](EngineBuilder::ann_index).
-    pub fn ann_quantize(mut self, on: bool) -> Self {
-        self.streaming.ann_quantize = on;
-        self
-    }
-
-    /// f32 re-rank budget multiplier for quantized queries: per requested
-    /// result, how many int8-ranked candidates are re-scored in f32.
-    pub fn ann_rerank(mut self, rerank: usize) -> Self {
-        self.streaming.ann_rerank = rerank;
-        self
-    }
-
-    /// Whether streaming publishes graft the previous epoch's HNSW graph
-    /// (re-inserting only drifted/new nodes) instead of rebuilding from
-    /// scratch. On by default when ANN is enabled.
-    pub fn ann_incremental(mut self, on: bool) -> Self {
-        self.streaming.ann_incremental = on;
-        self
-    }
-
-    /// Drift threshold for incremental publishes: the L2 distance between a
-    /// node's old and new normalized vectors above which it is re-inserted.
-    pub fn ann_drift_threshold(mut self, threshold: f32) -> Self {
-        self.streaming.ann_drift_threshold = threshold;
-        self
-    }
-
-    /// Accept open-world node arrivals/retirements in streamed mutations.
-    /// Off by default: closed-world engines reject node ops up front.
-    pub fn allow_churn(mut self, on: bool) -> Self {
-        self.streaming.allow_churn = on;
-        self
-    }
-
-    /// Boosted SGD burn-in passes per arrival cohort during incremental
-    /// streaming (0 disables burn-in). See
-    /// [`StreamingConfig::cold_start_burn_in`](crate::StreamingConfig).
-    pub fn cold_start_burn_in(mut self, passes: usize) -> Self {
-        self.streaming.cold_start_burn_in = passes;
-        self
-    }
-
-    /// Learning-rate multiplier for cold-start burn-in passes. See
-    /// [`StreamingConfig::cold_start_boost`](crate::StreamingConfig).
-    pub fn cold_start_boost(mut self, boost: f32) -> Self {
-        self.streaming.cold_start_boost = boost;
-        self
-    }
-
     /// Enables the durability plane rooted at `dir`: every streaming batch
     /// is WAL-logged before it is applied, and snapshots of the full state
     /// (graph + embeddings + sampler config) are cut at session boundaries
@@ -503,7 +378,11 @@ impl EngineBuilder {
         config.walk.num_threads = config.walk.num_threads.max(1);
         config.embedding.num_threads = config.embedding.num_threads.max(1);
 
-        let checks: [(&'static str, bool, String); 8] = [
+        // ANN parameters only matter while the index is on; int8 serving
+        // needs the index to carry its codes.
+        let ann = &streaming.ann;
+        let ann_off = !streaming.ann_index;
+        let checks: [(&'static str, bool, String); 15] = [
             (
                 "walk.num_walks",
                 config.walk.num_walks >= 1,
@@ -550,66 +429,55 @@ impl EngineBuilder {
                 streaming.queue_capacity >= 1,
                 "the intake queue must buffer at least 1 batch (got 0)".into(),
             ),
+            (
+                "streaming.ann.m",
+                ann_off || ann.m >= 2,
+                format!("HNSW needs at least 2 links per node (got {})", ann.m),
+            ),
+            (
+                "streaming.ann.ef_construction",
+                ann_off || ann.ef_construction >= ann.m,
+                format!(
+                    "the construction beam must be at least m = {} (got {})",
+                    ann.m, ann.ef_construction
+                ),
+            ),
+            (
+                "streaming.ann.ef_search",
+                ann_off || ann.ef_search >= 1,
+                "the query beam must be positive (got 0)".into(),
+            ),
+            (
+                "streaming.ann.rerank",
+                ann_off || ann.rerank >= 1,
+                "the f32 re-rank budget must be at least 1 per result (got 0)".into(),
+            ),
+            (
+                "streaming.ann.drift_threshold",
+                ann_off || (ann.drift_threshold.is_finite() && ann.drift_threshold >= 0.0),
+                format!(
+                    "the drift threshold must be finite and non-negative (got {})",
+                    ann.drift_threshold
+                ),
+            ),
+            (
+                "streaming.ann.quantize",
+                !(ann_off && ann.quantize),
+                "int8 quantized serving requires ann_index".into(),
+            ),
+            (
+                "streaming.cold_start_boost",
+                streaming.cold_start_boost.is_finite() && streaming.cold_start_boost > 0.0,
+                format!(
+                    "the cold-start learning-rate boost must be finite and positive (got {})",
+                    streaming.cold_start_boost
+                ),
+            ),
         ];
         for (field, ok, reason) in checks {
             if !ok {
                 return Err(UniNetError::InvalidConfig { field, reason });
             }
-        }
-        if streaming.ann_index {
-            if streaming.ann_m < 2 {
-                return Err(UniNetError::invalid_config(
-                    "streaming.ann_m",
-                    format!(
-                        "HNSW needs at least 2 links per node (got {})",
-                        streaming.ann_m
-                    ),
-                ));
-            }
-            if streaming.ann_ef_construction < streaming.ann_m {
-                return Err(UniNetError::invalid_config(
-                    "streaming.ann_ef_construction",
-                    format!(
-                        "the construction beam must be at least ann_m = {} (got {})",
-                        streaming.ann_m, streaming.ann_ef_construction
-                    ),
-                ));
-            }
-            if streaming.ann_ef_search == 0 {
-                return Err(UniNetError::invalid_config(
-                    "streaming.ann_ef_search",
-                    "the query beam must be positive (got 0)".to_string(),
-                ));
-            }
-            if streaming.ann_rerank == 0 {
-                return Err(UniNetError::invalid_config(
-                    "streaming.ann_rerank",
-                    "the f32 re-rank budget must be at least 1 per result (got 0)".to_string(),
-                ));
-            }
-            if !streaming.ann_drift_threshold.is_finite() || streaming.ann_drift_threshold < 0.0 {
-                return Err(UniNetError::invalid_config(
-                    "streaming.ann_drift_threshold",
-                    format!(
-                        "the drift threshold must be finite and non-negative (got {})",
-                        streaming.ann_drift_threshold
-                    ),
-                ));
-            }
-        } else if streaming.ann_quantize {
-            return Err(UniNetError::invalid_config(
-                "streaming.ann_quantize",
-                "int8 quantized serving requires ann_index".to_string(),
-            ));
-        }
-        if !streaming.cold_start_boost.is_finite() || streaming.cold_start_boost <= 0.0 {
-            return Err(UniNetError::invalid_config(
-                "streaming.cold_start_boost",
-                format!(
-                    "the cold-start learning-rate boost must be finite and positive (got {})",
-                    streaming.cold_start_boost
-                ),
-            ));
         }
 
         // One registry spans all three telemetry planes: the store registers
@@ -622,15 +490,9 @@ impl EngineBuilder {
         // on the engine's threads (the graph is the same for any count).
         let store = if streaming.ann_index {
             EmbeddingStore::with_ann(AnnConfig {
-                m: streaming.ann_m,
-                ef_construction: streaming.ann_ef_construction,
-                ef_search: streaming.ann_ef_search,
                 seed: config.walk.seed,
-                quantize: streaming.ann_quantize,
-                rerank: streaming.ann_rerank,
-                incremental: streaming.ann_incremental,
-                drift_threshold: streaming.ann_drift_threshold,
                 threads: config.walk.num_threads,
+                ..streaming.ann
             })
         } else {
             EmbeddingStore::new()
@@ -972,7 +834,7 @@ impl Engine {
     /// The `k` most similar nodes to `node` in the latest snapshot.
     ///
     /// Routes through the snapshot's HNSW index when the engine was built
-    /// with [`EngineBuilder::ann_index`] (falling back to the exact scan
+    /// with [`StreamingConfig::ann_index`] (falling back to the exact scan
     /// otherwise); use [`Engine::top_k_mode`] to pick the path explicitly.
     pub fn top_k(&self, node: u32, k: usize) -> Vec<(u32, f32)> {
         self.inner.store.top_k_mode(node, k, QueryMode::Ann)

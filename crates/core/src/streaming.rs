@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use uninet_dyngraph::{DynamicGraph, GraphMutation, RefreshStats, UpdateBatch, WalkRefresher};
-use uninet_embedding::{EmbeddingStore, OnlineWord2Vec, TrainStats, Word2VecTrainer};
+use uninet_embedding::{AnnConfig, EmbeddingStore, OnlineWord2Vec, TrainStats, Word2VecTrainer};
 use uninet_graph::{Graph, NodeId};
 use uninet_ingest::{run_durable_pipeline, IngestConfig, IngestMetrics, QueueStats};
 use uninet_walker::{MaintenanceStats, SamplerManager, WalkEngine};
@@ -33,7 +33,7 @@ use crate::pipeline::PipelineResult;
 use crate::timing::PhaseTiming;
 
 /// Configuration of the streaming mode.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingConfig {
     /// Mutations applied per maintenance batch.
     pub batch_size: usize,
@@ -41,8 +41,6 @@ pub struct StreamingConfig {
     pub compaction_threshold: usize,
     /// Mirror each mutation onto the reverse edge (undirected graphs).
     pub symmetric: bool,
-    /// Regenerate affected walks after every batch (off = only at the end).
-    pub refresh_each_batch: bool,
     /// Worker threads for sharded update application, sampler maintenance and
     /// walk refresh. 0 means "use the walk engine's thread count".
     pub ingest_threads: usize,
@@ -51,40 +49,14 @@ pub struct StreamingConfig {
     /// Train embeddings incrementally on regenerated walks instead of a full
     /// retrain at end-of-stream.
     pub incremental_train: bool,
-    /// Minimum milliseconds between snapshot publications to the serving
-    /// store during incremental training. Publishing copies the full
-    /// embedding matrix, recomputes its norms (O(n·dim)) and — with
-    /// [`ann_index`](StreamingConfig::ann_index) — rebuilds the HNSW index,
-    /// so on large graphs an unthrottled per-round publish dominates the
-    /// ingestion path; 0 publishes after every incremental pass. The model
-    /// state after the final pass is always published regardless of the
-    /// interval.
-    pub snapshot_interval_ms: u64,
     /// Build an HNSW ANN index into every published snapshot, so
     /// `QueryMode::Ann` top-k queries run in `O(log n · d)`-ish time instead
-    /// of a full scan. The rebuild cost is paid once per publish (outside the
-    /// store's write lock); pair with
-    /// [`snapshot_interval_ms`](StreamingConfig::snapshot_interval_ms) on
-    /// large graphs.
+    /// of a full scan. The build cost is paid once per publish (outside the
+    /// store's write lock).
     pub ann_index: bool,
-    /// HNSW `M`: max neighbours per node on upper layers (layer 0 keeps 2M).
-    pub ann_m: usize,
-    /// HNSW construction beam width (`ef_construction`, must be ≥ `ann_m`).
-    pub ann_ef_construction: usize,
-    /// HNSW query beam width (`ef_search`) — the recall/latency knob.
-    pub ann_ef_search: usize,
-    /// Score top-k candidates through int8 codes (4x less scan bandwidth),
-    /// re-scoring the best `k · ann_rerank` in f32. Requires `ann_index`.
-    pub ann_quantize: bool,
-    /// f32 re-rank budget multiplier for quantized scans (candidates
-    /// re-scored per requested result; must be ≥ 1).
-    pub ann_rerank: usize,
-    /// Graft the previous epoch's HNSW graph on publish, re-inserting only
-    /// drifted/new nodes, instead of rebuilding from scratch each epoch.
-    pub ann_incremental: bool,
-    /// L2 distance between a node's old and new normalized vectors above
-    /// which an incremental publish re-inserts it (must be finite and ≥ 0).
-    pub ann_drift_threshold: f32,
+    /// HNSW parameters, used when [`ann_index`](StreamingConfig::ann_index)
+    /// is set. The engine overrides `seed` and `threads` with its own.
+    pub ann: AnnConfig,
     /// Accept open-world node arrivals/retirements in the update stream.
     /// When off, [`Engine::stream`](crate::Engine::stream) rejects a stream
     /// containing node ops up front with a typed error.
@@ -100,24 +72,15 @@ pub struct StreamingConfig {
 
 impl Default for StreamingConfig {
     fn default() -> Self {
-        let ann = uninet_embedding::AnnConfig::default();
         StreamingConfig {
             batch_size: 256,
             compaction_threshold: 1024,
             symmetric: true,
-            refresh_each_batch: true,
             ingest_threads: 0,
             queue_capacity: 8,
             incremental_train: false,
-            snapshot_interval_ms: 0,
             ann_index: false,
-            ann_m: ann.m,
-            ann_ef_construction: ann.ef_construction,
-            ann_ef_search: ann.ef_search,
-            ann_quantize: ann.quantize,
-            ann_rerank: ann.rerank,
-            ann_incremental: ann.incremental,
-            ann_drift_threshold: ann.drift_threshold,
+            ann: AnnConfig::default(),
             allow_churn: false,
             cold_start_burn_in: 2,
             cold_start_boost: 2.0,
@@ -212,10 +175,11 @@ fn merge_train_stats(total: &mut TrainStats, pass: &TrainStats) {
 /// and returns the post-stream compacted graph alongside the results, so a
 /// long-lived engine can keep its graph current.
 ///
-/// When `store` is set, trained embedding versions are published to it: the
-/// initial online model, one version per batch that trained or changed the
-/// universe (subject to [`StreamingConfig::snapshot_interval_ms`]
-/// throttling), and the end-of-stream state. The returned epoch is that of this session's last
+/// When `store` is set, trained embedding versions are published to it. With
+/// incremental training that is the initial online model and then one version
+/// per batch that trained or changed the universe, so the last batch's
+/// publish already is the end-of-stream state; a full retrain publishes once,
+/// at end-of-stream. The returned epoch is that of this session's last
 /// publish (0 when `store` is `None`). The spec must already have passed
 /// [`ModelSpec::validate`] — the engine builder guarantees this.
 ///
@@ -280,11 +244,6 @@ pub(crate) fn run_streaming_session(
     let mut train_stats = TrainStats::default();
     let mut report = StreamingReport::default();
     let mut last_epoch = 0u64;
-    let mut last_publish = Instant::now();
-    let snapshot_interval = Duration::from_millis(streaming.snapshot_interval_ms);
-    // Whether the store reflects the session's current model (false after an
-    // incremental pass was throttled out of publishing).
-    let mut store_current = true;
 
     // Incremental mode trains the base model up front so refresh rounds
     // can apply corrective passes as the stream is ingested — and so the
@@ -297,7 +256,6 @@ pub(crate) fn run_streaming_session(
         if let Some(store) = store {
             last_epoch = store.publish_with_universe(session.embeddings(), live.clone());
             report.snapshots_published += 1;
-            last_publish = Instant::now();
         }
         Some(session)
     } else {
@@ -330,7 +288,6 @@ pub(crate) fn run_streaming_session(
         compaction_threshold: streaming.compaction_threshold,
     };
 
-    let refresh_each_batch = streaming.refresh_each_batch;
     {
         let refresher = &mut refresher;
         let corpus = &mut corpus;
@@ -338,8 +295,6 @@ pub(crate) fn run_streaming_session(
         let pending_seed = &mut pending_seed;
         let trainer = &trainer;
         let last_epoch = &mut last_epoch;
-        let last_publish = &mut last_publish;
-        let store_current = &mut store_current;
         let online = &mut online;
         let learn = &mut learn;
         let train_stats = &mut train_stats;
@@ -362,7 +317,7 @@ pub(crate) fn run_streaming_session(
             model,
             mutations,
             wal,
-            |dg, mgr, r, is_final| {
+            |dg, mgr, r, _| {
                 // Periodic snapshot cadence, counted in WAL-logged batches.
                 // Runs before the refresh early-outs: durability must not
                 // depend on whether a batch touched any walks.
@@ -407,48 +362,46 @@ pub(crate) fn run_streaming_session(
                     pending_seed.extend(r.arrivals.iter().copied());
                 }
 
-                // Per-batch refresh is optional; the end-of-stream flush
-                // always refreshes so the corpus matches the final graph.
-                if refresh_each_batch || is_final {
-                    let mut touched = r.weight_touched.clone();
-                    touched.extend_from_slice(&r.topology_touched);
-                    touched.sort_unstable();
-                    touched.dedup();
-                    if !touched.is_empty() {
-                        let outcome = refresher.refresh_parallel(
-                            corpus,
-                            dg.base(),
-                            model,
-                            mgr,
-                            &touched,
-                            threads,
-                        );
-                        ingest_metrics
-                            .refresh_round_ns
-                            .record_duration(outcome.elapsed);
-                        ingest_metrics
-                            .refresh_dirty_walks
-                            .add(outcome.refreshed_ids.len() as u64);
-                        report.refresh.merge(&outcome.stats);
-                        report.refresh_time += outcome.elapsed;
+                // Every batch (and the end-of-stream flush) refreshes the
+                // walks through what it touched, so the corpus tracks the graph.
+                let mut touched = r.weight_touched.clone();
+                touched.extend_from_slice(&r.topology_touched);
+                touched.sort_unstable();
+                touched.dedup();
+                if !touched.is_empty() {
+                    let outcome = refresher.refresh_parallel(
+                        corpus,
+                        dg.base(),
+                        model,
+                        mgr,
+                        &touched,
+                        threads,
+                    );
+                    ingest_metrics
+                        .refresh_round_ns
+                        .record_duration(outcome.elapsed);
+                    ingest_metrics
+                        .refresh_dirty_walks
+                        .add(outcome.refreshed_ids.len() as u64);
+                    report.refresh.merge(&outcome.stats);
+                    report.refresh_time += outcome.elapsed;
 
-                        if let Some(session) = online.as_mut() {
-                            if !outcome.refreshed_ids.is_empty() {
-                                let regenerated: Vec<Vec<NodeId>> = outcome
-                                    .refreshed_ids
-                                    .iter()
-                                    .map(|&id| corpus.walk(id as usize).to_vec())
-                                    .collect();
-                                let t = Instant::now();
-                                let stats = trainer.train_incremental(session, &regenerated);
-                                let pass = t.elapsed();
-                                engine_metrics.incremental_pass_ns.record_duration(pass);
-                                *learn += pass;
-                                merge_train_stats(train_stats, &stats);
-                                report.incremental_walks_trained += regenerated.len();
-                                report.incremental_passes += 1;
-                                stale = true;
-                            }
+                    if let Some(session) = online.as_mut() {
+                        if !outcome.refreshed_ids.is_empty() {
+                            let regenerated: Vec<Vec<NodeId>> = outcome
+                                .refreshed_ids
+                                .iter()
+                                .map(|&id| corpus.walk(id as usize).to_vec())
+                                .collect();
+                            let t = Instant::now();
+                            let stats = trainer.train_incremental(session, &regenerated);
+                            let pass = t.elapsed();
+                            engine_metrics.incremental_pass_ns.record_duration(pass);
+                            *learn += pass;
+                            merge_train_stats(train_stats, &stats);
+                            report.incremental_walks_trained += regenerated.len();
+                            report.incremental_passes += 1;
+                            stale = true;
                         }
                     }
                 }
@@ -536,21 +489,11 @@ pub(crate) fn run_streaming_session(
                 // adapted vectors reach concurrent readers while the stream
                 // is still being ingested, and a batch that both refreshed
                 // and cold-started costs one matrix copy, one index graft
-                // and one epoch, not two. Publishing copies the matrix and
-                // recomputes norms, so it is throttled by
-                // `snapshot_interval_ms` on the ingestion path.
+                // and one epoch, not two.
                 if let (true, Some(store), Some(session)) = (stale, store, online.as_ref()) {
-                    if last_publish.elapsed() >= snapshot_interval {
-                        *last_epoch = store.publish_with_universe(
-                            session.embeddings(),
-                            universe_mask(dg.live_mask()),
-                        );
-                        report.snapshots_published += 1;
-                        *last_publish = Instant::now();
-                        *store_current = true;
-                    } else {
-                        *store_current = false;
-                    }
+                    *last_epoch = store
+                        .publish_with_universe(session.embeddings(), universe_mask(dg.live_mask()));
+                    report.snapshots_published += 1;
                 }
             },
         );
@@ -567,26 +510,14 @@ pub(crate) fn run_streaming_session(
     report.finalize();
 
     // Final embeddings: online session snapshot, or full retrain on the
-    // refreshed corpus. Incremental sessions already published after the
-    // last unthrottled pass, so they only cut an end-of-stream version when
-    // the throttle suppressed the most recent one; the full-retrain path
-    // always has a new version to publish.
+    // refreshed corpus. Incremental sessions already published their last
+    // pass from the batch callback; the full-retrain path publishes here.
     // The universe the final embeddings are served under: churned sessions
     // carry their mask into every publish and snapshot from here on.
     let final_live = universe_mask(dyn_graph.live_mask());
     let final_capacity = dyn_graph.num_nodes();
     let embeddings = match online {
-        Some(session) => {
-            let embeddings = session.embeddings();
-            if let Some(store) = store {
-                if !store_current {
-                    last_epoch =
-                        store.publish_with_universe(embeddings.clone(), final_live.clone());
-                    report.snapshots_published += 1;
-                }
-            }
-            embeddings
-        }
+        Some(session) => session.embeddings(),
         None => {
             let t = Instant::now();
             let (embeddings, stats) = trainer.train(corpus.walks(), final_capacity);

@@ -10,7 +10,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use uninet_core::{
-    Engine, EngineBuilder, FsyncPolicy, GraphMutation, ModelSpec, QueryMode, UniNetError,
+    AnnConfig, Engine, EngineBuilder, FsyncPolicy, GraphMutation, ModelSpec, QueryMode,
+    StreamingConfig, UniNetError,
 };
 use uninet_graph::generators::{rmat, RmatConfig};
 use uninet_graph::Graph;
@@ -68,8 +69,11 @@ fn durable_engine(dir: &PathBuf) -> Engine {
         .dim(16)
         .threads(2)
         .seed(11)
-        .incremental_train(true)
-        .update_batch_size(16)
+        .streaming(StreamingConfig {
+            batch_size: 16,
+            incremental_train: true,
+            ..Default::default()
+        })
         .wal(dir)
         .snapshot_every(4)
         .wal_fsync(FsyncPolicy::Never)
@@ -176,6 +180,19 @@ fn churn_stream(graph: &Graph) -> Vec<GraphMutation> {
     out
 }
 
+/// An HNSW index with `m` links per node and a construction beam of 24.
+fn ann_streaming(m: usize) -> StreamingConfig {
+    StreamingConfig {
+        ann_index: true,
+        ann: AnnConfig {
+            m,
+            ef_construction: 24,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
 /// The durable configuration of these tests with churn and an ANN index,
 /// short of its thread count.
 fn ann_builder(snapshot_every: usize) -> EngineBuilder {
@@ -185,12 +202,12 @@ fn ann_builder(snapshot_every: usize) -> EngineBuilder {
         .walk_length(8)
         .dim(16)
         .seed(11)
-        .incremental_train(true)
-        .allow_churn(true)
-        .ann_index(true)
-        .ann_m(6)
-        .ann_ef_construction(24)
-        .update_batch_size(16)
+        .streaming(StreamingConfig {
+            batch_size: 16,
+            incremental_train: true,
+            allow_churn: true,
+            ..ann_streaming(6)
+        })
         .snapshot_every(snapshot_every)
         .wal_fsync(FsyncPolicy::Never)
 }
@@ -384,9 +401,7 @@ fn every_unusable_index_recovers_by_rebuilding() {
     // An index built under another seed (the level hash differs).
     let other_seed = Engine::builder()
         .seed(12)
-        .ann_index(true)
-        .ann_m(6)
-        .ann_ef_construction(24)
+        .streaming(ann_streaming(6))
         .recover(&dir)
         .build()
         .expect("recovery");
@@ -398,9 +413,7 @@ fn every_unusable_index_recovers_by_rebuilding() {
     // Another `m`: lists would overflow their cap.
     let other_m = Engine::builder()
         .seed(11)
-        .ann_index(true)
-        .ann_m(4)
-        .ann_ef_construction(24)
+        .streaming(ann_streaming(4))
         .recover(&dir)
         .build()
         .expect("recovery");

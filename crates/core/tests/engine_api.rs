@@ -7,7 +7,8 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uninet_core::{
-    EdgeSamplerKind, Engine, GraphMutation, InitStrategy, ModelSpec, QueryMode, UniNetError,
+    AnnConfig, EdgeSamplerKind, Engine, GraphMutation, InitStrategy, ModelSpec, QueryMode,
+    StreamingConfig, UniNetError,
 };
 use uninet_graph::generators::{barabasi_albert, rmat, RmatConfig};
 use uninet_graph::{Graph, NodeId};
@@ -125,87 +126,116 @@ fn builder_rejects_bad_configs() {
             .unwrap_err(),
         "model.p",
     );
+    let streaming = |s: StreamingConfig| Engine::builder().graph(g()).streaming(s).build();
     assert_invalid(
-        Engine::builder()
-            .graph(g())
-            .update_batch_size(0)
-            .build()
-            .unwrap_err(),
+        streaming(StreamingConfig {
+            batch_size: 0,
+            ..Default::default()
+        })
+        .unwrap_err(),
         "streaming.batch_size",
     );
     assert_invalid(
-        Engine::builder()
-            .graph(g())
-            .queue_capacity(0)
-            .build()
-            .unwrap_err(),
+        streaming(StreamingConfig {
+            queue_capacity: 0,
+            ..Default::default()
+        })
+        .unwrap_err(),
         "streaming.queue_capacity",
     );
     assert_invalid(Engine::builder().build().unwrap_err(), "graph");
     // ANN options are validated only when the index is enabled.
-    assert_invalid(
-        Engine::builder()
-            .graph(g())
-            .ann_index(true)
-            .ann_m(1)
-            .build()
+    let base = AnnConfig::default();
+    let ann_cases = [
+        ("streaming.ann.m", AnnConfig { m: 1, ..base }),
+        (
+            "streaming.ann.ef_construction",
+            AnnConfig {
+                m: 16,
+                ef_construction: 4,
+                ..base
+            },
+        ),
+        (
+            "streaming.ann.ef_search",
+            AnnConfig {
+                ef_search: 0,
+                ..base
+            },
+        ),
+        ("streaming.ann.rerank", AnnConfig { rerank: 0, ..base }),
+        (
+            "streaming.ann.drift_threshold",
+            AnnConfig {
+                drift_threshold: f32::NAN,
+                ..base
+            },
+        ),
+    ];
+    for (field, ann) in ann_cases {
+        assert_invalid(
+            streaming(StreamingConfig {
+                ann_index: true,
+                ann,
+                ..Default::default()
+            })
             .unwrap_err(),
-        "streaming.ann_m",
-    );
+            field,
+        );
+        // The same nonsense is ignored while the index is off.
+        assert!(
+            streaming(StreamingConfig {
+                ann,
+                ..Default::default()
+            })
+            .is_ok(),
+            "{field} checked with the index off"
+        );
+    }
+    // Quantized serving without an index to carry it is rejected even though
+    // the index itself is off.
     assert_invalid(
-        Engine::builder()
-            .graph(g())
-            .ann_index(true)
-            .ann_m(16)
-            .ann_ef_construction(4)
-            .build()
-            .unwrap_err(),
-        "streaming.ann_ef_construction",
+        streaming(StreamingConfig {
+            ann: AnnConfig {
+                quantize: true,
+                ..base
+            },
+            ..Default::default()
+        })
+        .unwrap_err(),
+        "streaming.ann.quantize",
     );
-    assert_invalid(
-        Engine::builder()
-            .graph(g())
-            .ann_index(true)
-            .ann_ef_search(0)
-            .build()
-            .unwrap_err(),
-        "streaming.ann_ef_search",
-    );
-    assert_invalid(
-        Engine::builder()
-            .graph(g())
-            .ann_index(true)
-            .ann_rerank(0)
-            .build()
-            .unwrap_err(),
-        "streaming.ann_rerank",
-    );
-    assert_invalid(
-        Engine::builder()
-            .graph(g())
-            .ann_index(true)
-            .ann_drift_threshold(f32::NAN)
-            .build()
-            .unwrap_err(),
-        "streaming.ann_drift_threshold",
-    );
-    // Quantized serving without an ANN config to carry it is rejected even
-    // though the index itself is off.
-    assert_invalid(
-        Engine::builder()
-            .graph(g())
-            .ann_quantize(true)
-            .build()
-            .unwrap_err(),
-        "streaming.ann_quantize",
-    );
-    assert!(Engine::builder()
-        .graph(g())
-        .ann_m(0) // nonsense, but ignored while the index is off
-        .build()
-        .is_ok());
     // A valid configuration still builds.
     assert!(Engine::builder().graph(g()).build().is_ok());
+}
+
+#[test]
+fn streaming_ann_reaches_the_store_with_the_engine_seed_and_threads() {
+    let ann = AnnConfig {
+        m: 6,
+        ef_construction: 24,
+        quantize: true,
+        ..Default::default()
+    };
+    let engine = Engine::builder()
+        .graph(barabasi_albert(60, 3, false, 1))
+        .seed(9)
+        .threads(3)
+        .streaming(StreamingConfig {
+            ann_index: true,
+            ann,
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    assert_eq!(
+        engine.store().ann_config(),
+        Some(&AnnConfig {
+            seed: 9,
+            threads: 3,
+            ..ann
+        })
+    );
 }
 
 #[test]
@@ -293,8 +323,14 @@ fn ann_engine_routes_top_k_through_the_index() {
         .threads(2)
         .seed(11)
         .sampler(EdgeSamplerKind::MetropolisHastings(InitStrategy::Random))
-        .ann_index(true)
-        .ann_ef_search(128)
+        .streaming(StreamingConfig {
+            ann_index: true,
+            ann: AnnConfig {
+                ef_search: 128,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
         .build()
         .unwrap();
     // Nothing published yet: ANN queries answer safely from the empty epoch.
@@ -336,9 +372,15 @@ fn quantized_ann_engine_serves_exact_scores() {
         .threads(2)
         .seed(17)
         .sampler(EdgeSamplerKind::MetropolisHastings(InitStrategy::Random))
-        .ann_index(true)
-        .ann_quantize(true)
-        .ann_rerank(4)
+        .streaming(StreamingConfig {
+            ann_index: true,
+            ann: AnnConfig {
+                quantize: true,
+                rerank: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
         .build()
         .unwrap();
     engine.train().unwrap();
@@ -390,8 +432,11 @@ fn stream_keeps_engine_queryable_and_updates_graph() {
         .epochs(1)
         .threads(2)
         .sampler(EdgeSamplerKind::MetropolisHastings(InitStrategy::Random))
-        .update_batch_size(32)
-        .incremental_train(true)
+        .streaming(StreamingConfig {
+            batch_size: 32,
+            incremental_train: true,
+            ..Default::default()
+        })
         .build()
         .unwrap();
 
@@ -435,9 +480,12 @@ fn concurrent_queries_during_streaming_see_monotone_epochs() {
         .epochs(1)
         .threads(2)
         .sampler(EdgeSamplerKind::MetropolisHastings(InitStrategy::Random))
-        .update_batch_size(32)
-        .compaction_threshold(64)
-        .incremental_train(true)
+        .streaming(StreamingConfig {
+            batch_size: 32,
+            compaction_threshold: 64,
+            incremental_train: true,
+            ..Default::default()
+        })
         .build()
         .unwrap();
 
@@ -504,10 +552,13 @@ fn ann_queries_during_streaming_see_monotone_epochs() {
         .epochs(1)
         .threads(2)
         .sampler(EdgeSamplerKind::MetropolisHastings(InitStrategy::Random))
-        .update_batch_size(32)
-        .compaction_threshold(64)
-        .incremental_train(true)
-        .ann_index(true)
+        .streaming(StreamingConfig {
+            batch_size: 32,
+            compaction_threshold: 64,
+            incremental_train: true,
+            ann_index: true,
+            ..Default::default()
+        })
         .build()
         .unwrap();
 

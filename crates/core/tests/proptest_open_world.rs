@@ -23,10 +23,10 @@ use rand::{Rng, SeedableRng};
 
 use uninet_core::{
     AnnConfig, DynamicGraph, EdgeSamplerKind, EmbeddingStore, Embeddings, Engine, EngineBuilder,
-    FsyncPolicy, GraphMutation, QueryMode,
+    FsyncPolicy, GraphMutation, QueryMode, StreamingConfig,
 };
 use uninet_graph::{Graph, GraphBuilder, NodeId};
-use uninet_ingest::{run_pipeline, IngestConfig};
+use uninet_ingest::{run_durable_pipeline, IngestConfig, IngestMetrics};
 use uninet_walker::models::DeepWalk;
 use uninet_walker::{RandomWalkModel, SamplerManager};
 
@@ -205,17 +205,19 @@ proptest! {
         // node-op batches, incremental sampler maintenance).
         let mut dg = DynamicGraph::new(g, true);
         let mut manager = SamplerManager::new(dg.base(), &model, EdgeSamplerKind::Alias, 0);
-        run_pipeline(
+        run_durable_pipeline(
             &IngestConfig {
                 batch_size,
                 queue_capacity: 4,
                 num_threads: 3,
                 compaction_threshold: 8,
             },
+            &IngestMetrics::detached(),
             &mut dg,
             &mut manager,
             &model,
             &mutations,
+            None,
             |_, _, _, _| {},
         );
 
@@ -317,13 +319,19 @@ fn durable_builder(batch_size: usize, snapshot_every: usize) -> EngineBuilder {
         .dim(8)
         .threads(1)
         .seed(5)
-        .incremental_train(true)
-        .allow_churn(true)
-        .ann_index(true)
-        .ann_m(4)
-        .ann_ef_construction(16)
-        .ann_ef_search(16)
-        .update_batch_size(batch_size)
+        .streaming(StreamingConfig {
+            batch_size,
+            incremental_train: true,
+            allow_churn: true,
+            ann_index: true,
+            ann: AnnConfig {
+                m: 4,
+                ef_construction: 16,
+                ef_search: 16,
+                ..AnnConfig::default()
+            },
+            ..StreamingConfig::default()
+        })
         .snapshot_every(snapshot_every)
         .wal_fsync(FsyncPolicy::Never)
 }

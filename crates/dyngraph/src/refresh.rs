@@ -8,11 +8,11 @@
 //! pruned, so the index never accumulates stale entries (a wholesale rebuild
 //! remains as a defensive backstop should the bookkeeping ever drift).
 //!
-//! Refresh comes in two flavors: the serial [`WalkRefresher::refresh`] loop
-//! and [`WalkRefresher::refresh_parallel`], which fans walk regeneration out
-//! across worker threads (walks are independent given the shared lock-free
-//! `SamplerManager`) and applies the corpus/index updates serially. Both use
-//! the same per-walk RNG derivation, so they produce identical corpora.
+//! [`WalkRefresher::refresh_parallel`] fans walk regeneration out across
+//! worker threads (walks are independent given the shared lock-free
+//! `SamplerManager`) and applies the corpus/index updates serially. Each
+//! walk's RNG derives from its id, so the thread count does not change the
+//! corpus.
 
 use std::time::{Duration, Instant};
 
@@ -183,8 +183,8 @@ impl WalkRefresher {
         ids
     }
 
-    /// The RNG driving the regeneration of walk `id` this generation; shared
-    /// by the serial and parallel paths so they produce identical walks.
+    /// The RNG driving the regeneration of walk `id` this generation, the
+    /// same on every thread so the thread count cannot change the walks.
     fn walk_rng(&self, id: u32) -> SmallRng {
         SmallRng::seed_from_u64(
             self.seed
@@ -250,45 +250,20 @@ impl WalkRefresher {
         }
     }
 
-    /// Regenerates every walk that passes through any node in `touched`.
+    /// Regenerates every walk that passes through any node in `touched`,
+    /// fanning the work out across `num_threads` worker threads (the walk
+    /// engine's thread-pool pattern: chunked ids, one RNG per walk), and
+    /// returns the refreshed walk ids.
     ///
     /// Refreshed walks restart from their original start node and are driven
     /// by the live `manager` — so M-H chain state carried across the update
-    /// is reused, not re-initialized.
-    pub fn refresh<M: RandomWalkModel + ?Sized>(
-        &mut self,
-        corpus: &mut WalkCorpus,
-        graph: &Graph,
-        model: &M,
-        manager: &SamplerManager,
-        touched: &[NodeId],
-    ) -> (RefreshStats, Duration) {
-        let outcome = self.refresh_collect(corpus, graph, model, manager, touched, 1);
-        (outcome.stats, outcome.elapsed)
-    }
-
-    /// Like [`WalkRefresher::refresh`], but fans walk regeneration out across
-    /// `num_threads` worker threads (the walk engine's thread-pool pattern:
-    /// chunked ids, one RNG per walk) and returns the refreshed walk ids.
-    ///
-    /// Each walk's RNG is derived from its id and the pass generation, not
-    /// the thread, so with stateless sampler backends (alias / direct /
-    /// rejection) the parallel path produces exactly the same corpus as the
-    /// serial one. The M-H backend shares live chain state across walkers, so
-    /// its walk content is schedule-dependent — just as in the batch engine.
+    /// is reused, not re-initialized. Each walk's RNG is derived from its id
+    /// and the pass generation, not the thread, so with stateless sampler
+    /// backends (alias / direct / rejection) every thread count produces
+    /// exactly the same corpus. The M-H backend shares live chain state
+    /// across walkers, so its walk content is schedule-dependent — just as in
+    /// the batch engine.
     pub fn refresh_parallel<M: RandomWalkModel + ?Sized>(
-        &mut self,
-        corpus: &mut WalkCorpus,
-        graph: &Graph,
-        model: &M,
-        manager: &SamplerManager,
-        touched: &[NodeId],
-        num_threads: usize,
-    ) -> RefreshOutcome {
-        self.refresh_collect(corpus, graph, model, manager, touched, num_threads)
-    }
-
-    fn refresh_collect<M: RandomWalkModel + ?Sized>(
         &mut self,
         corpus: &mut WalkCorpus,
         graph: &Graph,
@@ -416,7 +391,9 @@ mod tests {
         let touched = [3u32];
         let affected: Vec<u32> = refresher.walks_through(3).to_vec();
         let before: Vec<Vec<NodeId>> = corpus.walks().to_vec();
-        let (stats, _) = refresher.refresh(&mut corpus, &g, &model, &manager, &touched);
+        let stats = refresher
+            .refresh_parallel(&mut corpus, &g, &model, &manager, &touched, 1)
+            .stats;
         assert_eq!(stats.walks_refreshed, affected.len());
         assert!(stats.tokens_regenerated > 0);
         for (i, walk) in corpus.iter().enumerate() {
@@ -434,7 +411,9 @@ mod tests {
         let model = DeepWalk::new();
         let mut refresher = WalkRefresher::new(&corpus, g.num_nodes(), cfg.walk_length, 9);
         let touched: Vec<NodeId> = (0..20).collect();
-        let (stats, _) = refresher.refresh(&mut corpus, &g, &model, &manager, &touched);
+        let stats = refresher
+            .refresh_parallel(&mut corpus, &g, &model, &manager, &touched, 1)
+            .stats;
         assert!(stats.walks_refreshed > 0);
         for walk in corpus.iter() {
             for pair in walk.windows(2) {
@@ -480,8 +459,9 @@ mod tests {
         let mut pruned = 0usize;
         for round in 0..8 {
             let touched = [(round * 7 % 150) as NodeId, (round * 13 % 150) as NodeId];
-            let (stats, _) = refresher.refresh(&mut corpus, &g, &model, &manager, &touched);
-            pruned += stats.postings_pruned;
+            let outcome =
+                refresher.refresh_parallel(&mut corpus, &g, &model, &manager, &touched, 1);
+            pruned += outcome.stats.postings_pruned;
         }
         assert_index_exact(&refresher, &corpus, g.num_nodes());
         // Regenerated trajectories diverge, so some postings must have been
@@ -507,8 +487,8 @@ mod tests {
         assert_index_exact(&refresher, &corpus, g.num_nodes());
 
         // A refresh touching the retired ids must not resurrect evicted walks.
-        let (stats, _) = refresher.refresh(&mut corpus, &g, &model, &manager, &retired);
-        assert_eq!(stats.walks_refreshed, 0);
+        let outcome = refresher.refresh_parallel(&mut corpus, &g, &model, &manager, &retired, 1);
+        assert_eq!(outcome.stats.walks_refreshed, 0);
 
         // Seed walks for "arrived" ids (reuse live nodes as stand-ins).
         let before = corpus.num_walks();
@@ -557,11 +537,13 @@ mod tests {
         let mut parallel = WalkRefresher::new(&parallel_corpus, g.num_nodes(), cfg.walk_length, 29);
 
         let touched: Vec<NodeId> = (0..30).collect();
-        let (serial_stats, _) = serial.refresh(&mut serial_corpus, &g, &model, &manager, &touched);
+        let serial_outcome =
+            serial.refresh_parallel(&mut serial_corpus, &g, &model, &manager, &touched, 1);
         let outcome =
             parallel.refresh_parallel(&mut parallel_corpus, &g, &model, &manager, &touched, 4);
 
-        assert_eq!(serial_stats, outcome.stats);
+        assert_eq!(serial_outcome.stats, outcome.stats);
+        assert_eq!(serial_outcome.refreshed_ids, outcome.refreshed_ids);
         assert_eq!(serial_corpus.walks(), parallel_corpus.walks());
         assert_eq!(outcome.refreshed_ids.len(), outcome.stats.walks_refreshed);
         assert!(outcome.refreshed_ids.windows(2).all(|w| w[0] < w[1]));

@@ -20,11 +20,10 @@
 //!
 //! **When do snapshots publish?** Batch training publishes once at the end of
 //! the run. Incremental streaming publishes the initial online model and then
-//! one snapshot per update batch that trained, throttled by the engine's
-//! `snapshot_interval_ms` (publishing copies the matrix, recomputes norms and
-//! — when ANN serving is enabled — rebuilds the HNSW index, all `O(n·d)` or
-//! worse, so on large graphs an unthrottled per-round publish would dominate
-//! the ingestion path). The final post-stream state is always published.
+//! one snapshot per update batch that trained or changed the universe, so the
+//! last of them is the final post-stream state. Publishing copies the matrix,
+//! recomputes norms and — when ANN serving is enabled — builds the HNSW
+//! index, all `O(n·d)` or worse, on the publishing thread.
 //!
 //! **ANN serving.** A store created with [`EmbeddingStore::with_ann`] builds
 //! an [`HnswIndex`] into every published snapshot. The build runs inside

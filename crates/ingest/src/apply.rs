@@ -34,19 +34,14 @@ pub struct ShardedMaintainer {
 }
 
 impl ShardedMaintainer {
-    /// Creates a maintainer applying batches with up to `threads` workers and
-    /// detached (unobserved) telemetry.
-    pub fn new(config: MaintainerConfig, threads: usize) -> Self {
-        Self::instrumented(config, threads, IngestMetrics::detached())
-    }
-
-    /// Creates a maintainer recording apply/maintenance/compaction timings
-    /// into `metrics`.
-    pub fn instrumented(config: MaintainerConfig, threads: usize, metrics: IngestMetrics) -> Self {
+    /// Creates a maintainer applying batches with up to `threads` workers,
+    /// recording apply/maintenance/compaction timings into `metrics` (pass
+    /// [`IngestMetrics::detached`] when nothing observes them).
+    pub fn new(config: MaintainerConfig, threads: usize, metrics: &IngestMetrics) -> Self {
         ShardedMaintainer {
             config,
             threads: threads.max(1),
-            metrics,
+            metrics: metrics.clone(),
         }
     }
 
@@ -263,6 +258,7 @@ mod tests {
                     compaction_threshold: 64,
                 },
                 4,
+                &IngestMetrics::detached(),
             )
             .apply_batch(&mut dg_sharded, &mut m_sharded, &model, &batch, &plan);
 
@@ -320,9 +316,13 @@ mod tests {
             0,
         );
         let metrics = IngestMetrics::detached();
-        let sharded =
-            ShardedMaintainer::instrumented(MaintainerConfig::default(), 4, metrics.clone())
-                .apply_batch(&mut dg_sharded, &mut m_sharded, &model, &batch, &plan);
+        let sharded = ShardedMaintainer::new(MaintainerConfig::default(), 4, &metrics).apply_batch(
+            &mut dg_sharded,
+            &mut m_sharded,
+            &model,
+            &batch,
+            &plan,
+        );
 
         assert_eq!(serial.arrivals, sharded.arrivals);
         assert_eq!(serial.retirements, sharded.retirements);
@@ -356,13 +356,8 @@ mod tests {
             EdgeSamplerKind::MetropolisHastings(InitStrategy::Random),
             0,
         );
-        let r = ShardedMaintainer::new(MaintainerConfig::default(), 1).apply_batch(
-            &mut dg,
-            &mut manager,
-            &model,
-            &batch,
-            &plan,
-        );
+        let r = ShardedMaintainer::new(MaintainerConfig::default(), 1, &IngestMetrics::detached())
+            .apply_batch(&mut dg, &mut manager, &model, &batch, &plan);
         assert!(r.weight_mutations + r.topology_mutations > 0);
     }
 }

@@ -24,6 +24,12 @@
 //!    out over the walk-engine thread pool and applies incremental
 //!    (regenerated-walks-only) embedding updates.
 //!
+//! Each job has one function: [`run_durable_pipeline`] runs the pipeline,
+//! [`batch_queue`] builds the queue and [`ShardedMaintainer::new`] the
+//! maintainer. All three record into an [`IngestMetrics`]; pass
+//! [`IngestMetrics::detached`] when nothing observes it, and a `None` WAL
+//! hook to run without a log.
+//!
 //! ```
 //! use uninet_ingest::ShardPlan;
 //!
@@ -44,10 +50,6 @@ pub mod shard;
 
 pub use apply::ShardedMaintainer;
 pub use metrics::IngestMetrics;
-pub use pipeline::{
-    run_durable_pipeline, run_instrumented_pipeline, run_pipeline, IngestConfig, IngestReport,
-};
-pub use queue::{
-    batch_queue, instrumented_batch_queue, BatchReceiver, BatchSender, QueueStats, RateLimiter,
-};
+pub use pipeline::{run_durable_pipeline, IngestConfig, IngestReport};
+pub use queue::{batch_queue, BatchReceiver, BatchSender, QueueStats, RateLimiter};
 pub use shard::{PartitionedBatch, ShardPlan};

@@ -23,7 +23,7 @@ use uninet_walker::{MaintenanceStats, RandomWalkModel, SamplerManager};
 
 use crate::apply::ShardedMaintainer;
 use crate::metrics::IngestMetrics;
-use crate::queue::{instrumented_batch_queue, QueueStats};
+use crate::queue::{batch_queue, QueueStats};
 use crate::shard::ShardPlan;
 
 /// Configuration of the ingestion pipeline.
@@ -74,55 +74,21 @@ pub struct IngestReport {
 }
 
 /// Runs the concurrent ingestion pipeline over a pre-collected mutation
-/// stream with detached (unobserved) telemetry. `on_batch` fires after every
-/// applied batch on the caller's thread — it may freely borrow the graph and
-/// manager state it closed over. The final `bool` argument is `true` only for
-/// the end-of-stream flush (which fires only when the flush actually
-/// compacted leftover overlay entries).
-pub fn run_pipeline<M: RandomWalkModel + ?Sized>(
-    config: &IngestConfig,
-    graph: &mut DynamicGraph,
-    manager: &mut SamplerManager,
-    model: &M,
-    mutations: &[GraphMutation],
-    on_batch: impl FnMut(&DynamicGraph, &SamplerManager, &BatchReport, bool),
-) -> IngestReport {
-    run_instrumented_pipeline(
-        config,
-        &IngestMetrics::detached(),
-        graph,
-        manager,
-        model,
-        mutations,
-        on_batch,
-    )
-}
-
-/// [`run_pipeline`], recording queue/apply/maintenance/compaction telemetry
-/// into `metrics` live while the pipeline runs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_instrumented_pipeline<M: RandomWalkModel + ?Sized>(
-    config: &IngestConfig,
-    metrics: &IngestMetrics,
-    graph: &mut DynamicGraph,
-    manager: &mut SamplerManager,
-    model: &M,
-    mutations: &[GraphMutation],
-    on_batch: impl FnMut(&DynamicGraph, &SamplerManager, &BatchReport, bool),
-) -> IngestReport {
-    run_durable_pipeline(
-        config, metrics, graph, manager, model, mutations, None, on_batch,
-    )
-}
-
-/// [`run_instrumented_pipeline`] with an apply-path write-ahead-log hook.
+/// stream, recording queue/apply/maintenance/compaction telemetry into
+/// `metrics` live while it runs (pass [`IngestMetrics::detached`] when
+/// nothing observes it).
+///
+/// `on_batch` fires after every applied batch on the caller's thread — it
+/// may freely borrow the graph and manager state it closed over. The final
+/// `bool` argument is `true` only for the end-of-stream flush (which fires
+/// only when the flush actually compacted leftover overlay entries).
 ///
 /// When `wal` is given, it fires on the consumer thread for every dequeued
 /// batch *before* the batch is applied to the graph — so by the time a
 /// batch's effects are observable, the durability plane has already had its
 /// chance to log it. The hook must not panic; WAL errors are expected to be
 /// absorbed (and reported) by the closure itself so a degraded disk never
-/// takes down ingestion.
+/// takes down ingestion. Pass `None` to run without a log.
 #[allow(clippy::too_many_arguments)]
 pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
     config: &IngestConfig,
@@ -134,18 +100,18 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
     mut wal: Option<&mut dyn FnMut(&UpdateBatch)>,
     mut on_batch: impl FnMut(&DynamicGraph, &SamplerManager, &BatchReport, bool),
 ) -> IngestReport {
-    let maintainer = ShardedMaintainer::instrumented(
+    let maintainer = ShardedMaintainer::new(
         MaintainerConfig {
             compaction_threshold: config.compaction_threshold,
         },
         config.num_threads,
-        metrics.clone(),
+        metrics,
     );
     let mut plan = ShardPlan::new(graph.num_nodes(), config.num_threads);
     let mut report = IngestReport::default();
 
     let queue_stats = crossbeam::thread::scope(|scope| {
-        let (tx, rx) = instrumented_batch_queue(config.queue_capacity, metrics);
+        let (tx, rx) = batch_queue(config.queue_capacity, metrics);
         let batch_size = config.batch_size.max(1);
         let reader = scope.spawn(move |_| {
             let mut tx = tx;
@@ -272,12 +238,22 @@ mod tests {
             compaction_threshold: 128,
         };
         let mut callbacks = 0usize;
-        let report = run_pipeline(&cfg, &mut dg, &mut mgr, &model, &stream, |_, _, r, _| {
-            callbacks += 1;
-            assert!(
-                r.weight_mutations + r.topology_mutations + r.rejected_mutations > 0 || r.compacted
-            );
-        });
+        let report = run_durable_pipeline(
+            &cfg,
+            &IngestMetrics::detached(),
+            &mut dg,
+            &mut mgr,
+            &model,
+            &stream,
+            None,
+            |_, _, r, _| {
+                callbacks += 1;
+                assert!(
+                    r.weight_mutations + r.topology_mutations + r.rejected_mutations > 0
+                        || r.compacted
+                );
+            },
+        );
 
         assert_eq!(report.batches, stream.len().div_ceil(64));
         assert!(callbacks >= report.batches);
@@ -305,12 +281,14 @@ mod tests {
             EdgeSamplerKind::MetropolisHastings(InitStrategy::Random),
             0,
         );
-        let report = run_pipeline(
+        let report = run_durable_pipeline(
             &IngestConfig::default(),
+            &IngestMetrics::detached(),
             &mut dg,
             &mut mgr,
             &model,
             &[],
+            None,
             |_, _, _, _| panic!("no batches expected"),
         );
         assert_eq!(report.batches, 0);

@@ -83,19 +83,11 @@ impl RateLimiter {
     }
 }
 
-/// Creates a bounded batch queue of the given capacity (clamped to ≥ 1) with
-/// detached (unobserved) telemetry.
-pub fn batch_queue(capacity: usize) -> (BatchSender, BatchReceiver) {
-    instrumented_batch_queue(capacity, &IngestMetrics::detached())
-}
-
-/// Creates a bounded batch queue whose depth gauge, enqueue/stall counters
-/// and stall-latency histogram record into `metrics` — live, not just in the
-/// final [`QueueStats`].
-pub fn instrumented_batch_queue(
-    capacity: usize,
-    metrics: &IngestMetrics,
-) -> (BatchSender, BatchReceiver) {
+/// Creates a bounded batch queue of the given capacity (clamped to ≥ 1)
+/// whose depth gauge, enqueue/stall counters and stall-latency histogram
+/// record into `metrics` — live, not just in the final [`QueueStats`]. Pass
+/// [`IngestMetrics::detached`] when nothing observes them.
+pub fn batch_queue(capacity: usize, metrics: &IngestMetrics) -> (BatchSender, BatchReceiver) {
     let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
     let depth = Arc::new(AtomicUsize::new(0));
     (
@@ -241,7 +233,7 @@ mod tests {
 
     #[test]
     fn queue_delivers_in_order_and_counts() {
-        let (mut tx, rx) = batch_queue(4);
+        let (mut tx, rx) = batch_queue(4, &IngestMetrics::detached());
         let producer = std::thread::spawn(move || {
             for i in 1..=6 {
                 assert!(tx.send(batch(i)));
@@ -261,7 +253,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_applies_back_pressure() {
-        let (mut tx, rx) = batch_queue(1);
+        let (mut tx, rx) = batch_queue(1, &IngestMetrics::detached());
         let producer = std::thread::spawn(move || {
             for _ in 0..3 {
                 assert!(tx.send(batch(2)));
@@ -289,7 +281,7 @@ mod tests {
 
     #[test]
     fn send_after_consumer_drop_reports_closure() {
-        let (mut tx, rx) = batch_queue(1);
+        let (mut tx, rx) = batch_queue(1, &IngestMetrics::detached());
         drop(rx);
         assert!(!tx.send(batch(1)));
         assert_eq!(tx.depth(), 0);
@@ -300,7 +292,7 @@ mod tests {
     #[test]
     fn instrumented_queue_updates_live_metrics() {
         let metrics = IngestMetrics::detached();
-        let (mut tx, rx) = instrumented_batch_queue(2, &metrics);
+        let (mut tx, rx) = batch_queue(2, &metrics);
         assert!(tx.send(batch(1)));
         assert!(tx.send(batch(1)));
         assert_eq!(metrics.queue_depth.get(), 2);

@@ -11,7 +11,9 @@ use uninet_dyngraph::{
     DynamicGraph, GraphMutation, IncrementalMaintainer, MaintainerConfig, UpdateBatch,
 };
 use uninet_graph::{Graph, GraphBuilder};
-use uninet_ingest::{ShardPlan, ShardedMaintainer};
+use uninet_ingest::{
+    run_durable_pipeline, IngestConfig, IngestMetrics, ShardPlan, ShardedMaintainer,
+};
 use uninet_sampler::{EdgeSamplerKind, InitStrategy};
 use uninet_walker::models::DeepWalk;
 use uninet_walker::SamplerManager;
@@ -79,7 +81,7 @@ proptest! {
 
         let mut dg_sharded = DynamicGraph::new(g, symmetric);
         let mut mgr_sharded = SamplerManager::new(dg_sharded.base(), &model, kind, 0);
-        let sharded = ShardedMaintainer::new(cfg, shards);
+        let sharded = ShardedMaintainer::new(cfg, shards, &IngestMetrics::detached());
         let plan = ShardPlan::new(N as usize, shards);
 
         for chunk in mutations.chunks(batch_size) {
@@ -136,17 +138,19 @@ proptest! {
 
         let mut dg = DynamicGraph::new(g, true);
         let mut mgr = SamplerManager::new(dg.base(), &model, kind, 0);
-        let report = uninet_ingest::run_pipeline(
-            &uninet_ingest::IngestConfig {
+        let report = run_durable_pipeline(
+            &IngestConfig {
                 batch_size: 8,
                 queue_capacity,
                 num_threads: 3,
                 compaction_threshold: 16,
             },
+            &IngestMetrics::detached(),
             &mut dg,
             &mut mgr,
             &model,
             &mutations,
+            None,
             |_, _, _, _| {},
         );
         prop_assert_eq!(report.batches, mutations.len().div_ceil(8));

@@ -20,8 +20,8 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use uninet_core::{
-    EdgeSamplerKind, Engine, EngineBuilder, FsyncPolicy, InitStrategy, ModelSpec, StreamingConfig,
-    UniNetError,
+    AnnConfig, EdgeSamplerKind, Engine, EngineBuilder, FsyncPolicy, InitStrategy, ModelSpec,
+    StreamingConfig, UniNetError,
 };
 use uninet_dyngraph::{read_update_stream_file, read_update_stream_validated_file};
 use uninet_embedding::io::save_embeddings;
@@ -146,32 +146,35 @@ OUTPUT:
   --help                  print this help
 ";
 
+/// Flags that take no value.
+const SWITCHES: &str =
+    "directed-updates incremental-train allow-churn ann ann-quantize ann-full-rebuild recover";
+
+/// Flags that take the next argument as their value.
+const VALUE_FLAGS: &str = "input synthetic nodes mean-degree model p q metapath num-walks \
+    walk-length dim epochs threads sampler seed updates update-batch-size compaction-threshold \
+    ingest-threads queue-capacity cold-start-burn-in cold-start-boost wal-dir snapshot-every \
+    wal-fsync ann-m ann-ef-construction ann-ef-search ann-rerank ann-drift-threshold serve \
+    serve-max-inflight output metrics-json";
+
+fn is_one_of(flags: &str, key: &str) -> bool {
+    flags.split_whitespace().any(|f| f == key)
+}
+
 struct Args {
     map: std::collections::HashMap<String, String>,
 }
 
 impl Args {
-    fn parse() -> Result<Self, UniNetError> {
+    /// Parses the arguments after the program name. Any `--key` that is not
+    /// a known flag or switch is an error, so a typo can never swallow the
+    /// flag after it as its value.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, UniNetError> {
         let mut map = std::collections::HashMap::new();
-        let mut iter = std::env::args().skip(1).peekable();
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             if arg == "--help" || arg == "-h" {
                 map.insert("help".to_string(), "1".to_string());
-                continue;
-            }
-            if let Some(flag) = [
-                "directed-updates",
-                "incremental-train",
-                "allow-churn",
-                "ann",
-                "ann-quantize",
-                "ann-full-rebuild",
-                "recover",
-            ]
-            .iter()
-            .find(|f| arg == format!("--{f}"))
-            {
-                map.insert(flag.to_string(), "1".to_string());
                 continue;
             }
             let Some(key) = arg.strip_prefix("--") else {
@@ -180,6 +183,16 @@ impl Args {
                     "unexpected positional argument (flags start with --)",
                 ));
             };
+            if is_one_of(SWITCHES, key) {
+                map.insert(key.to_string(), "1".to_string());
+                continue;
+            }
+            if !is_one_of(VALUE_FLAGS, key) {
+                return Err(UniNetError::invalid_argument(
+                    key.to_string(),
+                    "unknown flag (see --help)",
+                ));
+            }
             let value = iter.next().ok_or_else(|| {
                 UniNetError::invalid_argument(key.to_string(), "the flag expects a value")
             })?;
@@ -359,6 +372,36 @@ fn validate(args: &Args) -> Result<(), UniNetError> {
     Ok(())
 }
 
+/// The streaming configuration the flags ask for; every flag left out keeps
+/// its [`StreamingConfig::default`] value.
+fn build_streaming(args: &Args) -> Result<StreamingConfig, UniNetError> {
+    let d = StreamingConfig::default();
+    Ok(StreamingConfig {
+        batch_size: args.parse_or("update-batch-size", d.batch_size)?,
+        compaction_threshold: args.parse_or("compaction-threshold", d.compaction_threshold)?,
+        symmetric: args.get("directed-updates").is_none(),
+        // 0 = follow --threads, so ingestion, maintenance and walk refresh
+        // honor the same worker count as walk generation.
+        ingest_threads: args.parse_or("ingest-threads", d.ingest_threads)?,
+        queue_capacity: args.parse_or("queue-capacity", d.queue_capacity)?,
+        incremental_train: args.get("incremental-train").is_some(),
+        ann_index: args.get("ann").is_some(),
+        ann: AnnConfig {
+            m: args.parse_or("ann-m", d.ann.m)?,
+            ef_construction: args.parse_or("ann-ef-construction", d.ann.ef_construction)?,
+            ef_search: args.parse_or("ann-ef-search", d.ann.ef_search)?,
+            quantize: args.get("ann-quantize").is_some(),
+            rerank: args.parse_or("ann-rerank", d.ann.rerank)?,
+            incremental: args.get("ann-full-rebuild").is_none(),
+            drift_threshold: args.parse_or("ann-drift-threshold", d.ann.drift_threshold)?,
+            ..d.ann
+        },
+        allow_churn: args.get("allow-churn").is_some(),
+        cold_start_burn_in: args.parse_or("cold-start-burn-in", d.cold_start_burn_in)?,
+        cold_start_boost: args.parse_or("cold-start-boost", d.cold_start_boost)?,
+    })
+}
+
 fn build_engine(args: &Args) -> Result<Engine, UniNetError> {
     let mut builder: EngineBuilder = Engine::builder()
         .model(build_spec(args)?)
@@ -369,25 +412,7 @@ fn build_engine(args: &Args) -> Result<Engine, UniNetError> {
         .sampler(build_sampler(args)?)
         .dim(args.parse_or("dim", 128usize)?)
         .epochs(args.parse_or("epochs", 1usize)?)
-        .update_batch_size(args.parse_or("update-batch-size", 256usize)?)
-        .compaction_threshold(args.parse_or("compaction-threshold", 1024usize)?)
-        .symmetric_updates(args.get("directed-updates").is_none())
-        // 0 = follow --threads, so ingestion, maintenance and walk refresh
-        // honor the same worker count as walk generation.
-        .ingest_threads(args.parse_or("ingest-threads", 0usize)?)
-        .queue_capacity(args.parse_or("queue-capacity", 8usize)?)
-        .incremental_train(args.get("incremental-train").is_some())
-        .allow_churn(args.get("allow-churn").is_some())
-        .cold_start_burn_in(args.parse_or("cold-start-burn-in", 2usize)?)
-        .cold_start_boost(args.parse_or("cold-start-boost", 2.0f32)?)
-        .ann_index(args.get("ann").is_some())
-        .ann_m(args.parse_or("ann-m", 16usize)?)
-        .ann_ef_construction(args.parse_or("ann-ef-construction", 100usize)?)
-        .ann_ef_search(args.parse_or("ann-ef-search", 64usize)?)
-        .ann_quantize(args.get("ann-quantize").is_some())
-        .ann_rerank(args.parse_or("ann-rerank", 4usize)?)
-        .ann_incremental(args.get("ann-full-rebuild").is_none())
-        .ann_drift_threshold(args.parse_or("ann-drift-threshold", 0.05f32)?);
+        .streaming(build_streaming(args)?);
     if let Some(dir) = args.get("wal-dir") {
         if args.get("recover").is_some() {
             builder = builder.recover(dir);
@@ -400,9 +425,12 @@ fn build_engine(args: &Args) -> Result<Engine, UniNetError> {
         if let Some(policy) = parse_fsync(args)? {
             builder = builder.wal_fsync(policy);
         }
-    } else if args.get("snapshot-every").is_some() || args.get("wal-fsync").is_some() {
+    } else if let Some(flag) = ["snapshot-every", "wal-fsync"]
+        .into_iter()
+        .find(|&f| args.get(f).is_some())
+    {
         return Err(UniNetError::invalid_argument(
-            "snapshot-every",
+            flag,
             "durability flags require --wal-dir <DIR>",
         ));
     }
@@ -416,7 +444,7 @@ fn build_engine(args: &Args) -> Result<Engine, UniNetError> {
 }
 
 fn run() -> Result<(), UniNetError> {
-    let args = Args::parse()?;
+    let args = Args::parse(std::env::args().skip(1))?;
     if args.get("help").is_some() {
         print!("{HELP}");
         return Ok(());
@@ -431,19 +459,19 @@ fn run() -> Result<(), UniNetError> {
         engine.config().walk.sampler,
     );
     if engine.streaming_config().ann_index {
-        let s = engine.streaming_config();
+        let ann = &engine.streaming_config().ann;
         eprintln!(
             "query service: HNSW ANN per snapshot (M={}, ef_construction={}, ef_search={}, \
              {} publish, {} scoring, kernels={})",
-            s.ann_m,
-            s.ann_ef_construction,
-            s.ann_ef_search,
-            if s.ann_incremental {
+            ann.m,
+            ann.ef_construction,
+            ann.ef_search,
+            if ann.incremental {
                 "incremental"
             } else {
                 "full-rebuild"
             },
-            if s.ann_quantize {
+            if ann.quantize {
                 "int8+f32-rerank"
             } else {
                 "f32"
@@ -643,5 +671,144 @@ fn main() -> ExitCode {
             eprintln!("error: {err}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Result<Args, UniNetError> {
+        Args::parse(line.split_whitespace().map(String::from))
+    }
+
+    fn flag_of(err: UniNetError) -> String {
+        match err {
+            UniNetError::InvalidArgument { flag, .. } => flag,
+            other => panic!("expected InvalidArgument, got {other}"),
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // The typo must not swallow `--ann` as its value.
+        let err = args("--incremental-training --ann").err().unwrap();
+        assert_eq!(flag_of(err), "incremental-training");
+        let err = args("--ann --no-such-flag 3").err().unwrap();
+        assert_eq!(flag_of(err), "no-such-flag");
+        let parsed = args("--incremental-train --ann --ann-m 8").unwrap();
+        assert!(parsed.get("incremental-train").is_some() && parsed.get("ann").is_some());
+        assert_eq!(parsed.get("ann-m"), Some("8"));
+    }
+
+    #[test]
+    fn every_flag_in_help_is_known_and_every_known_flag_is_in_help() {
+        let documented: Vec<&str> = HELP
+            .split_whitespace()
+            .filter_map(|t| t.strip_prefix("--"))
+            .map(|t| t.trim_end_matches(|c: char| !c.is_ascii_alphanumeric()))
+            .filter(|&f| f != "help")
+            .collect();
+        for flag in &documented {
+            assert!(
+                is_one_of(SWITCHES, flag) || is_one_of(VALUE_FLAGS, flag),
+                "--{flag} is documented but not parsed"
+            );
+        }
+        for flag in SWITCHES
+            .split_whitespace()
+            .chain(VALUE_FLAGS.split_whitespace())
+        {
+            assert!(documented.contains(&flag), "--{flag} is not in --help");
+        }
+    }
+
+    #[test]
+    fn durability_flags_without_a_wal_dir_name_the_flag_given() {
+        for (flag, value) in [("wal-fsync", "8"), ("snapshot-every", "4")] {
+            let parsed = args(&format!("--{flag} {value}")).unwrap();
+            let err = build_engine(&parsed).expect_err("no --wal-dir");
+            assert_eq!(flag_of(err), flag);
+        }
+    }
+
+    /// The `[default: ..]` the help text shows for `--flag`.
+    fn help_default(flag: &str) -> &'static str {
+        let at = HELP
+            .find(&format!("\n  --{flag} "))
+            .unwrap_or_else(|| panic!("--{flag} is not in --help"));
+        let entry = &HELP[at + 1..];
+        let end = [entry.find("\n  --"), entry.find("\n\n")]
+            .into_iter()
+            .flatten()
+            .min()
+            .unwrap_or(entry.len());
+        let entry = &entry[..end];
+        let start = entry
+            .find("[default: ")
+            .unwrap_or_else(|| panic!("--{flag} shows no default"))
+            + "[default: ".len();
+        &entry[start..start + entry[start..].find(']').unwrap()]
+    }
+
+    #[test]
+    fn help_defaults_match_the_library_defaults() {
+        let d = StreamingConfig::default();
+        let usizes = [
+            ("update-batch-size", d.batch_size),
+            ("compaction-threshold", d.compaction_threshold),
+            ("queue-capacity", d.queue_capacity),
+            ("cold-start-burn-in", d.cold_start_burn_in),
+            ("ann-m", d.ann.m),
+            ("ann-ef-construction", d.ann.ef_construction),
+            ("ann-ef-search", d.ann.ef_search),
+            ("ann-rerank", d.ann.rerank),
+        ];
+        for (flag, want) in usizes {
+            assert_eq!(help_default(flag).parse::<usize>(), Ok(want), "--{flag}");
+        }
+        for (flag, want) in [
+            ("cold-start-boost", d.cold_start_boost),
+            ("ann-drift-threshold", d.ann.drift_threshold),
+        ] {
+            assert_eq!(help_default(flag).parse::<f32>(), Ok(want), "--{flag}");
+        }
+    }
+
+    #[test]
+    fn streaming_flags_reach_their_fields() {
+        let untouched = build_streaming(&args("").unwrap()).unwrap();
+        assert_eq!(untouched, StreamingConfig::default());
+        let every_flag = args(
+            "--update-batch-size 7 --compaction-threshold 9 --directed-updates \
+             --ingest-threads 3 --queue-capacity 5 --incremental-train --ann --ann-m 6 \
+             --ann-ef-construction 30 --ann-ef-search 40 --ann-quantize --ann-rerank 2 \
+             --ann-full-rebuild --ann-drift-threshold 0.5 --allow-churn \
+             --cold-start-burn-in 4 --cold-start-boost 1.5",
+        )
+        .unwrap();
+        let want = StreamingConfig {
+            batch_size: 7,
+            compaction_threshold: 9,
+            symmetric: false,
+            ingest_threads: 3,
+            queue_capacity: 5,
+            incremental_train: true,
+            ann_index: true,
+            ann: AnnConfig {
+                m: 6,
+                ef_construction: 30,
+                ef_search: 40,
+                quantize: true,
+                rerank: 2,
+                incremental: false,
+                drift_threshold: 0.5,
+                ..AnnConfig::default()
+            },
+            allow_churn: true,
+            cold_start_burn_in: 4,
+            cold_start_boost: 1.5,
+        };
+        assert_eq!(build_streaming(&every_flag).unwrap(), want);
     }
 }

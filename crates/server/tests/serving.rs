@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use uninet_core::{Engine, GraphMutation, ModelSpec, QueryMode};
+use uninet_core::{AnnConfig, Engine, GraphMutation, ModelSpec, QueryMode, StreamingConfig};
 use uninet_graph::generators::{rmat, RmatConfig};
 use uninet_server::{serve, Client, ClientError, ErrorCode, ServeAddr, ServerConfig};
 
@@ -118,8 +118,14 @@ fn quantized_serving_is_wire_transparent() {
         .dim(16)
         .threads(2)
         .seed(7)
-        .ann_index(true)
-        .ann_quantize(true)
+        .streaming(StreamingConfig {
+            ann_index: true,
+            ann: AnnConfig {
+                quantize: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
         .build()
         .expect("valid configuration");
     engine.train().expect("initial training");
@@ -298,8 +304,11 @@ fn retired_ids_never_surface_to_concurrent_clients_across_epoch_flips() {
         .dim(16)
         .threads(2)
         .seed(7)
-        .allow_churn(true)
-        .cold_start_burn_in(1)
+        .streaming(StreamingConfig {
+            allow_churn: true,
+            cold_start_burn_in: 1,
+            ..Default::default()
+        })
         .build()
         .expect("valid configuration");
     engine.train().expect("initial training");
