@@ -190,10 +190,12 @@ impl SessionPersist {
     ///
     /// `serving` is the store these embeddings were published to. Its index
     /// goes into the snapshot when, and only when, its current snapshot is
-    /// the epoch being written and holds exactly these vectors — anything
-    /// else (a throttled publish, a foreign publisher) would persist a graph
-    /// built for a different matrix. A snapshot without an index recovers by
-    /// rebuilding one.
+    /// the epoch being written, holds exactly these vectors and carries an
+    /// index built for that epoch — anything else (a publish that kept a
+    /// lagging index under backlog, a foreign publisher) would persist a
+    /// graph built for a different matrix. A snapshot without an index
+    /// recovers by rebuilding one; the end-of-stream snapshot always has one,
+    /// because a session never ends with its index behind.
     pub(crate) fn write_state(
         &mut self,
         graph: Graph,
@@ -215,6 +217,7 @@ impl SessionPersist {
             .zip(embeddings.as_ref())
             .filter(|(served, embeddings)| {
                 served.epoch() == epoch
+                    && served.index_epoch() == epoch
                     && served.embeddings().dim() == embeddings.dim()
                     && served.embeddings().as_flat() == embeddings.as_flat()
             })

@@ -49,10 +49,11 @@ pub struct StreamingConfig {
     /// Train embeddings incrementally on regenerated walks instead of a full
     /// retrain at end-of-stream.
     pub incremental_train: bool,
-    /// Build an HNSW ANN index into every published snapshot, so
+    /// Serve an HNSW ANN index with the published snapshots, so
     /// `QueryMode::Ann` top-k queries run in `O(log n · d)`-ish time instead
-    /// of a full scan. The build cost is paid once per publish (outside the
-    /// store's write lock).
+    /// of a full scan. The build is paid per publish (outside the store's
+    /// write lock), except by a batch with others queued behind it, which
+    /// keeps the serving index ([`EmbeddingStore::publish_keeping_index`]).
     pub ann_index: bool,
     /// HNSW parameters, used when [`ann_index`](StreamingConfig::ann_index)
     /// is set. The engine overrides `seed` and `threads` with its own.
@@ -182,6 +183,13 @@ fn merge_train_stats(total: &mut TrainStats, pass: &TrainStats) {
 /// at end-of-stream. The returned epoch is that of this session's last
 /// publish (0 when `store` is `None`). The spec must already have passed
 /// [`ModelSpec::validate`] — the engine builder guarantees this.
+///
+/// With ANN serving, a batch published while later batches wait in the
+/// intake queue keeps the serving index instead of building one (at most
+/// `streaming.queue_capacity` batches old); the batch that finds the queue
+/// empty builds, so the session never returns with its index behind. What
+/// that means for readers is the freshness contract in the
+/// `uninet_embedding::store` module docs.
 ///
 /// Queue/apply/maintenance/refresh telemetry records into `ingest_metrics`
 /// and incremental-pass latency into `engine_metrics` — live, from the
@@ -489,11 +497,25 @@ pub(crate) fn run_streaming_session(
                 // adapted vectors reach concurrent readers while the stream
                 // is still being ingested, and a batch that both refreshed
                 // and cold-started costs one matrix copy, one index graft
-                // and one epoch, not two.
-                if let (true, Some(store), Some(session)) = (stale, store, online.as_ref()) {
-                    *last_epoch = store
-                        .publish_with_universe(session.embeddings(), universe_mask(dg.live_mask()));
-                    report.snapshots_published += 1;
+                // and one epoch, not two. While batches wait behind this one
+                // the next batch replaces this epoch soon, so it keeps the
+                // serving index (at most `queue_capacity` batches old); a
+                // batch that finds the queue empty brings a lagging index
+                // up to date even if it trained nothing, so the stream never
+                // ends behind.
+                if let (Some(store), Some(session)) = (store, online.as_ref()) {
+                    let served = store.snapshot();
+                    let lag = served.epoch() - served.index_epoch();
+                    if stale || (lag > 0 && r.queued_behind == 0) {
+                        let live = universe_mask(dg.live_mask());
+                        let defer = r.queued_behind > 0 && lag < streaming.queue_capacity as u64;
+                        *last_epoch = if defer {
+                            store.publish_keeping_index(session.embeddings(), live)
+                        } else {
+                            store.publish_with_universe(session.embeddings(), live)
+                        };
+                        report.snapshots_published += 1;
+                    }
                 }
             },
         );
@@ -980,5 +1002,82 @@ mod tests {
         );
         assert_eq!(store.epoch(), report.snapshots_published as u64);
         assert_eq!(last_epoch, store.epoch());
+    }
+
+    #[test]
+    fn under_backlog_the_index_lags_by_at_most_the_queue_and_never_at_the_end() {
+        let graph = test_graph();
+        let mutations = mixed_stream(&graph, 240, 41);
+        let mut cfg = UniNetConfig::small();
+        cfg.walk.num_walks = 1;
+        cfg.walk.walk_length = 8;
+        cfg.walk.num_threads = 1;
+        cfg.embedding.num_threads = 1;
+        cfg.embedding.epochs = 1;
+        let run = |queue_capacity: usize, store: Option<&EmbeddingStore>| {
+            let streaming = StreamingConfig {
+                batch_size: 10,
+                queue_capacity,
+                incremental_train: true,
+                ..Default::default()
+            };
+            run_streaming_session(
+                &cfg,
+                &streaming,
+                &ModelSpec::DeepWalk,
+                graph.clone(),
+                None,
+                &mutations,
+                store,
+                None,
+                &IngestMetrics::detached(),
+                &EngineMetrics::detached(),
+            )
+        };
+        let (unserved, ..) = run(8, None);
+        for queue_capacity in [8, 2] {
+            let store = EmbeddingStore::with_ann(AnnConfig {
+                m: 6,
+                ef_construction: 24,
+                ..AnnConfig::default()
+            });
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let (result, report, _, _, last_epoch, max_lag) = std::thread::scope(|scope| {
+                // Every snapshot a reader can see mid-stream.
+                let watcher = scope.spawn(|| {
+                    let mut max_lag = 0;
+                    while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                        let snap = store.snapshot();
+                        max_lag = max_lag.max(snap.epoch() - snap.index_epoch());
+                        std::thread::yield_now();
+                    }
+                    max_lag
+                });
+                let (result, report, graph, live, epoch) = run(queue_capacity, Some(&store));
+                done.store(true, std::sync::atomic::Ordering::Relaxed);
+                let max_lag = watcher.join().unwrap();
+                (result, report, graph, live, epoch, max_lag)
+            });
+            assert!(
+                report.batches > queue_capacity,
+                "{} batches",
+                report.batches
+            );
+            assert!(
+                store.telemetry().publish_ann_deferred.get() > 0,
+                "a stream queued up front must defer some builds"
+            );
+            assert!(
+                max_lag <= queue_capacity as u64,
+                "an index {max_lag} batches old served with queue capacity {queue_capacity}"
+            );
+            let snap = store.snapshot();
+            assert_eq!(snap.epoch(), last_epoch);
+            assert_eq!(snap.index_epoch(), snap.epoch(), "the session ended behind");
+            assert_eq!(store.telemetry().index_lag_batches.get(), 0);
+            // Publish scheduling never reaches what SGD sees.
+            assert_eq!(result.embeddings.as_flat(), unserved.embeddings.as_flat());
+            assert_eq!(snap.embeddings().as_flat(), unserved.embeddings.as_flat());
+        }
     }
 }

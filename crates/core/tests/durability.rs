@@ -383,6 +383,50 @@ fn wal_suffix_that_changes_the_universe_grafts_the_snapshot_index() {
 }
 
 #[test]
+fn a_snapshot_cut_while_the_index_lagged_recovers_by_rebuilding() {
+    // The whole stream is queued up front, so the session defers builds and
+    // a snapshot cut every batch meets epochs whose index is behind.
+    let (dir, epoch, before) = churn_session("ann-lagging", 1);
+    let end = ann_engine(&dir, None, 1);
+    assert!(
+        end.recovery().unwrap().restored_index,
+        "the session never ends behind: its last snapshot carries the index"
+    );
+    assert_eq!(end.snapshot().epoch(), epoch);
+    assert_eq!(served(&end), before);
+    drop(end);
+
+    // A crash before the later snapshots: drop them, newest first, down to
+    // the newest one written without an index. The WAL stays whole.
+    let lagging = loop {
+        let loaded = uninet_persist::latest_valid_snapshot(&dir)
+            .unwrap()
+            .expect("a snapshot cut while the index lagged");
+        if loaded.index.is_none() {
+            break loaded.snapshot;
+        }
+        std::fs::remove_file(&loaded.path).unwrap();
+    };
+    assert!(lagging.epoch > 1, "not the session-start snapshot");
+
+    let recovered = ann_engine(&dir, None, 1);
+    let summary = recovered.recovery().expect("recovery summary");
+    assert!(summary.restored_embeddings);
+    assert!(!summary.restored_index, "no index section: rebuilt");
+    assert!(summary.replayed_batches > 0);
+    assert!(recovered.snapshot().ann().is_some());
+    assert_eq!(recovered.snapshot().epoch(), lagging.epoch);
+    let written = lagging.embeddings.expect("a stream snapshot has vectors");
+    for v in 0..written.num_nodes() as u32 {
+        if recovered.snapshot().is_live(v) {
+            assert_eq!(recovered.vector(v).as_deref(), Some(written.vector(v)));
+        }
+    }
+    assert_retired_unreachable(&recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn every_unusable_index_recovers_by_rebuilding() {
     let (dir, epoch, (vectors, _)) = churn_session("ann-fallbacks", 4);
     let check = |recovered: &Engine, what: &str| {

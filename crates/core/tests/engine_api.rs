@@ -582,9 +582,16 @@ fn ann_queries_during_streaming_see_monotone_epochs() {
                     );
                     last_epoch = snap.epoch();
                     if snap.num_nodes() > 0 {
-                        // Every published snapshot must carry a freshly built
-                        // index; the ANN path serves the query.
+                        // Every published snapshot carries an index: built
+                        // for its own epoch, or — under backlog — kept from
+                        // at most `queue_capacity` (default 8) batches back.
+                        // Either way the ANN path serves the query.
                         assert!(snap.ann().is_some(), "snapshot without HNSW index");
+                        assert!(
+                            snap.epoch() - snap.index_epoch() <= 8,
+                            "index {} epochs behind",
+                            snap.epoch() - snap.index_epoch()
+                        );
                         let node = rng.gen_range(0..snap.num_nodes() as u32);
                         let top = snap.top_k_mode(node, 5, QueryMode::Ann);
                         assert!(top.len() <= 5);
@@ -608,6 +615,7 @@ fn ann_queries_during_streaming_see_monotone_epochs() {
     }
     assert!(outcome.report.snapshots_published >= 2);
     assert!(engine.snapshot().ann().is_some());
+    assert_eq!(engine.snapshot().index_epoch(), outcome.epoch);
 }
 
 #[test]

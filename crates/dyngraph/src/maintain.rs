@@ -61,6 +61,10 @@ pub struct BatchReport {
     pub apply_time: Duration,
     /// Time spent repairing sampler state (incl. compaction).
     pub maintain_time: Duration,
+    /// Batches already waiting in the intake queue when this report reached
+    /// the pipeline's batch callback (0 for the end-of-stream flush and
+    /// outside a pipeline): how far intake is ahead of maintenance.
+    pub queued_behind: usize,
 }
 
 impl BatchReport {

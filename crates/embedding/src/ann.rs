@@ -846,6 +846,19 @@ impl HnswIndex {
                 .all(|(v, adj)| adj.is_empty() != live.is_none_or(|mask| mask[v]))
     }
 
+    /// Whether `node` was inserted into the graph (in range and live when
+    /// the index was built).
+    pub(crate) fn is_indexed(&self, node: u32) -> bool {
+        self.neighbors
+            .get(node as usize)
+            .is_some_and(|adj| !adj.is_empty())
+    }
+
+    /// Dimensionality of the indexed vectors.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
     /// `(indexed nodes, directed links)` of the graph.
     pub fn graph_size(&self) -> (usize, usize) {
         let indexed = self.neighbors.iter().filter(|adj| !adj.is_empty()).count();

@@ -21,19 +21,42 @@
 //! **When do snapshots publish?** Batch training publishes once at the end of
 //! the run. Incremental streaming publishes the initial online model and then
 //! one snapshot per update batch that trained or changed the universe, so the
-//! last of them is the final post-stream state. Publishing copies the matrix,
-//! recomputes norms and — when ANN serving is enabled — builds the HNSW
-//! index, all `O(n·d)` or worse, on the publishing thread.
+//! last of them is the final post-stream state. Publishing copies the matrix
+//! and recomputes norms, `O(n·d)`; with ANN serving enabled it also builds
+//! the HNSW index, by far the largest cost — unless the publish keeps the
+//! previous index ([`EmbeddingStore::publish_keeping_index`]), which the
+//! streaming session does while update batches are queued behind the one
+//! being published.
+//!
+//! **Freshness contract.** This is the one statement of what a reader sees;
+//! the streaming session, the CLI and the architecture notes refer here.
+//!
+//! * `vector`, `cosine` and exact `top_k` answer from the vectors of the
+//!   snapshot's own epoch — current after every published batch.
+//! * ANN `top_k` takes its candidates from the snapshot's HNSW index, built
+//!   for [`EmbeddingSnapshot::index_epoch`]. Under an ingest backlog that
+//!   index may be up to the stream's `queue_capacity` batches older than the
+//!   vectors; its hits are then filtered to this epoch's live ids and
+//!   re-scored with this epoch's vectors (every score equals
+//!   [`EmbeddingSnapshot::cosine`]), and a query the old index cannot answer
+//!   (an id that arrived or rejoined since, or too few survivors) falls back
+//!   to the exact scan.
+//! * The index is never behind at the end of a streaming session: the batch
+//!   that finds the queue empty builds, so what readers see after the stream
+//!   joins — and what its last durable snapshot stores — carries an index
+//!   built for its own epoch.
 //!
 //! **ANN serving.** A store created with [`EmbeddingStore::with_ann`] builds
-//! an [`HnswIndex`] into every published snapshot. The build runs inside
-//! `publish`, on the publishing thread plus [`AnnConfig::threads`] − 1
-//! helpers (the engine passes its own thread count), and *before* the write
-//! lock is taken, so however expensive the index construction, readers still
-//! only ever block on the pointer swap; the cost is borne once per epoch
-//! instead of `O(n·d)` per query. Queries
-//! pick their path per call via [`QueryMode`] ([`QueryMode::Ann`] falls back
-//! to the exact scan when a snapshot has no index).
+//! an [`HnswIndex`] into every snapshot published with
+//! [`publish`](EmbeddingStore::publish) or
+//! [`publish_with_universe`](EmbeddingStore::publish_with_universe). The
+//! build runs inside the publish, on the publishing thread plus
+//! [`AnnConfig::threads`] − 1 helpers (the engine passes its own thread
+//! count), and *before* the write lock is taken, so however expensive the
+//! index construction, readers still only ever block on the pointer swap;
+//! the cost is borne once per built epoch instead of `O(n·d)` per query.
+//! Queries pick their path per call via [`QueryMode`] ([`QueryMode::Ann`]
+//! falls back to the exact scan when a snapshot has no index).
 //!
 //! **Restart.** [`EmbeddingStore::restore`] installs a recovered matrix at
 //! its original epoch, and with it the index that was serving it when the
@@ -74,8 +97,15 @@ pub struct EmbeddingSnapshot {
     quant: Option<QuantizedMatrix>,
     /// f32 re-rank budget multiplier for the quantized exact scan.
     rerank: usize,
-    /// HNSW index over the vectors, when the publishing store enables ANN.
-    ann: Option<HnswIndex>,
+    /// HNSW index, when the publishing store enables ANN. Shared with the
+    /// snapshots that kept it (see [`EmbeddingStore::publish_keeping_index`]).
+    ann: Option<Arc<HnswIndex>>,
+    /// The epoch whose vectors `ann` was built from: `epoch` itself unless
+    /// this snapshot kept an earlier epoch's index.
+    index_epoch: u64,
+    /// Ids `ann` holds that this snapshot has retired (0 when the index is
+    /// current): how far an ANN query over-fetches to survive the filter.
+    retired_since_index: usize,
     /// Live mask over the rows under open-world churn: retired ids keep their
     /// rows (id == row forever) but are excluded from every query answer.
     /// `None` means the whole universe is live.
@@ -100,7 +130,7 @@ impl EmbeddingSnapshot {
             .filter(|_| embeddings.num_nodes() > 0)
             .map(|cfg| {
                 match prev
-                    .and_then(|p| p.ann.as_ref())
+                    .and_then(|p| p.ann.as_deref())
                     .filter(|_| cfg.incremental)
                 {
                     Some(prev_index) => HnswIndex::build_incremental_masked(
@@ -114,17 +144,26 @@ impl EmbeddingSnapshot {
             });
         let ann_time = t_ann.elapsed();
         let t_norms = Instant::now();
-        let snapshot = Self::with_index(epoch, embeddings, ann_config, ann, live);
+        let snapshot = Self::with_index(
+            epoch,
+            embeddings,
+            ann_config,
+            ann.map(Arc::new),
+            epoch,
+            live,
+        );
         (snapshot, t_norms.elapsed(), ann_time)
     }
 
     /// Assembles a snapshot around an index that already exists (or around
-    /// none): the norms pass and the int8 codes are all that is computed.
+    /// none), built from the vectors of `index_epoch`: the norms pass and the
+    /// int8 codes are all that is computed.
     fn with_index(
         epoch: u64,
         embeddings: Embeddings,
         ann_config: Option<&AnnConfig>,
-        ann: Option<HnswIndex>,
+        ann: Option<Arc<HnswIndex>>,
+        index_epoch: u64,
         live: Option<Vec<bool>>,
     ) -> Self {
         if let Some(mask) = &live {
@@ -140,15 +179,25 @@ impl EmbeddingSnapshot {
         let quant = ann_config
             .filter(|cfg| cfg.quantize && embeddings.num_nodes() > 0)
             .map(|_| QuantizedMatrix::quantize(embeddings.dim(), embeddings.as_flat()));
-        EmbeddingSnapshot {
+        let mut snapshot = EmbeddingSnapshot {
             epoch,
             embeddings,
             norms,
             quant,
             rerank: ann_config.map(|cfg| cfg.rerank.max(1)).unwrap_or(1),
             ann,
+            index_epoch,
+            retired_since_index: 0,
             live,
+        };
+        if index_epoch != epoch {
+            if let Some(index) = &snapshot.ann {
+                snapshot.retired_since_index = (0..index.num_nodes() as u32)
+                    .filter(|&v| index.is_indexed(v) && !snapshot.is_live(v))
+                    .count();
+            }
         }
+        snapshot
     }
 
     /// The snapshot's publication epoch (0 = the initial empty snapshot).
@@ -313,9 +362,18 @@ impl EmbeddingSnapshot {
         self.quant.is_some()
     }
 
-    /// The snapshot's ANN index, when the publishing store enabled one.
+    /// The snapshot's ANN index, when the publishing store enabled one. It
+    /// was built from the vectors of [`index_epoch`](Self::index_epoch).
     pub fn ann(&self) -> Option<&HnswIndex> {
-        self.ann.as_ref()
+        self.ann.as_deref()
+    }
+
+    /// The epoch whose vectors the ANN index was built from: equal to
+    /// [`epoch`](Self::epoch) unless the snapshot was published by
+    /// [`EmbeddingStore::publish_keeping_index`] (and always equal when there
+    /// is no index to lag).
+    pub fn index_epoch(&self) -> u64 {
+        self.index_epoch
     }
 
     /// Like [`top_k`](EmbeddingSnapshot::top_k), but with an explicit
@@ -327,12 +385,19 @@ impl EmbeddingSnapshot {
     }
 
     /// [`top_k_mode`](Self::top_k_mode), also reporting whether an ANN query
-    /// had to fall back to the exact scan (no index, or a short graph
-    /// search). Exact queries never count as fallbacks.
+    /// had to fall back to the exact scan (no index, a short graph search,
+    /// or a query node the index predates). Exact queries never count as
+    /// fallbacks.
     fn top_k_mode_traced(&self, node: u32, k: usize, mode: QueryMode) -> (Vec<(u32, f32)>, bool) {
         match (mode, &self.ann) {
             (QueryMode::Ann, Some(index)) if self.contains(node) && k > 0 => {
-                let hits = index.search_node(node, k);
+                let hits = if self.index_epoch == self.epoch {
+                    index.search_node(node, k)
+                } else if index.is_indexed(node) {
+                    self.search_lagging(index, node, k)
+                } else {
+                    Vec::new()
+                };
                 if hits.len() < k.min(self.live_count().saturating_sub(1)) {
                     (self.top_k(node, k), true)
                 } else {
@@ -342,6 +407,34 @@ impl EmbeddingSnapshot {
             (QueryMode::Ann, _) => (self.top_k(node, k), self.contains(node) && k > 0),
             _ => (self.top_k(node, k), false),
         }
+    }
+
+    /// ANN candidates from an index built for an earlier epoch: over-fetch by
+    /// the ids retired since, drop every id not live in this snapshot, and
+    /// re-score the rest against this snapshot's vectors, so each score is
+    /// this epoch's [`cosine`](Self::cosine) and the order is this epoch's.
+    fn search_lagging(&self, index: &HnswIndex, node: u32, k: usize) -> Vec<(u32, f32)> {
+        use crate::ann::Sim;
+
+        let va = self.embeddings.vector(node);
+        let na = self.norms[node as usize];
+        let mut hits: Vec<Sim> = index
+            .search_node(node, k + self.retired_since_index)
+            .into_iter()
+            .filter(|&(u, _)| self.is_live(u))
+            .map(|(u, _)| {
+                let s = kernels::cosine_with_norms(
+                    va,
+                    self.embeddings.vector(u),
+                    na,
+                    self.norms[u as usize],
+                );
+                Sim(s, u)
+            })
+            .collect();
+        hits.sort_by(|a, b| b.cmp(a));
+        hits.truncate(k);
+        hits.into_iter().map(|Sim(s, u)| (u, s)).collect()
     }
 
     /// Answers a slab of top-k queries against this one frozen version.
@@ -405,6 +498,7 @@ impl EmbeddingStore {
                 Embeddings::from_flat(1, Vec::new()),
                 None,
                 None,
+                0,
                 None,
             ))),
             ann,
@@ -457,7 +551,6 @@ impl EmbeddingStore {
         let prev = self.snapshot();
         let (snapshot, norms_time, ann_time) =
             EmbeddingSnapshot::new_timed(epoch, embeddings, self.ann.as_ref(), Some(&prev), live);
-        self.telemetry.live_nodes.set(snapshot.live_count() as i64);
         if let Some(stats) = snapshot.ann().and_then(|index| index.incremental_stats()) {
             self.telemetry.publish_ann_incremental.inc();
             self.telemetry
@@ -467,13 +560,7 @@ impl EmbeddingStore {
                 .publish_ann_reused
                 .record(stats.reused as u64);
         }
-        let snapshot = Arc::new(snapshot);
-        {
-            let mut slot = self.slot.write().expect("embedding store lock poisoned");
-            if snapshot.epoch() > slot.epoch() {
-                *slot = snapshot;
-            }
-        }
+        self.install(snapshot);
         self.telemetry.publish_norms_ns.record_duration(norms_time);
         self.telemetry
             .publish_ann_build_ns
@@ -481,8 +568,71 @@ impl EmbeddingStore {
         self.telemetry
             .publish_total_ns
             .record_duration(t_total.elapsed());
-        self.telemetry.note_publish(epoch);
         epoch
+    }
+
+    /// [`publish_with_universe`](EmbeddingStore::publish_with_universe)
+    /// without the index build: the new epoch serves these vectors exactly
+    /// (`vector`, `cosine`, exact `top_k`) and keeps the current snapshot's
+    /// HNSW index, built for an earlier epoch, for ANN candidates. Costs the
+    /// matrix copy and the norms pass — milliseconds where a build costs
+    /// a large share of a streaming batch.
+    ///
+    /// ANN `top_k` on the new snapshot over-fetches from the old index by
+    /// the ids retired since it was built, drops every id not live now,
+    /// re-scores the rest with the new vectors and sorts them again; it falls
+    /// back to the exact scan when fewer than `k` hits survive or the query
+    /// node is not in the old index (an arrival). The snapshot's
+    /// [`index_epoch`](EmbeddingSnapshot::index_epoch) says which epoch the
+    /// index belongs to. When there is no index to keep (no ANN, nothing
+    /// published with one yet, another dimensionality) this is a plain
+    /// `publish_with_universe`.
+    pub fn publish_keeping_index(&self, embeddings: Embeddings, live: Option<Vec<bool>>) -> u64 {
+        use std::sync::atomic::Ordering;
+        let prev = self.snapshot();
+        let Some(index) = prev
+            .ann
+            .as_ref()
+            .filter(|index| self.ann.is_some() && index.dim() == embeddings.dim())
+        else {
+            return self.publish_with_universe(embeddings, live);
+        };
+        let t_total = Instant::now();
+        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let t_norms = Instant::now();
+        let snapshot = EmbeddingSnapshot::with_index(
+            epoch,
+            embeddings,
+            self.ann.as_ref(),
+            Some(Arc::clone(index)),
+            prev.index_epoch,
+            live,
+        );
+        let norms_time = t_norms.elapsed();
+        self.install(snapshot);
+        self.telemetry.publish_ann_deferred.inc();
+        self.telemetry.publish_norms_ns.record_duration(norms_time);
+        self.telemetry
+            .publish_total_ns
+            .record_duration(t_total.elapsed());
+        epoch
+    }
+
+    /// Swaps `snapshot` in (unless a higher epoch already serves) and
+    /// updates the per-publish gauges.
+    fn install(&self, snapshot: EmbeddingSnapshot) {
+        let epoch = snapshot.epoch();
+        self.telemetry.live_nodes.set(snapshot.live_count() as i64);
+        self.telemetry
+            .index_lag_batches
+            .set((epoch - snapshot.index_epoch()) as i64);
+        {
+            let mut slot = self.slot.write().expect("embedding store lock poisoned");
+            if epoch > slot.epoch() {
+                *slot = Arc::new(snapshot);
+            }
+        }
+        self.telemetry.note_publish(epoch);
     }
 
     /// Restores a recovered embedding state at an exact epoch.
@@ -527,21 +677,14 @@ impl EmbeddingStore {
                 }
                 None => HnswIndex::build_masked(&embeddings, cfg, live.as_deref()),
             });
-        let snapshot = Arc::new(EmbeddingSnapshot::with_index(
+        self.install(EmbeddingSnapshot::with_index(
             epoch,
             embeddings,
             self.ann.as_ref(),
-            ann,
+            ann.map(Arc::new),
+            epoch,
             live,
         ));
-        self.telemetry.live_nodes.set(snapshot.live_count() as i64);
-        {
-            let mut slot = self.slot.write().expect("embedding store lock poisoned");
-            if snapshot.epoch() > slot.epoch() {
-                *slot = snapshot;
-            }
-        }
-        self.telemetry.note_publish(epoch);
         epoch
     }
 
@@ -931,6 +1074,117 @@ mod tests {
         let plain = EmbeddingStore::new();
         plain.restore(sample(), 1, Some(live), Some(import()));
         assert!(plain.snapshot().ann().is_none());
+    }
+
+    /// `n` pseudo-random rows in 8 dimensions.
+    fn random_rows(n: usize, seed: u64) -> Embeddings {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        Embeddings::from_flat(8, (0..n * 8).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+    }
+
+    /// `base` grown to `n` rows (new rows random) with every value moved by
+    /// up to `by`.
+    fn drifted(base: &Embeddings, n: usize, by: f32, seed: u64) -> Embeddings {
+        let noise = random_rows(n, seed);
+        let flat = (0..n * 8)
+            .map(|i| base.as_flat().get(i).copied().unwrap_or(0.0) + by * noise.as_flat()[i])
+            .collect();
+        Embeddings::from_flat(8, flat)
+    }
+
+    #[test]
+    fn a_snapshot_that_keeps_an_older_index_answers_for_its_own_epoch() {
+        let store = EmbeddingStore::with_ann(AnnConfig::default());
+        let base = random_rows(200, 1);
+        store.publish(base.clone());
+        let built = store.snapshot();
+        // The next epoch: every vector drifts, every 7th id retires and 10
+        // ids arrive — none of which the kept index knows about.
+        let live: Vec<bool> = (0..210).map(|v| v % 7 != 3).collect();
+        let epoch = store.publish_keeping_index(drifted(&base, 210, 0.3, 2), Some(live.clone()));
+        let snap = store.snapshot();
+        assert_eq!((snap.epoch(), snap.index_epoch()), (epoch, 1));
+        assert!(std::ptr::eq(snap.ann().unwrap(), built.ann().unwrap()));
+        assert_eq!(
+            built.index_epoch(),
+            built.epoch(),
+            "a built index is current"
+        );
+
+        for q in (0..200u32).filter(|&q| live[q as usize]) {
+            let hits = store.top_k_mode(q, 10, QueryMode::Ann);
+            assert_eq!(hits.len(), 10, "query {q}");
+            for pair in hits.windows(2) {
+                assert!(pair[0].1 >= pair[1].1, "query {q} unsorted: {hits:?}");
+            }
+            for &(u, score) in &hits {
+                assert!(u != q && live[u as usize], "query {q} served {u}");
+                assert_eq!(score.to_bits(), snap.cosine(q, u).unwrap().to_bits());
+            }
+        }
+        assert_eq!(store.telemetry().ann_fallbacks.get(), 0);
+        // An arrival is not in the old index: the exact scan answers it.
+        let arrivals: Vec<u32> = (200..210).filter(|&q| live[q as usize]).collect();
+        for &q in &arrivals {
+            let hits = store.top_k_mode(q, 10, QueryMode::Ann);
+            assert_eq!(hits.len(), 10);
+            assert_eq!(hits, snap.top_k(q, 10));
+        }
+        assert_eq!(store.telemetry().ann_fallbacks.get(), arrivals.len() as u64);
+        assert!(
+            store.top_k_mode(3, 10, QueryMode::Ann).is_empty(),
+            "retired"
+        );
+
+        // The next built publish is current again.
+        store.publish_with_universe(drifted(&base, 210, 0.3, 3), Some(live));
+        let snap = store.snapshot();
+        assert_eq!(snap.index_epoch(), snap.epoch());
+        assert!(!std::ptr::eq(snap.ann().unwrap(), built.ann().unwrap()));
+    }
+
+    #[test]
+    fn keeping_the_index_without_one_to_keep_is_a_plain_publish() {
+        let plain = EmbeddingStore::new();
+        let epoch = plain.publish_keeping_index(sample(), None);
+        assert_eq!(plain.snapshot().index_epoch(), epoch);
+        // An ANN store with nothing indexed yet builds.
+        let ann = EmbeddingStore::with_ann(AnnConfig::default());
+        ann.publish_keeping_index(sample(), None);
+        let snap = ann.snapshot();
+        assert!(snap.ann().is_some());
+        assert_eq!(snap.index_epoch(), snap.epoch());
+        for store in [&plain, &ann] {
+            assert_eq!(store.telemetry().publish_ann_deferred.get(), 0);
+        }
+    }
+
+    #[test]
+    fn deferred_and_built_publishes_show_in_the_registry() {
+        let registry = uninet_metrics::MetricsRegistry::new();
+        let store = EmbeddingStore::with_ann(AnnConfig::default())
+            .instrumented(StoreTelemetry::registered(&registry));
+        store.publish(sample());
+        store.publish_keeping_index(sample(), None);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("engine.publish.ann_deferred"), Some(1));
+        assert_eq!(snap.gauge("engine.publish.index_lag_batches"), Some(1));
+        assert_eq!(
+            snap.histogram("engine.publish.ann_build_ns")
+                .unwrap()
+                .count(),
+            1,
+            "a deferred publish builds nothing"
+        );
+        assert_eq!(
+            snap.histogram("engine.publish.total_ns").unwrap().count(),
+            2
+        );
+        store.publish(sample());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("engine.publish.ann_deferred"), Some(1));
+        assert_eq!(snap.gauge("engine.publish.index_lag_batches"), Some(0));
     }
 
     #[test]

@@ -33,6 +33,12 @@ pub struct StoreTelemetry {
     /// Nodes whose graph links were reused verbatim per incremental build
     /// (`engine.publish.ann_reused`).
     pub publish_ann_reused: Arc<Histogram>,
+    /// Publishes that kept the previous snapshot's index instead of building
+    /// one (`engine.publish.ann_deferred`).
+    pub publish_ann_deferred: Arc<Counter>,
+    /// Publishes the serving snapshot's index lags its vectors by, 0 when
+    /// the index is current (`engine.publish.index_lag_batches`).
+    pub index_lag_batches: Arc<Gauge>,
     /// Which distance-kernel backend the query plane dispatched to, as
     /// [`kernels::KernelBackend`](crate::kernels::KernelBackend) `as i64`
     /// (`query.kernel_backend`). Set once at construction — dispatch is
@@ -86,6 +92,8 @@ impl StoreTelemetry {
             publish_ann_incremental: counter("engine.publish.ann_incremental"),
             publish_ann_reinserted: histogram("engine.publish.ann_reinserted"),
             publish_ann_reused: histogram("engine.publish.ann_reused"),
+            publish_ann_deferred: counter("engine.publish.ann_deferred"),
+            index_lag_batches: gauge("engine.publish.index_lag_batches"),
             kernel_backend,
             epoch: gauge("engine.epoch"),
             live_nodes: gauge("engine.live_nodes"),

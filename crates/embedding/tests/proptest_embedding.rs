@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use uninet_embedding::{
-    AnnConfig, EmbeddingMatrix, Embeddings, GraphImportError, HnswIndex, SigmoidTable,
-    UnigramTable, Vocabulary,
+    AnnConfig, EmbeddingMatrix, EmbeddingStore, Embeddings, GraphImportError, HnswIndex, QueryMode,
+    SigmoidTable, UnigramTable, Vocabulary,
 };
 
 /// `n` deterministic pseudo-random rows and a live mask retiring every
@@ -247,6 +247,48 @@ proptest! {
             let back = back.unwrap();
             prop_assert!(back.covers_universe(mask));
             prop_assert!(back.export_graph() == bytes);
+        }
+    }
+
+    #[test]
+    fn a_lagging_index_serves_only_this_epochs_universe_and_scores(
+        n in 2usize..120,
+        arrivals in 0usize..12,
+        seed in 0u64..500,
+        retired_before in 0usize..4,
+        retired_now in 0usize..5,
+        k in 1usize..12,
+    ) {
+        let cfg = AnnConfig { m: 4, ef_construction: 16, seed, ..Default::default() };
+        let store = EmbeddingStore::with_ann(cfg);
+        let (emb, before) = rows_and_mask(n, 4, seed, retired_before);
+        store.publish_with_universe(emb, Some(before.clone()));
+        // The next epoch moves every row, adds arrivals, and retires (and
+        // rejoins) ids under another pattern; it keeps the first index.
+        let (next, live) = rows_and_mask(n + arrivals, 4, seed + 1, retired_now);
+        store.publish_keeping_index(next, Some(live.clone()));
+        let snap = store.snapshot();
+        prop_assert!(snap.ann().is_some());
+        prop_assert!(snap.index_epoch() < snap.epoch());
+        let live_count = live.iter().filter(|&&l| l).count();
+        for q in 0..(n + arrivals) as u32 {
+            let hits = snap.top_k_mode(q, k, QueryMode::Ann);
+            if !live[q as usize] {
+                prop_assert!(hits.is_empty());
+                continue;
+            }
+            prop_assert_eq!(hits.len(), k.min(live_count - 1), "query {}", q);
+            for pair in hits.windows(2) {
+                prop_assert!(pair[0].1 >= pair[1].1, "query {} unsorted", q);
+            }
+            for &(u, score) in &hits {
+                prop_assert!(u != q && live[u as usize], "query {} served {}", q, u);
+                prop_assert_eq!(score.to_bits(), snap.cosine(q, u).unwrap().to_bits());
+            }
+            // Arrivals and rejoins are not in the old index: exact answers.
+            if q as usize >= n || !before[q as usize] {
+                prop_assert_eq!(hits, snap.top_k(q, k));
+            }
         }
     }
 

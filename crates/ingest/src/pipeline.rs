@@ -81,7 +81,10 @@ pub struct IngestReport {
 /// `on_batch` fires after every applied batch on the caller's thread — it
 /// may freely borrow the graph and manager state it closed over. The final
 /// `bool` argument is `true` only for the end-of-stream flush (which fires
-/// only when the flush actually compacted leftover overlay entries).
+/// only when the flush actually compacted leftover overlay entries). Each
+/// report's [`BatchReport::queued_behind`] is the intake queue's depth just
+/// before the call, so the callback can tell a backlog from a caught-up
+/// stream; the last batch of a stream and the flush always see 0.
 ///
 /// When `wal` is given, it fires on the consumer thread for every dequeued
 /// batch *before* the batch is applied to the graph — so by the time a
@@ -132,7 +135,7 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
             if plan.num_nodes() != graph.num_nodes() {
                 plan = ShardPlan::new(graph.num_nodes(), config.num_threads);
             }
-            let r = maintainer.apply_batch(graph, manager, model, &batch, &plan);
+            let mut r = maintainer.apply_batch(graph, manager, model, &batch, &plan);
             report.batches += 1;
             report.weight_mutations += r.weight_mutations;
             report.topology_mutations += r.topology_mutations;
@@ -141,6 +144,7 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
             report.maintenance.merge(&r.maintenance);
             report.apply_time += r.apply_time;
             report.maintain_time += r.maintain_time;
+            r.queued_behind = rx.depth();
             on_batch(graph, manager, &r, false);
         }
         reader.join().expect("reader thread panicked")
@@ -268,6 +272,54 @@ mod tests {
             assert_eq!(a.neighbors(v), b.neighbors(v), "node {v}");
             assert_eq!(a.weights(v), b.weights(v), "node {v}");
         }
+    }
+
+    #[test]
+    fn reports_count_the_batches_queued_behind_them() {
+        let g = test_graph();
+        let model = DeepWalk::new();
+        let stream = mixed_stream(&g, 10 * 16, 3);
+        let mut dg = DynamicGraph::new(g.clone(), true);
+        let kind = EdgeSamplerKind::MetropolisHastings(InitStrategy::Random);
+        let mut mgr = SamplerManager::new(dg.base(), &model, kind, 0);
+        let cfg = IngestConfig {
+            batch_size: 16,
+            queue_capacity: 4,
+            num_threads: 2,
+            compaction_threshold: 1 << 20,
+        };
+        let metrics = IngestMetrics::detached();
+        let mut behind = Vec::new();
+        run_durable_pipeline(
+            &cfg,
+            &metrics,
+            &mut dg,
+            &mut mgr,
+            &model,
+            &stream,
+            None,
+            |_, _, r, flush| {
+                if !flush {
+                    behind.push(r.queued_behind);
+                }
+                // The first batch holds the consumer until the reader has
+                // filled the queue, so the next three have batches behind them
+                // however the reader is scheduled afterwards.
+                while behind.len() == 1
+                    && metrics.queue_enqueued.get() < 1 + cfg.queue_capacity as u64
+                {
+                    std::thread::yield_now();
+                }
+            },
+        );
+        assert_eq!(behind.len(), 10);
+        // Queued plus at most one blocked mid-send.
+        assert!(
+            behind.iter().all(|&d| d <= cfg.queue_capacity + 1),
+            "{behind:?}"
+        );
+        assert!(behind[1..4].iter().all(|&d| d > 0), "{behind:?}");
+        assert_eq!(behind.last(), Some(&0), "nothing is behind the last batch");
     }
 
     #[test]

@@ -55,7 +55,9 @@ WALKS & TRAINING:
   --walk-length <L>       nodes per walk                        [default: 80]
   --dim <D>               embedding dimensionality              [default: 128]
   --epochs <E>            word2vec epochs                       [default: 1]
-  --threads <T>           worker threads                        [default: 16]
+  --threads <T>           worker threads; the default is what
+                          std::thread::available_parallelism reports
+                                                  [default: available cores]
   --sampler <NAME>        mh-weight | mh-random | mh-burnin | alias | direct |
                           rejection | knightking | memory-aware [default: mh-weight]
   --seed <S>              RNG seed                              [default: 42]
@@ -107,9 +109,11 @@ DURABILITY (write-ahead log + snapshots):
                           from that state
 
 QUERY SERVICE (ANN):
-  --ann                   build an HNSW index into every published embedding
-                          snapshot, so top-k queries run in ~O(log n * d)
-                          instead of a full scan
+  --ann                   build an HNSW index into the published embedding
+                          snapshots, so top-k queries run in ~O(log n * d)
+                          instead of a full scan (while updates queue up, a
+                          snapshot keeps an index up to --queue-capacity
+                          batches old and re-scores its answers)
   --ann-m <M>             HNSW links per node and layer (layer 0: 2M)
                                                               [default: 16]
   --ann-ef-construction <N>
@@ -402,12 +406,19 @@ fn build_streaming(args: &Args) -> Result<StreamingConfig, UniNetError> {
     })
 }
 
+/// `--threads`, defaulting to the cores this process may run on: more
+/// workers than cores only time-slice the index build and the SGD passes.
+fn threads(args: &Args) -> Result<usize, UniNetError> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    args.parse_or("threads", cores)
+}
+
 fn build_engine(args: &Args) -> Result<Engine, UniNetError> {
     let mut builder: EngineBuilder = Engine::builder()
         .model(build_spec(args)?)
         .num_walks(args.parse_or("num-walks", 10usize)?)
         .walk_length(args.parse_or("walk-length", 80usize)?)
-        .threads(args.parse_or("threads", 16usize)?)
+        .threads(threads(args)?)
         .seed(args.parse_or("seed", 42u64)?)
         .sampler(build_sampler(args)?)
         .dim(args.parse_or("dim", 128usize)?)
@@ -773,6 +784,14 @@ mod tests {
         ] {
             assert_eq!(help_default(flag).parse::<f32>(), Ok(want), "--{flag}");
         }
+    }
+
+    #[test]
+    fn threads_default_to_the_available_cores() {
+        let cores = std::thread::available_parallelism().unwrap().get();
+        assert_eq!(threads(&args("").unwrap()).unwrap(), cores);
+        assert_eq!(threads(&args("--threads 3").unwrap()).unwrap(), 3);
+        assert_eq!(help_default("threads"), "available cores");
     }
 
     #[test]
