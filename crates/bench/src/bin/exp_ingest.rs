@@ -28,9 +28,8 @@
 //!    and with fsync-per-append, plus a timed crash recovery; the streaming
 //!    overhead of each fsync policy and the cold-restart latency.
 //! 6. **Query-plane raw speed** — the unified SIMD distance kernels against
-//!    their scalar reference at d=128, the int8-quantized store's recall@10
-//!    and latency against the f32 exact scan, and the incremental HNSW
-//!    republish cost against a full rebuild across drifted epochs.
+//!    their scalar reference at d=128, and the int8-quantized store's
+//!    recall@10 and latency against the f32 exact scan.
 //! 7. **Open-world churn** — node arrivals wired into the live graph plus
 //!    retirements, streamed through the same pipeline: sustained churn
 //!    throughput, cold-start burn-in latency, and cold-start recall@10
@@ -908,97 +907,9 @@ fn main() {
     emit(&table, "exp_ingest_quantized");
     let json_quantized = Json::Obj(quant_json_fields);
 
-    // Part 6c: incremental HNSW republish vs full rebuild. Both stores get
-    // the same base epoch (untimed — the incremental store has nothing to
-    // reuse yet), then the same drifted epochs: each jitters ~12% of rows,
-    // the incremental store grafts the unchanged graph and re-inserts only
-    // the drifted nodes while the full store rebuilds from scratch.
-    let base = engine.snapshot().embeddings().clone();
-    let (edim, n) = (base.dim(), base.num_nodes());
-    let inc_store = uninet_core::EmbeddingStore::with_ann(uninet_core::AnnConfig::default());
-    let full_store = uninet_core::EmbeddingStore::with_ann(uninet_core::AnnConfig {
-        incremental: false,
-        ..Default::default()
-    });
-    inc_store.publish(base.clone());
-    full_store.publish(base.clone());
-    let drift_epochs = 5usize;
-    let drift_rows = (n as f64 * 0.12) as usize;
-    let mut flat = base.as_flat().to_vec();
-    let (mut inc_build_ms, mut full_build_ms) = (0.0f64, 0.0f64);
-    let (mut reused_total, mut reinserted_total) = (0u64, 0u64);
-    let mut rng = SmallRng::seed_from_u64(4321);
-    for _ in 0..drift_epochs {
-        for _ in 0..drift_rows {
-            let row = rng.gen_range(0..n);
-            for x in &mut flat[row * edim..(row + 1) * edim] {
-                *x += rng.gen_range(-0.1f32..0.1);
-            }
-        }
-        let drifted = uninet_core::Embeddings::from_flat(edim, flat.clone());
-        inc_store.publish(drifted.clone());
-        full_store.publish(drifted);
-        let inc_snap = inc_store.snapshot();
-        let inc_index = inc_snap.ann().expect("incremental store builds an index");
-        inc_build_ms += inc_index.build_time().as_secs_f64() * 1e3;
-        let stats = inc_index
-            .incremental_stats()
-            .expect("publish over a previous epoch grafts incrementally");
-        reused_total += stats.reused as u64;
-        reinserted_total += (stats.reinserted + stats.added) as u64;
-        let full_snap = full_store.snapshot();
-        full_build_ms += full_snap
-            .ann()
-            .expect("full store builds an index")
-            .build_time()
-            .as_secs_f64()
-            * 1e3;
-    }
-    let build_ratio = inc_build_ms / full_build_ms.max(1e-9);
-    let mut table = Table::new(
-        "Query plane — incremental HNSW republish vs full rebuild (5 drifted epochs)",
-        &[
-            "strategy",
-            "total build ms",
-            "vs full rebuild",
-            "nodes reused",
-            "nodes re-inserted",
-        ],
-    );
-    table.add_row(&[
-        "full-rebuild".to_string(),
-        format!("{full_build_ms:.1}"),
-        "1.00x".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-    ]);
-    table.add_row(&[
-        "incremental".to_string(),
-        format!("{inc_build_ms:.1}"),
-        format!("{build_ratio:.2}x"),
-        format!("{reused_total}"),
-        format!("{reinserted_total}"),
-    ]);
-    emit(&table, "exp_ingest_incremental_hnsw");
-    println!(
-        "incremental hnsw: {inc_build_ms:.1} ms over {drift_epochs} epochs vs \
-         {full_build_ms:.1} ms full rebuild ({:.0}% of full; {reused_total} reused, \
-         {reinserted_total} re-inserted)",
-        build_ratio * 100.0,
-    );
-    let json_incremental = Json::Obj(vec![
-        ("drift_epochs", Json::Int(drift_epochs as u64)),
-        ("drift_rows_per_epoch", Json::Int(drift_rows as u64)),
-        ("incremental_build_ms", Json::Num(inc_build_ms)),
-        ("full_build_ms", Json::Num(full_build_ms)),
-        ("build_ratio", Json::Num(build_ratio)),
-        ("nodes_reused", Json::Int(reused_total)),
-        ("nodes_reinserted", Json::Int(reinserted_total)),
-    ]);
     let json_query_plane = Json::Obj(vec![
         ("kernels", json_kernels),
         ("quantized", json_quantized),
-        ("incremental_hnsw", json_incremental),
     ]);
     println!();
 

@@ -52,7 +52,7 @@ use uninet_embedding::{
 use uninet_graph::io::{read_edge_list_file, EdgeListOptions};
 use uninet_graph::Graph;
 use uninet_ingest::IngestMetrics;
-use uninet_metrics::{MetricsRegistry, MetricsSnapshot};
+use uninet_metrics::{MetricsRegistry, MetricsSnapshot, PhaseTiming};
 use uninet_persist::{FsyncPolicy, SamplerState};
 use uninet_sampler::EdgeSamplerKind;
 use uninet_walker::{WalkCorpus, WalkEngineConfig};
@@ -63,7 +63,6 @@ use crate::error::UniNetError;
 use crate::metrics::EngineMetrics;
 use crate::pipeline::{self, PipelineResult};
 use crate::streaming::{run_streaming_session, StreamingConfig, StreamingReport};
-use crate::timing::PhaseTiming;
 
 /// Where the engine's graph comes from.
 enum GraphSource {
@@ -382,7 +381,7 @@ impl EngineBuilder {
         // needs the index to carry its codes.
         let ann = &streaming.ann;
         let ann_off = !streaming.ann_index;
-        let checks: [(&'static str, bool, String); 15] = [
+        let checks: [(&'static str, bool, String); 14] = [
             (
                 "walk.num_walks",
                 config.walk.num_walks >= 1,
@@ -451,14 +450,6 @@ impl EngineBuilder {
                 "streaming.ann.rerank",
                 ann_off || ann.rerank >= 1,
                 "the f32 re-rank budget must be at least 1 per result (got 0)".into(),
-            ),
-            (
-                "streaming.ann.drift_threshold",
-                ann_off || (ann.drift_threshold.is_finite() && ann.drift_threshold >= 0.0),
-                format!(
-                    "the drift threshold must be finite and non-negative (got {})",
-                    ann.drift_threshold
-                ),
             ),
             (
                 "streaming.ann.quantize",
@@ -548,10 +539,11 @@ impl EngineBuilder {
 /// A graph the importer accepts is installed as it is when it holds exactly
 /// the live ids — the restart then builds nothing. When the WAL suffix (or
 /// the batch the snapshot was cut in) moved the universe, the graph is run
-/// through the incremental graft instead: the vectors are the ones it was
-/// built on, so nothing counts as drifted, dead ids are filtered out of every
-/// list and new ids inserted. No graph, a refused one or an engine without
-/// ANN yields `None`, and the store builds from scratch (or not at all).
+/// through [`HnswIndex::graft`] instead: the vectors are the ones it was
+/// built on, so every surviving row keeps its links, dead ids are filtered
+/// out of every list and new ids inserted. No graph, a refused one or an
+/// engine without ANN yields `None`, and the store builds from scratch (or
+/// not at all).
 fn recovered_index(
     config: Option<&AnnConfig>,
     graph_bytes: Option<&[u8]>,
@@ -563,10 +555,10 @@ fn recovered_index(
     };
     match HnswIndex::import_graph(bytes, embeddings, config) {
         Ok(index) if index.covers_universe(live) => (Some(index), true),
-        Ok(index) => {
-            let grafted = HnswIndex::build_incremental_masked(embeddings, config, &index, live);
-            (Some(grafted), false)
-        }
+        Ok(index) => (
+            Some(HnswIndex::graft(embeddings, config, &index, live)),
+            false,
+        ),
         Err(e) => {
             eprintln!("warning: the snapshot's index is not usable, rebuilding it: {e}");
             (None, false)

@@ -175,7 +175,8 @@ mod tests {
         assert!(e.source().is_some());
 
         let stream_err =
-            uninet_dyngraph::read_update_stream("nonsense 0 1\n".as_bytes()).unwrap_err();
+            uninet_dyngraph::read_update_stream_validated("nonsense 0 1\n".as_bytes(), 2)
+                .unwrap_err();
         let e: UniNetError = stream_err.into();
         assert!(matches!(e, UniNetError::Stream(_)));
         assert!(e.source().is_some());

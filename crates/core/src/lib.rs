@@ -56,7 +56,6 @@ pub mod metrics;
 pub mod pipeline;
 pub mod report;
 pub mod streaming;
-pub mod timing;
 
 pub use baselines::{baseline_sampler_for, BaselineKind};
 pub use config::{ModelSpec, UniNetConfig};
@@ -67,7 +66,6 @@ pub use metrics::EngineMetrics;
 pub use pipeline::PipelineResult;
 pub use report::{format_duration, format_speedup, Table};
 pub use streaming::{StreamingConfig, StreamingReport};
-pub use timing::PhaseTiming;
 
 pub use uninet_dyngraph::{
     DynamicGraph, GraphMutation, IncrementalMaintainer, ParseIssue, StreamError, UpdateBatch,
@@ -81,7 +79,7 @@ pub use uninet_graph::{Graph, GraphError};
 pub use uninet_ingest::{IngestConfig, IngestMetrics, QueueStats, ShardPlan, ShardedMaintainer};
 pub use uninet_metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
-    PhaseRecorder, StageTimer, Stopwatch,
+    PhaseRecorder, PhaseTiming, StageTimer, Stopwatch,
 };
 pub use uninet_persist::{FsyncPolicy, PersistError, RecoveredState, SamplerState};
 pub use uninet_sampler::{EdgeSamplerKind, InitStrategy};

@@ -10,10 +10,10 @@ use std::time::Instant;
 
 use uninet_embedding::{Embeddings, TrainStats, Word2VecTrainer};
 use uninet_graph::Graph;
+use uninet_metrics::PhaseTiming;
 use uninet_walker::{RandomWalkModel, WalkCorpus, WalkEngine};
 
 use crate::config::UniNetConfig;
-use crate::timing::PhaseTiming;
 
 /// Everything produced by one batch pipeline run.
 #[derive(Debug, Clone)]

@@ -24,13 +24,13 @@ use uninet_dyngraph::{DynamicGraph, GraphMutation, RefreshStats, UpdateBatch, Wa
 use uninet_embedding::{AnnConfig, EmbeddingStore, OnlineWord2Vec, TrainStats, Word2VecTrainer};
 use uninet_graph::{Graph, NodeId};
 use uninet_ingest::{run_durable_pipeline, IngestConfig, IngestMetrics, QueueStats};
+use uninet_metrics::PhaseTiming;
 use uninet_walker::{MaintenanceStats, SamplerManager, WalkEngine};
 
 use crate::config::{ModelSpec, UniNetConfig};
 use crate::durability::{DurabilityReport, SessionPersist};
 use crate::metrics::EngineMetrics;
 use crate::pipeline::PipelineResult;
-use crate::timing::PhaseTiming;
 
 /// Configuration of the streaming mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -496,12 +496,12 @@ pub(crate) fn run_streaming_session(
                 // One publish per batch, after everything that trains: the
                 // adapted vectors reach concurrent readers while the stream
                 // is still being ingested, and a batch that both refreshed
-                // and cold-started costs one matrix copy, one index graft
+                // and cold-started costs one matrix copy, one index build
                 // and one epoch, not two. While batches wait behind this one
                 // the next batch replaces this epoch soon, so it keeps the
                 // serving index (at most `queue_capacity` batches old); a
-                // batch that finds the queue empty brings a lagging index
-                // up to date even if it trained nothing, so the stream never
+                // batch that finds the queue empty builds a fresh index for
+                // its epoch even if it trained nothing, so the stream never
                 // ends behind.
                 if let (Some(store), Some(session)) = (store, online.as_ref()) {
                     let served = store.snapshot();

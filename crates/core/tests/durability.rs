@@ -286,8 +286,8 @@ fn restart_answers_ann_queries_exactly_as_before() {
     );
     assert_eq!(summary.replayed_batches, 0);
     assert_eq!(recovered.snapshot().epoch(), epoch);
-    // Same ids, same score bits, for every node — the pre-restart index was
-    // grafted batch by batch, so a rebuilt one would answer differently.
+    // Same ids, same score bits, for every node, from the index the snapshot
+    // carried (`restored_index`), not from a build.
     assert_eq!(served(&recovered), before);
     assert_retired_unreachable(&recovered);
     let _ = std::fs::remove_dir_all(&dir);
@@ -363,7 +363,16 @@ fn wal_suffix_that_changes_the_universe_grafts_the_snapshot_index() {
         "arrivals replayed from the WAL have no vector until the next session"
     );
     assert_eq!(recovered.vector(n as u32), None);
-    assert!(recovered.snapshot().ann().is_some());
+    let stats = recovered
+        .snapshot()
+        .ann()
+        .and_then(|index| index.incremental_stats())
+        .expect("the snapshot's graph is grafted onto the moved universe");
+    assert_eq!(
+        stats.reinserted, 0,
+        "grafted onto the vectors it was built from"
+    );
+    assert_eq!(stats.retired, RETIRED.len());
     assert_retired_unreachable(&recovered);
     let live = (0..n as u32).filter(|v| !RETIRED.contains(v)).count();
     assert_eq!(recovered.snapshot().live_count(), live);

@@ -164,13 +164,6 @@ fn builder_rejects_bad_configs() {
             },
         ),
         ("streaming.ann.rerank", AnnConfig { rerank: 0, ..base }),
-        (
-            "streaming.ann.drift_threshold",
-            AnnConfig {
-                drift_threshold: f32::NAN,
-                ..base
-            },
-        ),
     ];
     for (field, ann) in ann_cases {
         assert_invalid(

@@ -359,8 +359,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Restart == no-restart at the engine facade, ANN answers included: the
-    /// index a session grafted batch by batch comes back from the snapshot,
-    /// not from a fresh build that would link differently.
+    /// index the session's last publish built comes back from the snapshot,
+    /// restored rather than built again.
     #[test]
     fn durable_churn_session_restarts_into_what_it_served(
         edges in prop::collection::vec((0u32..N, 0u32..N, 0.5f32..4.0), 8..40),

@@ -73,7 +73,6 @@ pub use maintain::{BatchReport, IncrementalMaintainer, MaintainerConfig};
 pub use mutation::{GraphMutation, UpdateBatch};
 pub use refresh::{RefreshStats, WalkRefresher};
 pub use stream::{
-    into_batches, parse_line, read_update_stream, read_update_stream_file,
-    read_update_stream_validated, read_update_stream_validated_file, ParseIssue, StreamError,
+    into_batches, parse_line, read_update_stream_validated, ParseIssue, StreamError,
     StreamValidator,
 };

@@ -11,8 +11,9 @@
 //! rmnode  <node>               # or: -n <node>   (node retirement)
 //! ```
 //!
-//! [`StreamValidator`] / [`read_update_stream_validated`] additionally track
-//! the id lifecycle (live → retired → rejoined) so that duplicate arrivals,
+//! [`read_update_stream_validated`] is the one reader: through a
+//! [`StreamValidator`] it tracks the id lifecycle (live → retired →
+//! rejoined) so that ids outside the universe, duplicate arrivals,
 //! retirements of unknown ids and edge ops naming retired endpoints are
 //! reported as typed [`ParseIssue`]s with `file:line` context instead of
 //! being silently skipped downstream.
@@ -327,41 +328,12 @@ impl StreamValidator {
     }
 }
 
-/// Reads a full update stream from any reader.
-pub fn read_update_stream<R: Read>(reader: R) -> Result<Vec<GraphMutation>, StreamError> {
-    let mut out = Vec::new();
-    for (i, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        match parse_line(&line) {
-            Ok(Some(m)) => out.push(m),
-            Ok(None) => {}
-            Err(issue) => {
-                return Err(StreamError::Parse {
-                    path: None,
-                    line: i + 1,
-                    content: line,
-                    issue,
-                })
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Reads an update stream from a file; errors carry the path for context.
-pub fn read_update_stream_file<P: AsRef<Path>>(path: P) -> Result<Vec<GraphMutation>, StreamError> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path).map_err(|e| StreamError::Io {
-        path: Some(path.to_path_buf()),
-        source: e,
-    })?;
-    read_update_stream(file).map_err(|e| e.with_path(path))
-}
-
-/// [`read_update_stream`] plus semantic validation against a node universe
-/// whose ids `0..initial_nodes` start live: duplicate arrivals, retirements
-/// of undeclared ids and edge ops naming retired/undeclared endpoints are
-/// typed parse errors with line context, never silent skips.
+/// Reads a full update stream from any reader, validating every event
+/// against a node universe whose ids `0..initial_nodes` start live: ids
+/// outside the universe, duplicate arrivals, retirements of undeclared ids
+/// and edge ops naming retired/undeclared endpoints are typed parse errors
+/// with line context, never silent skips. A reader over a file attaches the
+/// path with [`StreamError::with_path`].
 pub fn read_update_stream_validated<R: Read>(
     reader: R,
     initial_nodes: usize,
@@ -392,19 +364,6 @@ pub fn read_update_stream_validated<R: Read>(
     Ok(out)
 }
 
-/// [`read_update_stream_validated`] over a file; errors carry the path.
-pub fn read_update_stream_validated_file<P: AsRef<Path>>(
-    path: P,
-    initial_nodes: usize,
-) -> Result<Vec<GraphMutation>, StreamError> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path).map_err(|e| StreamError::Io {
-        path: Some(path.to_path_buf()),
-        source: e,
-    })?;
-    read_update_stream_validated(file, initial_nodes).map_err(|e| e.with_path(path))
-}
-
 /// Splits a mutation list into batches of at most `batch_size` events.
 pub fn into_batches(mutations: &[GraphMutation], batch_size: usize) -> Vec<UpdateBatch> {
     let batch_size = batch_size.max(1);
@@ -430,7 +389,7 @@ w 4 5 0.5
 ~ 5 6 1.5
 reweight 6 7 2.0
 ";
-        let ms = read_update_stream(text.as_bytes()).unwrap();
+        let ms = read_update_stream_validated(text.as_bytes(), 8).unwrap();
         assert_eq!(ms.len(), 7);
         assert_eq!(
             ms[0],
@@ -461,7 +420,7 @@ reweight 6 7 2.0
 
     #[test]
     fn reports_line_numbers_on_errors() {
-        let err = read_update_stream("add 0 1\nbogus line\n".as_bytes()).unwrap_err();
+        let err = read_update_stream_validated("add 0 1\nbogus line\n".as_bytes(), 2).unwrap_err();
         match &err {
             StreamError::Parse { line, issue, .. } => {
                 assert_eq!(*line, 2);
@@ -474,14 +433,15 @@ reweight 6 7 2.0
 
     #[test]
     fn file_errors_carry_path_and_line_in_display() {
-        let err = read_update_stream("w 1 nan-ish 2.0\n".as_bytes())
+        let err = read_update_stream_validated("w 1 nan-ish 2.0\n".as_bytes(), 2)
             .unwrap_err()
             .with_path("updates.txt");
         let msg = format!("{err}");
         assert!(msg.contains("updates.txt:1"), "missing file:line in {msg}");
         assert!(msg.contains("invalid dst"), "missing issue in {msg}");
 
-        let missing = read_update_stream_file("/nonexistent/updates.txt").unwrap_err();
+        let gone = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
+        let missing = StreamError::from(gone).with_path("/nonexistent/updates.txt");
         assert!(format!("{missing}").contains("/nonexistent/updates.txt"));
     }
 
@@ -525,7 +485,8 @@ reweight 6 7 2.0
 
     #[test]
     fn parses_node_ops_and_aliases() {
-        let ms = read_update_stream("addnode 9\n+n 10\nrmnode 9\n-n 10\n".as_bytes()).unwrap();
+        let text = "addnode 9\n+n 10\nrmnode 9\n-n 10\n";
+        let ms = read_update_stream_validated(text.as_bytes(), 0).unwrap();
         assert_eq!(ms[0], GraphMutation::AddNode { node: 9 });
         assert_eq!(ms[1], GraphMutation::AddNode { node: 10 });
         assert_eq!(ms[2], GraphMutation::RemoveNode { node: 9 });

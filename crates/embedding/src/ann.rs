@@ -15,10 +15,13 @@
 //!   afterwards, so concurrent readers share it without synchronization.
 //! * **Deterministic, for any thread count.** A node's layer is a pure hash
 //!   of `(AnnConfig::seed, node id)` — not a draw from a sequential RNG — so
-//!   a node keeps its layer across rebuilds and
-//!   [`HnswIndex::build_incremental`] can graft an old graph onto a new epoch
-//!   without reshuffling levels. Two builds over the same vectors produce the
-//!   same graph, byte for byte, whatever [`AnnConfig::threads`] is.
+//!   a node keeps its layer across builds and [`HnswIndex::graft`] can carry
+//!   a restored graph over to a changed universe without reshuffling levels.
+//!   Two builds over the same vectors produce the same graph, byte for byte,
+//!   whatever [`AnnConfig::threads`] is.
+//! * **One build per published epoch.** Every publish builds from scratch;
+//!   the graft exists for recovery, where the graph was built on exactly the
+//!   vectors it is grafted onto and only the universe moved.
 //! * **Batch-parallel construction.** Every build — full, masked or grafted
 //!   — runs one routine (ParlayANN's deterministic prefix-doubling batch
 //!   insertion, Manohar et al., PPoPP 2024). The first node seeds the graph;
@@ -105,13 +108,6 @@ pub struct AnnConfig {
     /// With [`quantize`](Self::quantize): how many candidates per requested
     /// result are re-scored in f32 (`k · rerank`, clamped to the beam).
     pub rerank: usize,
-    /// Reuse the previous epoch's graph on publish, re-inserting only nodes
-    /// whose vectors drifted (plus new/retired nodes), instead of rebuilding
-    /// from scratch.
-    pub incremental: bool,
-    /// L2 distance between a node's old and new *normalized* vectors above
-    /// which an incremental build re-inserts it. 0 re-inserts on any change.
-    pub drift_threshold: f32,
     /// Threads a build runs on (0 counts as 1). The graph is the same for
     /// every value, so this is not part of an exported graph's identity.
     pub threads: usize,
@@ -126,20 +122,18 @@ impl Default for AnnConfig {
             seed: 42,
             quantize: false,
             rerank: 4,
-            incremental: true,
-            drift_threshold: 0.05,
             threads: 1,
         }
     }
 }
 
-/// What one [`HnswIndex::build_incremental`] reused versus rebuilt.
+/// What one [`HnswIndex::graft`] reused versus rebuilt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Nodes whose graph links were carried over unchanged.
     pub reused: usize,
-    /// Existing nodes re-inserted because their vector drifted past the
-    /// threshold.
+    /// Existing nodes re-inserted because their normalized vector changed in
+    /// any bit.
     pub reinserted: usize,
     /// Nodes beyond the previous epoch's range, inserted fresh.
     pub added: usize,
@@ -399,7 +393,7 @@ impl<'a> GraphReader<'a> {
 /// The layer of `node` under `seed`: a splitmix64 hash mapped through the
 /// standard HNSW exponential (`P(level >= l) = m^-l` via `ml = 1/ln m`).
 /// Being a pure per-node function — not a sequential RNG draw — is what lets
-/// incremental builds keep every surviving node on its original layer.
+/// a graft keep every surviving node on its original layer.
 fn level_for(seed: u64, node: u32, ml: f64) -> usize {
     let mut x = seed ^ (node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;
@@ -432,8 +426,8 @@ fn normalize_rows(embeddings: &Embeddings) -> Vec<f32> {
 
 /// A Hierarchical Navigable Small World index over one embedding version.
 ///
-/// Built by [`HnswIndex::build`] (or grafted from a previous epoch by
-/// [`HnswIndex::build_incremental`]); queried concurrently by any number of
+/// Built by [`HnswIndex::build`] (or, on recovery, grafted onto a moved
+/// universe by [`HnswIndex::graft`]); queried concurrently by any number of
 /// readers through [`HnswIndex::search`] / [`HnswIndex::search_node`].
 #[derive(Debug)]
 pub struct HnswIndex {
@@ -468,10 +462,8 @@ impl HnswIndex {
     ///
     /// Deterministic for a given `(embeddings, config)` pair, whatever
     /// [`AnnConfig::threads`] is. Cost is `O(n · ef_construction · d)`-ish,
-    /// spread over `threads` — this is the per-epoch rebuild the serving
-    /// layer pays so queries get out of the full-scan regime (see
-    /// [`build_incremental`](Self::build_incremental) for the streaming-epoch
-    /// shortcut).
+    /// spread over `threads` — this is the per-epoch build the serving
+    /// layer pays so queries get out of the full-scan regime.
     pub fn build(embeddings: &Embeddings, config: &AnnConfig) -> Self {
         Self::build_masked(embeddings, config, None)
     }
@@ -503,33 +495,26 @@ impl HnswIndex {
         index
     }
 
-    /// Builds the index for a new epoch by reusing `prev`'s graph structure.
+    /// Carries `prev`'s graph over to `embeddings` and the live universe
+    /// `live` (`None` = every id): recovery's path when the WAL suffix moved
+    /// the universe under a restored graph.
     ///
-    /// Nodes whose normalized vector moved no further than
-    /// [`AnnConfig::drift_threshold`] (L2) keep their adjacency lists
-    /// verbatim (minus any link to themselves); drifted nodes and nodes
-    /// beyond `prev`'s range are re-inserted by the same batch construction
-    /// a full build runs, counting the kept nodes as already indexed, and
-    /// retired ids (past the new node count) are filtered out of every
-    /// surviving list. Because layer
-    /// assignment is a pure per-node hash, surviving nodes keep their layers,
-    /// so the grafted graph obeys the same invariants as a full build.
+    /// A node keeps its adjacency lists verbatim (minus links to dead ids and
+    /// to itself) when it is live, indexed in `prev`, and its normalized
+    /// vector is bit for bit the one `prev` indexed. Every other live node —
+    /// an arrival, a rejoin, a row whose vector changed at all — is inserted
+    /// by the same batch construction a full build runs, counting the kept
+    /// nodes as already indexed; dead ids are never inserted. Because layer
+    /// assignment is a pure per-node hash, kept nodes keep their layers, so
+    /// the grafted graph obeys the same invariants as a full build.
     ///
     /// Stale links are tolerated by construction: a kept node may still point
-    /// at a drifted neighbour, but scores are always computed from the *new*
-    /// vectors, so such links only ever add candidates to the beam. Falls
-    /// back to a full [`build`](Self::build) when dimensions changed or
-    /// `prev` is empty. Per-build reuse counts are reported via
+    /// at a re-inserted neighbour, but scores are always computed from the
+    /// *new* vectors, so such links only ever add candidates to the beam.
+    /// Falls back to [`build_masked`](Self::build_masked) when dimensions
+    /// changed or `prev` is empty. Reuse counts are reported via
     /// [`incremental_stats`](Self::incremental_stats).
-    pub fn build_incremental(embeddings: &Embeddings, config: &AnnConfig, prev: &Self) -> Self {
-        Self::build_incremental_masked(embeddings, config, prev, None)
-    }
-
-    /// [`build_incremental`](Self::build_incremental) restricted to a live
-    /// universe. Dead ids are dropped from every surviving adjacency list and
-    /// never re-inserted; ids that were absent from `prev` (retired in an
-    /// earlier epoch, or newly arrived) but are live now are inserted fresh.
-    pub fn build_incremental_masked(
+    pub fn graft(
         embeddings: &Embeddings,
         config: &AnnConfig,
         prev: &Self,
@@ -554,11 +539,7 @@ impl HnswIndex {
         let dim = index.dim;
 
         // Classify every node: kept (graph links survive) or fresh
-        // (re-inserted). Drift is measured between old and new *normalized*
-        // vectors via ||a - b||^2 = ||a||^2 + ||b||^2 - 2·a·b (the norms are
-        // 1 for regular rows and 0 for zero rows, so stable zero vectors
-        // correctly count as undrifted).
-        let threshold_sq = (config.drift_threshold.max(0.0) as f64).powi(2);
+        // (re-inserted).
         let mut fresh = vec![false; n];
         let mut stats = IncrementalStats {
             retired: n_old.saturating_sub(n),
@@ -580,15 +561,15 @@ impl HnswIndex {
                 stats.added += 1;
                 continue;
             }
-            let new_row = &index.normalized[v * dim..(v + 1) * dim];
-            let old_row = prev.vec_of(v as u32);
-            let dot = kernels::dot(new_row, old_row) as f64;
-            let norms_sq = (kernels::squared_norm(new_row) + kernels::squared_norm(old_row)) as f64;
-            if (norms_sq - 2.0 * dot).max(0.0) > threshold_sq {
+            let unchanged = index.normalized[v * dim..(v + 1) * dim]
+                .iter()
+                .zip(prev.vec_of(v as u32))
+                .all(|(new, old)| new.to_bits() == old.to_bits());
+            if unchanged {
+                stats.reused += 1;
+            } else {
                 *is_fresh = true;
                 stats.reinserted += 1;
-            } else {
-                stats.reused += 1;
             }
         }
 
@@ -881,9 +862,8 @@ impl HnswIndex {
         self.quant.is_some()
     }
 
-    /// Reuse statistics when this index came from
-    /// [`build_incremental`](Self::build_incremental) (and did not fall back
-    /// to a full build); `None` for full builds.
+    /// Reuse statistics when this index came from [`graft`](Self::graft)
+    /// (and did not fall back to a full build); `None` for full builds.
     pub fn incremental_stats(&self) -> Option<IncrementalStats> {
         self.incremental
     }
@@ -1329,8 +1309,7 @@ mod tests {
                 ..Default::default()
             };
             let masked = HnswIndex::build_masked(&emb, &cfg, Some(&live));
-            let grafted =
-                HnswIndex::build_incremental_masked(&drifted, &cfg, &masked, Some(&churned));
+            let grafted = HnswIndex::graft(&drifted, &cfg, &masked, Some(&churned));
             assert!(grafted
                 .incremental_stats()
                 .is_some_and(|s| s.reinserted > 0));
@@ -1365,7 +1344,7 @@ mod tests {
         for v in (5..400).step_by(13) {
             churned[v] = false;
         }
-        let grafted = HnswIndex::build_incremental_masked(&next, &cfg, &prev, Some(&churned));
+        let grafted = HnswIndex::graft(&next, &cfg, &prev, Some(&churned));
         assert!(grafted
             .incremental_stats()
             .is_some_and(|s| s.reinserted >= 150));
@@ -1427,23 +1406,35 @@ mod tests {
 
     #[test]
     fn incremental_build_without_drift_reuses_everything() {
+        // A graft keeps exactly the rows whose normalized bits are unchanged:
+        // no move is too small to re-insert, and a moved universe over the
+        // same vectors re-inserts nothing.
         let emb = random_unit_embeddings(300, 16, 13);
         let cfg = AnnConfig::default();
         let full = HnswIndex::build(&emb, &cfg);
-        let inc = HnswIndex::build_incremental(&emb, &cfg, &full);
-        let stats = inc.incremental_stats().expect("incremental path taken");
-        assert_eq!(
-            stats,
-            IncrementalStats {
-                reused: 300,
-                reinserted: 0,
-                added: 0,
-                retired: 0,
-            }
-        );
+        let same = emb.as_flat().to_vec();
+        let mut nudged = same.clone();
+        nudged[7 * 16] += 1e-4;
+        let mut grown = same.clone();
+        grown.extend_from_slice(random_unit_embeddings(10, 16, 14).as_flat());
+        // Ids 4, 34, …, 274 retire; the ten arrivals 300..310 are live.
+        let live: Vec<bool> = (0..310).map(|v| v >= 300 || v % 30 != 4).collect();
+        // (reused, reinserted, added, retired)
+        let cases = [
+            ("unchanged", same, None, (300, 0, 0, 0)),
+            ("one row moved by 1e-4", nudged, None, (299, 1, 0, 0)),
+            ("universe moved", grown, Some(live), (290, 0, 10, 10)),
+        ];
+        for (what, flat, live, want) in cases {
+            let next = Embeddings::from_flat(16, flat);
+            let grafted = HnswIndex::graft(&next, &cfg, &full, live.as_deref());
+            let s = grafted.incremental_stats().expect("grafted");
+            assert_eq!((s.reused, s.reinserted, s.added, s.retired), want, "{what}");
+        }
         // Nothing was re-inserted, so the grafted graph answers identically.
+        let same = HnswIndex::graft(&emb, &cfg, &full, None);
         for node in (0..300u32).step_by(11) {
-            assert_eq!(full.search_node(node, 5), inc.search_node(node, 5));
+            assert_eq!(full.search_node(node, 5), same.search_node(node, 5));
         }
     }
 
@@ -1464,7 +1455,7 @@ mod tests {
         }
         flat.truncate((250 - 20) * dim);
         let next = Embeddings::from_flat(dim, flat.clone());
-        let inc = HnswIndex::build_incremental(&next, &cfg, &prev);
+        let inc = HnswIndex::graft(&next, &cfg, &prev, None);
         let stats = inc.incremental_stats().expect("incremental path taken");
         assert_eq!(stats.added, 0);
         assert_eq!(stats.retired, 20);
@@ -1491,7 +1482,7 @@ mod tests {
             flat.push(rng.gen_range(-1.0f32..1.0));
         }
         let grown = Embeddings::from_flat(dim, flat);
-        let inc2 = HnswIndex::build_incremental(&grown, &cfg, &inc);
+        let inc2 = HnswIndex::graft(&grown, &cfg, &inc, None);
         let stats2 = inc2.incremental_stats().expect("incremental path taken");
         assert_eq!(stats2.added, 20);
         assert_eq!(stats2.retired, 0);
@@ -1524,7 +1515,7 @@ mod tests {
         // Incremental masked build over a fully-live prev epoch: same
         // guarantee, and the newly-dead ids are reported as retired.
         let prev = HnswIndex::build(&emb, &cfg);
-        let inc = HnswIndex::build_incremental_masked(&emb, &cfg, &prev, Some(&live));
+        let inc = HnswIndex::graft(&emb, &cfg, &prev, Some(&live));
         let stats = inc.incremental_stats().expect("incremental path taken");
         assert_eq!(stats.retired, 40);
         assert_eq!(stats.reused + stats.reinserted + stats.added, 160);
@@ -1542,7 +1533,7 @@ mod tests {
         // A dead id rejoining next epoch is inserted fresh.
         let mut rejoin = live.clone();
         rejoin[0] = true;
-        let re = HnswIndex::build_incremental_masked(&emb, &cfg, &inc, Some(&rejoin));
+        let re = HnswIndex::graft(&emb, &cfg, &inc, Some(&rejoin));
         let stats = re.incremental_stats().expect("incremental path taken");
         assert_eq!(stats.added, 1);
         assert!(re.search_node(1, 161).iter().any(|&(u, _)| u == 0));
@@ -1557,7 +1548,7 @@ mod tests {
         let a = random_unit_embeddings(50, 8, 1);
         let b = random_unit_embeddings(50, 16, 1);
         let prev = HnswIndex::build(&a, &AnnConfig::default());
-        let inc = HnswIndex::build_incremental(&b, &AnnConfig::default(), &prev);
+        let inc = HnswIndex::graft(&b, &AnnConfig::default(), &prev, None);
         assert!(inc.incremental_stats().is_none(), "should be a full build");
         assert_eq!(inc.search_node(0, 3).len(), 3);
     }
@@ -1608,7 +1599,7 @@ mod tests {
             live[v] = false;
         }
         let prev = HnswIndex::build(&emb, &cfg);
-        let grafted = HnswIndex::build_incremental_masked(&emb, &cfg, &prev, Some(&live));
+        let grafted = HnswIndex::graft(&emb, &cfg, &prev, Some(&live));
         let imported =
             HnswIndex::import_graph(&grafted.export_graph(), &emb, &cfg).expect("round trip");
         assert_same_answers(&grafted, &imported, 10);

@@ -47,9 +47,10 @@
 //!   built for its own epoch.
 //!
 //! **ANN serving.** A store created with [`EmbeddingStore::with_ann`] builds
-//! an [`HnswIndex`] into every snapshot published with
+//! a fresh [`HnswIndex`] into every snapshot published with
 //! [`publish`](EmbeddingStore::publish) or
-//! [`publish_with_universe`](EmbeddingStore::publish_with_universe). The
+//! [`publish_with_universe`](EmbeddingStore::publish_with_universe) — from
+//! scratch, never grafted from the previous epoch's graph. The
 //! build runs inside the publish, on the publishing thread plus
 //! [`AnnConfig::threads`] − 1 helpers (the engine passes its own thread
 //! count), and *before* the write lock is taken, so however expensive the
@@ -114,34 +115,18 @@ pub struct EmbeddingSnapshot {
 
 impl EmbeddingSnapshot {
     /// Builds a snapshot and reports how long its two expensive stages took:
-    /// the `O(n·d)` norms pass and the (optional) HNSW construction. When
-    /// `prev` carries an index of the same dimensionality and the config
-    /// allows it, the HNSW build is incremental — it grafts the previous
-    /// epoch's graph and re-inserts only drifted/new nodes.
+    /// the `O(n·d)` norms pass and the (optional) HNSW construction, which
+    /// always builds from scratch over the live ids.
     fn new_timed(
         epoch: u64,
         embeddings: Embeddings,
         ann_config: Option<&AnnConfig>,
-        prev: Option<&EmbeddingSnapshot>,
         live: Option<Vec<bool>>,
     ) -> (Self, Duration, Duration) {
         let t_ann = Instant::now();
         let ann = ann_config
             .filter(|_| embeddings.num_nodes() > 0)
-            .map(|cfg| {
-                match prev
-                    .and_then(|p| p.ann.as_deref())
-                    .filter(|_| cfg.incremental)
-                {
-                    Some(prev_index) => HnswIndex::build_incremental_masked(
-                        &embeddings,
-                        cfg,
-                        prev_index,
-                        live.as_deref(),
-                    ),
-                    None => HnswIndex::build_masked(&embeddings, cfg, live.as_deref()),
-                }
-            });
+            .map(|cfg| HnswIndex::build_masked(&embeddings, cfg, live.as_deref()));
         let ann_time = t_ann.elapsed();
         let t_norms = Instant::now();
         let snapshot = Self::with_index(
@@ -545,21 +530,8 @@ impl EmbeddingStore {
         use std::sync::atomic::Ordering;
         let t_total = Instant::now();
         let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        // The previous snapshot seeds the incremental HNSW build (when
-        // enabled); cloning the Arc here keeps it alive without holding the
-        // read lock through the expensive construction.
-        let prev = self.snapshot();
         let (snapshot, norms_time, ann_time) =
-            EmbeddingSnapshot::new_timed(epoch, embeddings, self.ann.as_ref(), Some(&prev), live);
-        if let Some(stats) = snapshot.ann().and_then(|index| index.incremental_stats()) {
-            self.telemetry.publish_ann_incremental.inc();
-            self.telemetry
-                .publish_ann_reinserted
-                .record((stats.reinserted + stats.added) as u64);
-            self.telemetry
-                .publish_ann_reused
-                .record(stats.reused as u64);
-        }
+            EmbeddingSnapshot::new_timed(epoch, embeddings, self.ann.as_ref(), live);
         self.install(snapshot);
         self.telemetry.publish_norms_ns.record_duration(norms_time);
         self.telemetry
@@ -952,36 +924,18 @@ mod tests {
     }
 
     #[test]
-    fn publishes_reuse_the_previous_index_incrementally() {
+    fn publishes_build_a_fresh_index_every_time() {
         let store = EmbeddingStore::with_ann(AnnConfig::default());
         store.publish(sample());
-        // First publish starts from the empty epoch-0 snapshot: full build.
-        assert!(store
-            .snapshot()
-            .ann()
-            .and_then(|i| i.incremental_stats())
-            .is_none());
+        let first = store.snapshot();
+        // A second publish over an index, with identical vectors, still
+        // builds from scratch: nothing is grafted.
         store.publish(sample());
-        let stats = store
-            .snapshot()
-            .ann()
-            .and_then(|i| i.incremental_stats())
-            .expect("second publish should graft the first index");
-        assert_eq!(stats.reused, 5, "identical vectors should all be reused");
-        assert_eq!(store.telemetry().publish_ann_incremental.get(), 1);
-        // Opting out returns every publish to the full-rebuild path.
-        let full = EmbeddingStore::with_ann(AnnConfig {
-            incremental: false,
-            ..AnnConfig::default()
-        });
-        full.publish(sample());
-        full.publish(sample());
-        assert!(full
-            .snapshot()
-            .ann()
-            .and_then(|i| i.incremental_stats())
-            .is_none());
-        assert_eq!(full.telemetry().publish_ann_incremental.get(), 0);
+        let second = store.snapshot();
+        let (a, b) = (first.ann().unwrap(), second.ann().unwrap());
+        assert!(!std::ptr::eq(a, b));
+        assert!(b.incremental_stats().is_none(), "a publish never grafts");
+        assert_eq!(a.export_graph(), b.export_graph());
     }
 
     #[test]

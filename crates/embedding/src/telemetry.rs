@@ -24,15 +24,6 @@ pub struct StoreTelemetry {
     /// HNSW index construction, zero-cost when ANN is off
     /// (`engine.publish.ann_build_ns`).
     pub publish_ann_build_ns: Arc<Histogram>,
-    /// Publishes whose HNSW build grafted the previous epoch's graph instead
-    /// of rebuilding from scratch (`engine.publish.ann_incremental`).
-    pub publish_ann_incremental: Arc<Counter>,
-    /// Nodes re-inserted per incremental build — drifted plus newly added
-    /// (`engine.publish.ann_reinserted`).
-    pub publish_ann_reinserted: Arc<Histogram>,
-    /// Nodes whose graph links were reused verbatim per incremental build
-    /// (`engine.publish.ann_reused`).
-    pub publish_ann_reused: Arc<Histogram>,
     /// Publishes that kept the previous snapshot's index instead of building
     /// one (`engine.publish.ann_deferred`).
     pub publish_ann_deferred: Arc<Counter>,
@@ -89,9 +80,6 @@ impl StoreTelemetry {
             publish_total_ns: histogram("engine.publish.total_ns"),
             publish_norms_ns: histogram("engine.publish.norms_ns"),
             publish_ann_build_ns: histogram("engine.publish.ann_build_ns"),
-            publish_ann_incremental: counter("engine.publish.ann_incremental"),
-            publish_ann_reinserted: histogram("engine.publish.ann_reinserted"),
-            publish_ann_reused: histogram("engine.publish.ann_reused"),
             publish_ann_deferred: counter("engine.publish.ann_deferred"),
             index_lag_batches: gauge("engine.publish.index_lag_batches"),
             kernel_backend,
@@ -152,14 +140,14 @@ mod tests {
         t.refresh_epoch_age();
         t.query_exact_ns.record(500);
         t.ann_fallbacks.inc();
-        t.publish_ann_incremental.inc();
-        t.publish_ann_reinserted.record(12);
+        t.publish_ann_deferred.inc();
+        t.publish_ann_build_ns.record(12);
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("engine.epoch"), Some(3));
         assert!(snap.gauge("engine.epoch_age_ms").is_some());
-        assert_eq!(snap.counter("engine.publish.ann_incremental"), Some(1));
+        assert_eq!(snap.counter("engine.publish.ann_deferred"), Some(1));
         assert_eq!(
-            snap.histogram("engine.publish.ann_reinserted")
+            snap.histogram("engine.publish.ann_build_ns")
                 .unwrap()
                 .count(),
             1

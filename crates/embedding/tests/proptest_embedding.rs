@@ -233,7 +233,7 @@ proptest! {
         let build = |threads: usize| {
             let cfg = AnnConfig { m: 4, ef_construction: 8, seed, threads, ..Default::default() };
             let masked = HnswIndex::build_masked(&emb, &cfg, Some(&live));
-            let grafted = HnswIndex::build_incremental_masked(&next, &cfg, &masked, None);
+            let grafted = HnswIndex::graft(&next, &cfg, &masked, None);
             (cfg, masked, grafted)
         };
         let (cfg, masked, grafted) = build(1);

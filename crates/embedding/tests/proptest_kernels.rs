@@ -209,8 +209,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Property 3: across ≥ 5 epochs of vector drift plus node churn, a chain
-    /// of incremental HNSW grafts keeps recall@10 within 0.02 of a
-    /// from-scratch rebuild of the same epoch.
+    /// of HNSW grafts ([`HnswIndex::graft`], recovery's path) keeps recall@10
+    /// within 0.02 of a from-scratch rebuild of the same epoch.
     #[test]
     fn incremental_hnsw_recall_tracks_full_rebuild(
         n0 in 100usize..180,
@@ -223,15 +223,17 @@ proptest! {
 
         let mut incremental = HnswIndex::build(&Embeddings::from_flat(dim, flat.clone()), &cfg);
         for epoch in 0..5 {
-            // Drift: ~15% of nodes get fully resampled vectors, the rest
-            // jitter slightly (mostly below the default drift threshold).
+            // Drift: ~15% of nodes get fully resampled vectors, another ~15%
+            // jitter slightly, and the rest keep their bits (the graft keeps
+            // only those).
             let n = flat.len() / dim;
             for v in 0..n {
-                if rng.gen_range(0.0f32..1.0) < 0.15 {
+                let roll = rng.gen_range(0.0f32..1.0);
+                if roll < 0.15 {
                     for j in 0..dim {
                         flat[v * dim + j] = rng.gen_range(-1.0f32..1.0);
                     }
-                } else {
+                } else if roll < 0.3 {
                     for j in 0..dim {
                         flat[v * dim + j] += rng.gen_range(-0.005f32..0.005);
                     }
@@ -247,7 +249,7 @@ proptest! {
             }
 
             let emb = Embeddings::from_flat(dim, flat.clone());
-            incremental = HnswIndex::build_incremental(&emb, &cfg, &incremental);
+            incremental = HnswIndex::graft(&emb, &cfg, &incremental, None);
             prop_assert!(
                 incremental.incremental_stats().is_some(),
                 "epoch {epoch}: expected the graft path"

@@ -20,10 +20,10 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use uninet_core::{
-    AnnConfig, EdgeSamplerKind, Engine, EngineBuilder, FsyncPolicy, InitStrategy, ModelSpec,
-    StreamingConfig, UniNetError,
+    AnnConfig, EdgeSamplerKind, Engine, EngineBuilder, FsyncPolicy, GraphMutation, InitStrategy,
+    ModelSpec, StreamError, StreamingConfig, UniNetError,
 };
-use uninet_dyngraph::{read_update_stream_file, read_update_stream_validated_file};
+use uninet_dyngraph::read_update_stream_validated;
 use uninet_embedding::io::save_embeddings;
 use uninet_graph::generators::{barabasi_albert, rmat, RmatConfig};
 use uninet_graph::Graph;
@@ -67,6 +67,8 @@ STREAMING UPDATES (dynamic-graph mode):
                           `add u v [w]` / `del u v` / `w u v <weight>` per line
                           (aliases: + / - / ~). Affected walks are refreshed
                           incrementally and embeddings retrained at the end.
+                          The stream is validated up front: an id the graph
+                          does not have is a typed error with line context
   --update-batch-size <N> mutations per maintenance batch     [default: 256]
   --compaction-threshold <N>
                           pending overlay edges that trigger CSR compaction
@@ -124,13 +126,6 @@ QUERY SERVICE (ANN):
                           f32 so reported scores stay exact; requires --ann
   --ann-rerank <N>        f32 re-rank budget per requested result under
                           --ann-quantize                      [default: 4]
-  --ann-full-rebuild      rebuild the HNSW index from scratch every publish
-                          instead of grafting the previous epoch's graph and
-                          re-inserting only drifted/new nodes
-  --ann-drift-threshold <X>
-                          L2 drift (between normalized vectors) above which
-                          an incremental publish re-inserts a node
-                                                              [default: 0.05]
 
 SERVING (wire protocol):
   --serve <ADDR>          after training/recovery, serve vector / cosine /
@@ -151,14 +146,13 @@ OUTPUT:
 ";
 
 /// Flags that take no value.
-const SWITCHES: &str =
-    "directed-updates incremental-train allow-churn ann ann-quantize ann-full-rebuild recover";
+const SWITCHES: &str = "directed-updates incremental-train allow-churn ann ann-quantize recover";
 
 /// Flags that take the next argument as their value.
 const VALUE_FLAGS: &str = "input synthetic nodes mean-degree model p q metapath num-walks \
     walk-length dim epochs threads sampler seed updates update-batch-size compaction-threshold \
     ingest-threads queue-capacity cold-start-burn-in cold-start-boost wal-dir snapshot-every \
-    wal-fsync ann-m ann-ef-construction ann-ef-search ann-rerank ann-drift-threshold serve \
+    wal-fsync ann-m ann-ef-construction ann-ef-search ann-rerank serve \
     serve-max-inflight output metrics-json";
 
 fn is_one_of(flags: &str, key: &str) -> bool {
@@ -396,8 +390,6 @@ fn build_streaming(args: &Args) -> Result<StreamingConfig, UniNetError> {
             ef_search: args.parse_or("ann-ef-search", d.ann.ef_search)?,
             quantize: args.get("ann-quantize").is_some(),
             rerank: args.parse_or("ann-rerank", d.ann.rerank)?,
-            incremental: args.get("ann-full-rebuild").is_none(),
-            drift_threshold: args.parse_or("ann-drift-threshold", d.ann.drift_threshold)?,
             ..d.ann
         },
         allow_churn: args.get("allow-churn").is_some(),
@@ -411,6 +403,16 @@ fn build_streaming(args: &Args) -> Result<StreamingConfig, UniNetError> {
 fn threads(args: &Args) -> Result<usize, UniNetError> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     args.parse_or("threads", cores)
+}
+
+/// Reads the `--updates` file, validated against a universe whose ids
+/// `0..nodes` are live: an id outside it, a duplicate arrival, a retirement
+/// of an unknown id or an edge op naming a retired endpoint is a typed error
+/// at `path:line`. Node ops pass the reader; without `--allow-churn` the
+/// engine refuses them.
+fn read_updates(path: &str, nodes: usize) -> Result<Vec<GraphMutation>, UniNetError> {
+    let file = std::fs::File::open(path).map_err(|e| StreamError::from(e).with_path(path))?;
+    Ok(read_update_stream_validated(file, nodes).map_err(|e| e.with_path(path))?)
 }
 
 fn build_engine(args: &Args) -> Result<Engine, UniNetError> {
@@ -473,15 +475,10 @@ fn run() -> Result<(), UniNetError> {
         let ann = &engine.streaming_config().ann;
         eprintln!(
             "query service: HNSW ANN per snapshot (M={}, ef_construction={}, ef_search={}, \
-             {} publish, {} scoring, kernels={})",
+             {} scoring, kernels={})",
             ann.m,
             ann.ef_construction,
             ann.ef_search,
-            if ann.incremental {
-                "incremental"
-            } else {
-                "full-rebuild"
-            },
             if ann.quantize {
                 "int8+f32-rerank"
             } else {
@@ -522,16 +519,7 @@ fn run() -> Result<(), UniNetError> {
     }
 
     if let Some(updates_path) = args.get("updates") {
-        // Under --allow-churn the stream is validated against the id
-        // lifecycle up front (duplicate arrivals, retirements of unknown
-        // ids, edge ops naming retired endpoints are typed errors with
-        // line context); the closed-world reader stays lenient and lets
-        // the engine reject any node op it encounters.
-        let mutations = if args.get("allow-churn").is_some() {
-            read_update_stream_validated_file(updates_path, engine.num_nodes())?
-        } else {
-            read_update_stream_file(updates_path)?
-        };
+        let mutations = read_updates(updates_path, engine.num_nodes())?;
         let streaming: &StreamingConfig = engine.streaming_config();
         eprintln!(
             "streaming mode: {} mutations in batches of {} (compaction threshold {}, \
@@ -778,12 +766,10 @@ mod tests {
         for (flag, want) in usizes {
             assert_eq!(help_default(flag).parse::<usize>(), Ok(want), "--{flag}");
         }
-        for (flag, want) in [
-            ("cold-start-boost", d.cold_start_boost),
-            ("ann-drift-threshold", d.ann.drift_threshold),
-        ] {
-            assert_eq!(help_default(flag).parse::<f32>(), Ok(want), "--{flag}");
-        }
+        assert_eq!(
+            help_default("cold-start-boost").parse::<f32>(),
+            Ok(d.cold_start_boost)
+        );
     }
 
     #[test]
@@ -802,8 +788,7 @@ mod tests {
             "--update-batch-size 7 --compaction-threshold 9 --directed-updates \
              --ingest-threads 3 --queue-capacity 5 --incremental-train --ann --ann-m 6 \
              --ann-ef-construction 30 --ann-ef-search 40 --ann-quantize --ann-rerank 2 \
-             --ann-full-rebuild --ann-drift-threshold 0.5 --allow-churn \
-             --cold-start-burn-in 4 --cold-start-boost 1.5",
+             --allow-churn --cold-start-burn-in 4 --cold-start-boost 1.5",
         )
         .unwrap();
         let want = StreamingConfig {
@@ -820,8 +805,6 @@ mod tests {
                 ef_search: 40,
                 quantize: true,
                 rerank: 2,
-                incremental: false,
-                drift_threshold: 0.5,
                 ..AnnConfig::default()
             },
             allow_churn: true,
@@ -829,5 +812,30 @@ mod tests {
             cold_start_boost: 1.5,
         };
         assert_eq!(build_streaming(&every_flag).unwrap(), want);
+    }
+
+    #[test]
+    fn an_update_naming_an_id_past_the_graph_is_a_parse_error_at_its_line() {
+        let path = std::env::temp_dir().join(format!("uninet-cli-updates-{}", std::process::id()));
+        std::fs::write(&path, "w 0 1 2.0\nadd 3 9 1.0\n").unwrap();
+        let path = path.to_str().unwrap();
+        let err = read_updates(path, 9).expect_err("id 9 is past a 9-node graph");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("{path}:2")), "no file:line in {msg}");
+        assert!(
+            matches!(
+                err,
+                UniNetError::Stream(StreamError::Parse {
+                    line: 2,
+                    issue: uninet_core::ParseIssue::UnknownNode { node: 9, op: "add" },
+                    ..
+                })
+            ),
+            "{msg}"
+        );
+        assert_eq!(read_updates(path, 10).unwrap().len(), 2);
+        std::fs::remove_file(path).unwrap();
+        let missing = read_updates(path, 10).expect_err("the file is gone");
+        assert!(missing.to_string().contains(path), "{missing}");
     }
 }
