@@ -1,21 +1,19 @@
-//! Concurrent-ingestion experiment: serial vs. sharded streaming pipelines,
-//! full retrain vs. incremental embedding updates, and the latency of
-//! embedding queries served concurrently with an active stream.
+//! Streaming-ingestion experiment: M-H vs. alias sampler maintenance, full
+//! retrain vs. incremental embedding updates, and the latency of embedding
+//! queries served concurrently with an active stream.
 //!
-//! 1. **Pipeline throughput** — replay the same mixed update stream through
-//!    [`Engine::stream`] with 1 ingest thread (the serial path: batch loop,
-//!    serial maintenance, serial refresh) and with N ingest threads
-//!    (bounded-queue intake, vertex-range sharded application, parallel
-//!    sampler maintenance and walk refresh). Reports sustained updates/s and
-//!    the per-phase latency split. On a multi-core host the sharded pipeline
-//!    should clear ≥2x the serial throughput; on a single hardware thread the
-//!    two collapse to the same schedule.
+//! 1. **Sampler maintenance** — replay the same mixed update stream through
+//!    [`Engine::stream`] once per sampler (bounded-queue intake, in-order
+//!    application and sampler maintenance, walk refresh over N threads).
+//!    Reports sustained updates/s and the per-phase latency split. The M-H
+//!    row's maintenance is a counter bump per reweight, the paper's dynamic
+//!    claim; the alias row pays an O(deg) table rebuild per touched state.
 //! 2. **Incremental vs. full retrain** — same stream, embeddings either
 //!    retrained from scratch on the refreshed corpus or updated online on
 //!    regenerated walks only. Compares link-prediction AUC on the final
 //!    graph (expected: within noise) and the training-phase time; no query
 //!    load runs here, keeping these columns comparable across PRs.
-//! 3. **Concurrent query service** — a dedicated sharded incremental session
+//! 3. **Concurrent query service** — a dedicated incremental session
 //!    with reader threads hammering `top_k` against the engine's embedding
 //!    store; per-query latency (including snapshot/lock acquisition) is the
 //!    "serving while training" measurement.
@@ -110,11 +108,17 @@ fn engine_for(graph: &Graph, config: UniNetConfig, streaming: StreamingConfig) -
         .expect("benchmark configuration is valid")
 }
 
-fn report_json(sampler: &str, label: &str, report: &StreamingReport, wall: f64) -> Json {
+/// One part-1 row; `pipeline_throughput` counts refresh time too.
+fn report_json(
+    sampler: &str,
+    report: &StreamingReport,
+    wall: f64,
+    pipeline_throughput: f64,
+) -> Json {
     Json::Obj(vec![
         ("sampler", Json::Str(sampler.to_string())),
-        ("pipeline", Json::Str(label.to_string())),
         ("updates_per_sec", Json::Num(report.update_throughput)),
+        ("pipeline_updates_per_sec", Json::Num(pipeline_throughput)),
         ("batches", Json::Int(report.batches as u64)),
         ("apply_ms", Json::Num(report.apply_time.as_secs_f64() * 1e3)),
         (
@@ -137,6 +141,10 @@ fn report_json(sampler: &str, label: &str, report: &StreamingReport, wall: f64) 
         (
             "chains_preserved",
             Json::Int(report.maintenance.chains_preserved as u64),
+        ),
+        (
+            "states_rebuilt",
+            Json::Int(report.maintenance.states_rebuilt as u64),
         ),
         (
             "queue_peak_depth",
@@ -257,27 +265,24 @@ fn main() {
         threads,
     );
 
-    // Part 1: serial vs. sharded pipeline on the same stream, per sampler.
-    // The M-H rows show that UniNet's sampler leaves (almost) nothing to
-    // parallelize — reweights are O(1) with zero rebuild work — while the
-    // alias rows carry the O(deg)-per-state rebuilds whose fan-out is where
-    // the sharded pipeline earns its throughput on multi-core hosts.
+    // Part 1: the same stream through one pipeline per sampler. The M-H row
+    // shows that UniNet's sampler absorbs a reweight with zero rebuild work;
+    // the alias row carries the O(deg)-per-state table rebuilds.
     let mut table = Table::new(
-        "Concurrent ingestion — serial vs. sharded streaming pipeline (DeepWalk)",
+        "Streaming ingestion — M-H vs. alias sampler maintenance (DeepWalk)",
         &[
             "sampler",
-            "pipeline",
             "updates/s (apply+maintain)",
             "updates/s (incl. refresh)",
             "apply ms",
             "maintain ms",
             "refresh ms",
+            "states rebuilt",
             "walks refreshed",
             "queue backpressure ms",
         ],
     );
     let mut json_pipelines = Vec::new();
-    let mut speedups = Vec::new();
     for (sampler_name, sampler) in [
         (
             "UniNet(M-H)",
@@ -285,59 +290,43 @@ fn main() {
         ),
         ("Alias", EdgeSamplerKind::Alias),
     ] {
-        let mut throughputs = Vec::new();
-        for (label, ingest_threads) in [("serial", 1usize), ("sharded", threads)] {
-            let streaming = StreamingConfig {
-                batch_size: 1024,
-                compaction_threshold: 2048,
-                ingest_threads,
-                queue_capacity: 8,
-                ..Default::default()
-            };
-            let engine = engine_for(
-                &graph,
-                pipeline_config(&cfg, ingest_threads, sampler),
-                streaming,
-            );
-            let t = Instant::now();
-            let outcome = engine
-                .stream_blocking(stream.clone())
-                .expect("engine is idle");
-            let report = outcome.report;
-            let wall = t.elapsed().as_secs_f64();
-            // End-to-end streaming throughput: every phase of the update path
-            // (apply + maintain + refresh). Walk refresh dominates and is the
-            // phase the thread fan-out accelerates on multi-core hosts.
-            let stream_secs = (report.apply_time + report.maintain_time + report.refresh_time)
-                .as_secs_f64()
-                .max(1e-9);
-            let applied = (report.weight_mutations + report.topology_mutations) as f64;
-            let pipeline_throughput = applied / stream_secs;
-            table.add_row(&[
-                sampler_name.to_string(),
-                label.to_string(),
-                format!("{:.0}", report.update_throughput),
-                format!("{pipeline_throughput:.0}"),
-                format!("{:.2}", report.apply_time.as_secs_f64() * 1e3),
-                format!("{:.2}", report.maintain_time.as_secs_f64() * 1e3),
-                format!("{:.2}", report.refresh_time.as_secs_f64() * 1e3),
-                format!("{}", report.refresh.walks_refreshed),
-                format!("{:.2}", report.queue.producer_wait.as_secs_f64() * 1e3),
-            ]);
-            throughputs.push(pipeline_throughput);
-            let mut json = report_json(sampler_name, label, &report, wall);
-            if let Json::Obj(fields) = &mut json {
-                fields.push(("pipeline_updates_per_sec", Json::Num(pipeline_throughput)));
-            }
-            json_pipelines.push(json);
-        }
-        let speedup = if throughputs[0] > 0.0 {
-            throughputs[1] / throughputs[0]
-        } else {
-            0.0
+        let streaming = StreamingConfig {
+            batch_size: 1024,
+            compaction_threshold: 2048,
+            queue_capacity: 8,
+            ..Default::default()
         };
-        println!("{sampler_name}: sharded/serial streaming throughput {speedup:.2}x");
-        speedups.push((sampler_name, speedup));
+        let engine = engine_for(&graph, pipeline_config(&cfg, threads, sampler), streaming);
+        let t = Instant::now();
+        let outcome = engine
+            .stream_blocking(stream.clone())
+            .expect("engine is idle");
+        let report = outcome.report;
+        let wall = t.elapsed().as_secs_f64();
+        // End-to-end streaming throughput: every phase of the update path
+        // (apply + maintain + refresh).
+        let stream_secs = (report.apply_time + report.maintain_time + report.refresh_time)
+            .as_secs_f64()
+            .max(1e-9);
+        let applied = (report.weight_mutations + report.topology_mutations) as f64;
+        let pipeline_throughput = applied / stream_secs;
+        table.add_row(&[
+            sampler_name.to_string(),
+            format!("{:.0}", report.update_throughput),
+            format!("{pipeline_throughput:.0}"),
+            format!("{:.2}", report.apply_time.as_secs_f64() * 1e3),
+            format!("{:.2}", report.maintain_time.as_secs_f64() * 1e3),
+            format!("{:.2}", report.refresh_time.as_secs_f64() * 1e3),
+            format!("{}", report.maintenance.states_rebuilt),
+            format!("{}", report.refresh.walks_refreshed),
+            format!("{:.2}", report.queue.producer_wait.as_secs_f64() * 1e3),
+        ]);
+        json_pipelines.push(report_json(
+            sampler_name,
+            &report,
+            wall,
+            pipeline_throughput,
+        ));
     }
     emit(&table, "exp_ingest_pipeline");
     println!();
@@ -366,7 +355,6 @@ fn main() {
         let streaming = StreamingConfig {
             batch_size: stream.len().div_ceil(4).max(1),
             compaction_threshold: 2048,
-            ingest_threads: threads,
             incremental_train: incremental,
             ..Default::default()
         };
@@ -434,7 +422,7 @@ fn main() {
 
     // Part 3: the concurrent query service — reader threads hammer `top_k`
     // against the engine's embedding store (timer includes snapshot/lock
-    // acquisition) for the whole duration of a sharded incremental session.
+    // acquisition) for the whole duration of an incremental session.
     // The store is primed by a batch train so queries are answered from
     // epoch 1; each refresh round then publishes a fresh snapshot.
     let num_readers = 2usize;
@@ -448,7 +436,6 @@ fn main() {
         StreamingConfig {
             batch_size: stream.len().div_ceil(4).max(1),
             compaction_threshold: 2048,
-            ingest_threads: threads,
             incremental_train: true,
             ..Default::default()
         },
@@ -648,14 +635,14 @@ fn main() {
     println!();
 
     // Part 5: durability — the WAL-append tax on streaming throughput, and
-    // how long a cold restart takes. Three identical sharded incremental
+    // how long a cold restart takes. Three identical incremental
     // sessions: no WAL (baseline), WAL without fsync (pure encode+write
     // cost), WAL with fsync-per-append (the full durable configuration);
     // then a timed `Engine::builder().recover(..)` from the durable dir.
     let dur_root = std::env::temp_dir().join(format!("uninet-bench-dur-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dur_root);
     let mut table = Table::new(
-        "Durability — WAL-append overhead and crash recovery (sharded incremental)",
+        "Durability — WAL-append overhead and crash recovery (incremental)",
         &[
             "configuration",
             "stream wall s",
@@ -683,7 +670,6 @@ fn main() {
         let streaming = StreamingConfig {
             batch_size: 1024,
             compaction_threshold: 2048,
-            ingest_threads: threads,
             incremental_train: true,
             ..Default::default()
         };
@@ -913,6 +899,9 @@ fn main() {
     ]);
     println!();
 
+    // Taken before part 7 shadows `engine` with the churn session's.
+    let telemetry = engine.metrics().to_json();
+
     // Part 7: open-world churn — node arrivals and retirements streaming
     // through the full pipeline (growable universe, cold-start init + boosted
     // burn-in, retired-id eviction). Reports sustained churn throughput, the
@@ -977,7 +966,6 @@ fn main() {
         StreamingConfig {
             batch_size: churn.len().div_ceil(8).max(1),
             compaction_threshold: 2048,
-            ingest_threads: threads,
             incremental_train: true,
             allow_churn: true,
             cold_start_burn_in: 2,
@@ -1143,15 +1131,6 @@ fn main() {
                 ),
             ),
             ("pipelines", Json::Arr(json_pipelines)),
-            (
-                "sharded_speedup",
-                Json::Obj(
-                    speedups
-                        .iter()
-                        .map(|&(name, s)| (name, Json::Num(s)))
-                        .collect(),
-                ),
-            ),
             ("training", Json::Arr(json_training)),
             ("query_service", json_queries),
             ("ann_query_service", json_ann),
@@ -1161,7 +1140,7 @@ fn main() {
             // The part-3 engine's full telemetry snapshot: per-stage ingest
             // timings, publish/epoch gauges and per-mode query latency
             // quantiles, straight from `Engine::metrics()`.
-            ("telemetry", Json::Raw(engine.metrics().to_json())),
+            ("telemetry", Json::Raw(telemetry)),
             (
                 "auc_delta_incremental_vs_full",
                 Json::Num(aucs[1] - aucs[0]),

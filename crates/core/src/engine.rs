@@ -185,7 +185,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker threads for walk generation, training and ingestion.
+    /// Worker threads for walk generation and refresh, training and index
+    /// builds.
     pub fn threads(mut self, t: usize) -> Self {
         self.config.walk.num_threads = t;
         self.config.embedding.num_threads = t;

@@ -76,7 +76,7 @@ pub use uninet_embedding::{
     KernelBackend, QuantizedMatrix, QueryMode, StoreTelemetry,
 };
 pub use uninet_graph::{Graph, GraphError};
-pub use uninet_ingest::{IngestConfig, IngestMetrics, QueueStats, ShardPlan, ShardedMaintainer};
+pub use uninet_ingest::{IngestConfig, IngestMetrics, QueueStats};
 pub use uninet_metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
     PhaseRecorder, PhaseTiming, StageTimer, Stopwatch,

@@ -5,10 +5,10 @@
 //! This is the dynamic-workload counterpart of [`crate::Engine::train`]: the
 //! graph lives in a [`DynamicGraph`] and the update stream flows through the
 //! `uninet-ingest` pipeline — a reader thread feeding a bounded queue
-//! (back-pressure), vertex-range sharded overlay application and sampler
-//! maintenance, then per-batch walk refresh fanned out over the walk engine's
-//! thread pool. Embeddings are either retrained from scratch on the refreshed
-//! corpus (the original behaviour) or, with
+//! (back-pressure), overlay application and sampler maintenance on the
+//! session thread, then per-batch walk refresh fanned out over the walk
+//! engine's thread pool. Embeddings are either retrained from scratch on the
+//! refreshed corpus (the original behaviour) or, with
 //! [`StreamingConfig::incremental_train`], updated online by SGD passes over
 //! only the regenerated walks.
 //!
@@ -41,9 +41,6 @@ pub struct StreamingConfig {
     pub compaction_threshold: usize,
     /// Mirror each mutation onto the reverse edge (undirected graphs).
     pub symmetric: bool,
-    /// Worker threads for sharded update application, sampler maintenance and
-    /// walk refresh. 0 means "use the walk engine's thread count".
-    pub ingest_threads: usize,
     /// Batches the intake queue buffers before back-pressure blocks intake.
     pub queue_capacity: usize,
     /// Train embeddings incrementally on regenerated walks instead of a full
@@ -77,7 +74,6 @@ impl Default for StreamingConfig {
             batch_size: 256,
             compaction_threshold: 1024,
             symmetric: true,
-            ingest_threads: 0,
             queue_capacity: 8,
             incremental_train: false,
             ann_index: false,
@@ -167,10 +163,10 @@ fn merge_train_stats(total: &mut TrainStats, pass: &TrainStats) {
 }
 
 /// Runs the full dynamic pipeline: initial walk corpus over `graph`,
-/// concurrent ingestion of `mutations` (bounded intake queue, sharded
-/// application, parallel maintenance and walk refresh), final compaction,
-/// then embedding training — full retrain on the refreshed corpus, or
-/// incremental updates when `streaming.incremental_train` is set.
+/// ingestion of `mutations` (bounded intake queue, in-order application and
+/// maintenance, parallel walk refresh), final compaction, then embedding
+/// training — full retrain on the refreshed corpus, or incremental updates
+/// when `streaming.incremental_train` is set.
 ///
 /// Consumes the graph (it becomes the mutable base of the [`DynamicGraph`])
 /// and returns the post-stream compacted graph alongside the results, so a
@@ -225,11 +221,6 @@ pub(crate) fn run_streaming_session(
         .instantiate(&graph)
         .expect("model spec is validated before a streaming session starts");
     let model = model.as_ref();
-    let threads = if streaming.ingest_threads == 0 {
-        cfg.walk.num_threads.max(1)
-    } else {
-        streaming.ingest_threads
-    };
 
     // Initial corpus over a caller-owned manager so sampler state (M-H
     // chains in particular) survives into the update phase.
@@ -292,8 +283,8 @@ pub(crate) fn run_streaming_session(
     let ingest_cfg = IngestConfig {
         batch_size: streaming.batch_size,
         queue_capacity: streaming.queue_capacity,
-        num_threads: threads,
         compaction_threshold: streaming.compaction_threshold,
+        ..IngestConfig::default()
     };
 
     {
@@ -383,7 +374,7 @@ pub(crate) fn run_streaming_session(
                         model,
                         mgr,
                         &touched,
-                        threads,
+                        cfg.walk.num_threads,
                     );
                     ingest_metrics
                         .refresh_round_ns
@@ -763,7 +754,6 @@ mod tests {
             batch_size: 32,
             compaction_threshold: 64,
             incremental_train: true,
-            ingest_threads: 2,
             queue_capacity: 2,
             ..Default::default()
         };

@@ -201,16 +201,16 @@ proptest! {
             reference.apply(m);
         }
 
-        // Streaming: the concurrent pipeline (sharded edge batches, serial
-        // node-op batches, incremental sampler maintenance).
+        // Streaming: the ingestion pipeline (bounded queue, in-order batch
+        // application, incremental sampler maintenance).
         let mut dg = DynamicGraph::new(g, true);
         let mut manager = SamplerManager::new(dg.base(), &model, EdgeSamplerKind::Alias, 0);
         run_durable_pipeline(
             &IngestConfig {
                 batch_size,
                 queue_capacity: 4,
-                num_threads: 3,
                 compaction_threshold: 8,
+                ..IngestConfig::default()
             },
             &IngestMetrics::detached(),
             &mut dg,

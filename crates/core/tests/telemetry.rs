@@ -75,8 +75,8 @@ fn metrics_cover_all_three_planes_after_train_stream_query() {
     );
     assert_eq!(snap.counter("query.ann_fallbacks"), Some(1));
 
-    // Ingest plane: a streaming session drives the queue, sharded apply,
-    // sampler maintenance and walk refresh instruments.
+    // Ingest plane: a streaming session drives the queue, apply, sampler
+    // maintenance and walk refresh instruments.
     engine
         .stream_blocking(mutations(256))
         .expect("engine is idle");

@@ -25,9 +25,9 @@
 //! * [`stream`] — a plain-text edge-update stream format plus batching, used
 //!   by the `uninet --updates` CLI streaming mode.
 //!
-//! `uninet-ingest` drives these components concurrently (sharded application,
-//! parallel maintenance), and `uninet-core`'s `Engine::stream` wraps the
-//! whole pipeline in a session the embedding query service stays live under.
+//! `uninet-ingest` feeds these components from a bounded intake queue, and
+//! `uninet-core`'s `Engine::stream` wraps the whole pipeline in a session the
+//! embedding query service stays live under.
 //!
 //! ## Example
 //!
@@ -68,7 +68,7 @@ pub mod mutation;
 pub mod refresh;
 pub mod stream;
 
-pub use dynamic::{DynamicGraph, MutationEffect, OverlayStats, ShardOutcome, ShardView};
+pub use dynamic::{DynamicGraph, MutationEffect, OverlayStats};
 pub use maintain::{BatchReport, IncrementalMaintainer, MaintainerConfig};
 pub use mutation::{GraphMutation, UpdateBatch};
 pub use refresh::{RefreshStats, WalkRefresher};

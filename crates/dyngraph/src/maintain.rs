@@ -61,6 +61,9 @@ pub struct BatchReport {
     pub apply_time: Duration,
     /// Time spent repairing sampler state (incl. compaction).
     pub maintain_time: Duration,
+    /// Time spent compacting: the CSR rebuild plus sampler re-alignment.
+    /// Part of `maintain_time`; zero when `!compacted`.
+    pub compaction_time: Duration,
     /// Batches already waiting in the intake queue when this report reached
     /// the pipeline's batch callback (0 for the end-of-stream flush and
     /// outside a pipeline): how far intake is ahead of maintenance.
@@ -70,13 +73,11 @@ pub struct BatchReport {
 impl BatchReport {
     /// Folds one mutation's `(forward, mirror)` effects into the tallies:
     /// touched nodes on the weight path, and the weight/topology/rejected
-    /// classification. This is the single source of truth for report
-    /// bookkeeping, shared by the serial maintainer and the sharded ingest
-    /// path (`uninet-ingest`), so the two can never drift.
+    /// classification.
     ///
-    /// `weight_touched` entries are appended unsorted; callers dedup once per
-    /// batch before sampler maintenance.
-    pub fn record_effects(
+    /// `weight_touched` entries are appended unsorted; the caller dedups once
+    /// per batch before sampler maintenance.
+    fn record_effects(
         &mut self,
         m: GraphMutation,
         (forward, mirror): (MutationEffect, MutationEffect),
@@ -122,6 +123,7 @@ impl BatchReport {
         self.maintenance.merge(&other.maintenance);
         self.apply_time += other.apply_time;
         self.maintain_time += other.maintain_time;
+        self.compaction_time += other.compaction_time;
     }
 }
 
@@ -199,7 +201,7 @@ impl IncrementalMaintainer {
             || (report.topology_mutations > 0
                 && graph.pending() >= self.config.compaction_threshold)
         {
-            report.merge_compaction(self.compact_now(graph, manager, model));
+            self.compact_now(graph, manager, model, &mut report);
         }
         report.maintain_time = t1.elapsed();
         report
@@ -216,18 +218,23 @@ impl IncrementalMaintainer {
         let mut report = BatchReport::default();
         let t = Instant::now();
         if graph.pending() > 0 || graph.num_nodes() != graph.base().num_nodes() {
-            report.merge_compaction(self.compact_now(graph, manager, model));
+            self.compact_now(graph, manager, model, &mut report);
         }
         report.maintain_time = t.elapsed();
         report
     }
 
+    /// Compacts the overlay into a fresh CSR, re-aligns the sampler state
+    /// over what changed, and records all of it — touched nodes, maintenance
+    /// cost and wall-clock time — on `report`.
     fn compact_now<M: RandomWalkModel + ?Sized>(
         &self,
         graph: &mut DynamicGraph,
         manager: &mut SamplerManager,
         model: &M,
-    ) -> (Vec<NodeId>, MaintenanceStats) {
+        report: &mut BatchReport,
+    ) {
+        let t = Instant::now();
         // Two invalidation sets: nodes whose own adjacency changed (their
         // buckets are structurally wrong for every backend), and — for
         // second-order models whose dynamic weights probe other nodes'
@@ -257,15 +264,10 @@ impl IncrementalMaintainer {
         let mut touched = mutated;
         touched.extend(stale);
         touched.sort_unstable();
-        (touched, stats)
-    }
-}
-
-impl BatchReport {
-    fn merge_compaction(&mut self, (touched, stats): (Vec<NodeId>, MaintenanceStats)) {
-        self.compacted = true;
-        self.topology_touched = touched;
-        self.maintenance.merge(&stats);
+        report.compacted = true;
+        report.topology_touched = touched;
+        report.maintenance.merge(&stats);
+        report.compaction_time = t.elapsed();
     }
 }
 

@@ -1,8 +1,8 @@
 //! The ingest plane's telemetry handles.
 //!
 //! [`IngestMetrics`] bundles every instrument the ingestion pipeline records
-//! into — queue depth/stalls, sharded apply, sampler maintenance, walk
-//! refresh, compaction — as pre-resolved `Arc` handles, so hot paths record
+//! into — queue depth/stalls, apply, sampler maintenance, walk refresh,
+//! compaction — as pre-resolved `Arc` handles, so hot paths record
 //! with a single relaxed atomic op and never consult a registry. Construct it
 //! either [`registered`](IngestMetrics::registered) in a
 //! [`MetricsRegistry`] (the instruments show up in snapshots under
@@ -27,15 +27,14 @@ pub struct IngestMetrics {
     pub queue_stall_ns: Arc<Histogram>,
     /// End-to-end overlay application per batch (`ingest.apply.batch_ns`).
     pub apply_batch_ns: Arc<Histogram>,
-    /// Per-shard worker apply time (`ingest.apply.shard_ns`).
-    pub apply_shard_ns: Arc<Histogram>,
     /// Sampler-maintenance time per batch (`ingest.maintain.sampler_ns`).
     pub maintain_sampler_ns: Arc<Histogram>,
     /// Walk-refresh time per batch (`ingest.refresh.round_ns`).
     pub refresh_round_ns: Arc<Histogram>,
     /// Walks invalidated and regenerated (`ingest.refresh.dirty_walks`).
     pub refresh_dirty_walks: Arc<Counter>,
-    /// Compaction wall-clock time (`ingest.compaction.duration_ns`).
+    /// Wall-clock time of each compaction, sampler re-alignment included
+    /// (`ingest.compaction.duration_ns`; one sample per compaction).
     pub compaction_ns: Arc<Histogram>,
     /// Compactions performed (`ingest.compaction.count`).
     pub compactions: Arc<Counter>,
@@ -55,7 +54,6 @@ impl IngestMetrics {
             queue_stalls: Arc::new(Counter::new()),
             queue_stall_ns: Arc::new(Histogram::new()),
             apply_batch_ns: Arc::new(Histogram::new()),
-            apply_shard_ns: Arc::new(Histogram::new()),
             maintain_sampler_ns: Arc::new(Histogram::new()),
             refresh_round_ns: Arc::new(Histogram::new()),
             refresh_dirty_walks: Arc::new(Counter::new()),
@@ -75,7 +73,6 @@ impl IngestMetrics {
             queue_stalls: registry.counter("ingest.queue.stalls"),
             queue_stall_ns: registry.histogram("ingest.queue.stall_ns"),
             apply_batch_ns: registry.histogram("ingest.apply.batch_ns"),
-            apply_shard_ns: registry.histogram("ingest.apply.shard_ns"),
             maintain_sampler_ns: registry.histogram("ingest.maintain.sampler_ns"),
             refresh_round_ns: registry.histogram("ingest.refresh.round_ns"),
             refresh_dirty_walks: registry.counter("ingest.refresh.dirty_walks"),

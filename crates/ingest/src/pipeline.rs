@@ -1,8 +1,8 @@
 //! The end-to-end ingestion pipeline: reader thread → bounded queue →
-//! sharded application → per-batch maintenance callback.
+//! apply and maintain → per-batch callback.
 //!
 //! ```text
-//!  mutations ──reader thread──▶ [bounded MPSC queue] ──▶ apply (sharded)
+//!  mutations ──reader thread──▶ [bounded MPSC queue] ──▶ apply
 //!                                 back-pressure          ├─ maintain samplers
 //!                                                        └─ on_batch hook
 //!                                                           (walk refresh,
@@ -13,18 +13,18 @@
 //! feeds the queue; a full queue blocks it (back-pressure), so intake never
 //! outruns maintenance by more than `queue_capacity` batches. The consumer
 //! (the caller's thread) drains the queue, applies each batch through the
-//! [`ShardedMaintainer`] and hands the report to `on_batch` — which is where
-//! the streaming pipeline hangs walk refresh and incremental training.
+//! [`IncrementalMaintainer`] and hands the report to `on_batch` — which is
+//! where the streaming pipeline hangs walk refresh and incremental training.
 
 use std::time::{Duration, Instant};
 
-use uninet_dyngraph::{BatchReport, DynamicGraph, GraphMutation, MaintainerConfig, UpdateBatch};
+use uninet_dyngraph::{
+    BatchReport, DynamicGraph, GraphMutation, IncrementalMaintainer, MaintainerConfig, UpdateBatch,
+};
 use uninet_walker::{MaintenanceStats, RandomWalkModel, SamplerManager};
 
-use crate::apply::ShardedMaintainer;
 use crate::metrics::IngestMetrics;
 use crate::queue::{batch_queue, QueueStats};
-use crate::shard::ShardPlan;
 
 /// Configuration of the ingestion pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +33,9 @@ pub struct IngestConfig {
     pub batch_size: usize,
     /// Batches the intake queue holds before back-pressure blocks the reader.
     pub queue_capacity: usize,
-    /// Worker threads for shard application and sampler maintenance.
+    /// Has no effect: every batch is applied on the consumer thread. Kept
+    /// because the repository benchmark's stream replay still sets it; it
+    /// goes when that replay does.
     pub num_threads: usize,
     /// Pending overlay entries that trigger compaction back into CSR.
     pub compaction_threshold: usize,
@@ -103,14 +105,9 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
     mut wal: Option<&mut dyn FnMut(&UpdateBatch)>,
     mut on_batch: impl FnMut(&DynamicGraph, &SamplerManager, &BatchReport, bool),
 ) -> IngestReport {
-    let maintainer = ShardedMaintainer::new(
-        MaintainerConfig {
-            compaction_threshold: config.compaction_threshold,
-        },
-        config.num_threads,
-        metrics,
-    );
-    let mut plan = ShardPlan::new(graph.num_nodes(), config.num_threads);
+    let maintainer = IncrementalMaintainer::new(MaintainerConfig {
+        compaction_threshold: config.compaction_threshold,
+    });
     let mut report = IngestReport::default();
 
     let queue_stats = crossbeam::thread::scope(|scope| {
@@ -130,12 +127,12 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
             if let Some(hook) = wal.as_deref_mut() {
                 hook(&batch);
             }
-            // Open-world arrivals grow the id space; the vertex-range plan
-            // must cover the current universe before the next sharded apply.
-            if plan.num_nodes() != graph.num_nodes() {
-                plan = ShardPlan::new(graph.num_nodes(), config.num_threads);
-            }
-            let mut r = maintainer.apply_batch(graph, manager, model, &batch, &plan);
+            let mut r = maintainer.apply_batch(graph, manager, model, &batch);
+            metrics.apply_batch_ns.record_duration(r.apply_time);
+            metrics.maintain_sampler_ns.record_duration(r.maintain_time);
+            record_compaction(metrics, &r);
+            metrics.node_arrivals.add(r.arrivals.len() as u64);
+            metrics.node_retirements.add(r.retirements.len() as u64);
             report.batches += 1;
             report.weight_mutations += r.weight_mutations;
             report.topology_mutations += r.topology_mutations;
@@ -156,12 +153,20 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
     let t = Instant::now();
     let flush = maintainer.flush(graph, manager, model);
     report.maintain_time += t.elapsed();
+    record_compaction(metrics, &flush);
     if flush.compacted {
         report.compactions += 1;
         report.maintenance.merge(&flush.maintenance);
         on_batch(graph, manager, &flush, true);
     }
     report
+}
+
+fn record_compaction(metrics: &IngestMetrics, r: &BatchReport) {
+    if r.compacted {
+        metrics.compactions.inc();
+        metrics.compaction_ns.record_duration(r.compaction_time);
+    }
 }
 
 #[cfg(test)]
@@ -238,8 +243,8 @@ mod tests {
         let cfg = IngestConfig {
             batch_size: 64,
             queue_capacity: 4,
-            num_threads: 4,
             compaction_threshold: 128,
+            ..IngestConfig::default()
         };
         let mut callbacks = 0usize;
         let report = run_durable_pipeline(
@@ -285,8 +290,8 @@ mod tests {
         let cfg = IngestConfig {
             batch_size: 16,
             queue_capacity: 4,
-            num_threads: 2,
             compaction_threshold: 1 << 20,
+            ..IngestConfig::default()
         };
         let metrics = IngestMetrics::detached();
         let mut behind = Vec::new();
@@ -320,6 +325,70 @@ mod tests {
         );
         assert!(behind[1..4].iter().all(|&d| d > 0), "{behind:?}");
         assert_eq!(behind.last(), Some(&0), "nothing is behind the last batch");
+    }
+
+    #[test]
+    fn every_compaction_is_timed_and_churn_is_counted() {
+        let g = test_graph();
+        let n = g.num_nodes() as NodeId;
+        let model = DeepWalk::new();
+        // Every 40 edge ops, an arrival wired into the graph and a
+        // retirement: each node-op batch forces a compaction, and the edge
+        // ops between them cross the threshold on their own too.
+        let mut stream = Vec::new();
+        for (i, chunk) in mixed_stream(&g, 200, 5).chunks(40).enumerate() {
+            let i = i as NodeId;
+            stream.extend_from_slice(chunk);
+            stream.push(GraphMutation::AddNode { node: n + i });
+            stream.push(GraphMutation::AddEdge {
+                src: n + i,
+                dst: 3,
+                weight: 1.0,
+            });
+            stream.push(GraphMutation::RemoveNode { node: 10 + i });
+        }
+        let mut dg = DynamicGraph::new(g.clone(), true);
+        let kind = EdgeSamplerKind::MetropolisHastings(InitStrategy::Random);
+        let mut mgr = SamplerManager::new(dg.base(), &model, kind, 0);
+        let cfg = IngestConfig {
+            batch_size: 16,
+            compaction_threshold: 24,
+            ..IngestConfig::default()
+        };
+        let registry = uninet_metrics::MetricsRegistry::new();
+        let (mut arrivals, mut retirements) = (0usize, 0usize);
+        let report = run_durable_pipeline(
+            &cfg,
+            &IngestMetrics::registered(&registry),
+            &mut dg,
+            &mut mgr,
+            &model,
+            &stream,
+            None,
+            |_, _, r, _| {
+                arrivals += r.arrivals.len();
+                retirements += r.retirements.len();
+            },
+        );
+
+        let snap = registry.snapshot();
+        let compactions = snap.counter("ingest.compaction.count").unwrap();
+        assert!(compactions > 5, "node ops and the threshold compact");
+        assert_eq!(compactions, report.compactions as u64);
+        assert_eq!(
+            snap.histogram("ingest.compaction.duration_ns")
+                .unwrap()
+                .count(),
+            compactions,
+            "one duration per compaction"
+        );
+        assert_eq!((arrivals, retirements), (5, 5));
+        assert_eq!(snap.counter("ingest.churn.arrivals"), Some(arrivals as u64));
+        assert_eq!(
+            snap.counter("ingest.churn.retirements"),
+            Some(retirements as u64)
+        );
+        assert_eq!(dg.num_nodes(), n as usize + 5);
     }
 
     #[test]

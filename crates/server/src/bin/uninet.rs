@@ -74,9 +74,6 @@ STREAMING UPDATES (dynamic-graph mode):
                           pending overlay edges that trigger CSR compaction
                                                               [default: 1024]
   --directed-updates      do not mirror mutations onto the reverse edge
-  --ingest-threads <T>    worker threads for sharded update application,
-                          sampler maintenance and walk refresh
-                                                       [default: --threads]
   --queue-capacity <N>    update batches buffered by the intake queue before
                           back-pressure blocks the reader      [default: 8]
   --incremental-train     update embeddings online on regenerated walks
@@ -151,7 +148,7 @@ const SWITCHES: &str = "directed-updates incremental-train allow-churn ann ann-q
 /// Flags that take the next argument as their value.
 const VALUE_FLAGS: &str = "input synthetic nodes mean-degree model p q metapath num-walks \
     walk-length dim epochs threads sampler seed updates update-batch-size compaction-threshold \
-    ingest-threads queue-capacity cold-start-burn-in cold-start-boost wal-dir snapshot-every \
+    queue-capacity cold-start-burn-in cold-start-boost wal-dir snapshot-every \
     wal-fsync ann-m ann-ef-construction ann-ef-search ann-rerank serve \
     serve-max-inflight output metrics-json";
 
@@ -378,9 +375,6 @@ fn build_streaming(args: &Args) -> Result<StreamingConfig, UniNetError> {
         batch_size: args.parse_or("update-batch-size", d.batch_size)?,
         compaction_threshold: args.parse_or("compaction-threshold", d.compaction_threshold)?,
         symmetric: args.get("directed-updates").is_none(),
-        // 0 = follow --threads, so ingestion, maintenance and walk refresh
-        // honor the same worker count as walk generation.
-        ingest_threads: args.parse_or("ingest-threads", d.ingest_threads)?,
         queue_capacity: args.parse_or("queue-capacity", d.queue_capacity)?,
         incremental_train: args.get("incremental-train").is_some(),
         ann_index: args.get("ann").is_some(),
@@ -523,15 +517,10 @@ fn run() -> Result<(), UniNetError> {
         let streaming: &StreamingConfig = engine.streaming_config();
         eprintln!(
             "streaming mode: {} mutations in batches of {} (compaction threshold {}, \
-             {} ingest threads, queue capacity {}, {} training)",
+             queue capacity {}, {} training)",
             mutations.len(),
             streaming.batch_size,
             streaming.compaction_threshold,
-            if streaming.ingest_threads == 0 {
-                engine.config().walk.num_threads
-            } else {
-                streaming.ingest_threads
-            },
             streaming.queue_capacity,
             if streaming.incremental_train {
                 "incremental"
@@ -565,7 +554,7 @@ fn run() -> Result<(), UniNetError> {
         if report.queue.stalls > 0 {
             eprintln!(
                 "back-pressure: producer stalled {} times waiting for queue slots \
-                 (raise --queue-capacity or --ingest-threads to absorb bursts)",
+                 (raise --queue-capacity to absorb bursts)",
                 report.queue.stalls,
             );
         }
@@ -786,7 +775,7 @@ mod tests {
         assert_eq!(untouched, StreamingConfig::default());
         let every_flag = args(
             "--update-batch-size 7 --compaction-threshold 9 --directed-updates \
-             --ingest-threads 3 --queue-capacity 5 --incremental-train --ann --ann-m 6 \
+             --queue-capacity 5 --incremental-train --ann --ann-m 6 \
              --ann-ef-construction 30 --ann-ef-search 40 --ann-quantize --ann-rerank 2 \
              --allow-churn --cold-start-burn-in 4 --cold-start-boost 1.5",
         )
@@ -795,7 +784,6 @@ mod tests {
             batch_size: 7,
             compaction_threshold: 9,
             symmetric: false,
-            ingest_threads: 3,
             queue_capacity: 5,
             incremental_train: true,
             ann_index: true,

@@ -351,112 +351,6 @@ impl SamplerManager {
         stats
     }
 
-    /// [`SamplerManager::maintain_weights`] with the O(deg) table rebuilds
-    /// fanned out across `num_threads` worker threads.
-    ///
-    /// Touched nodes are chunked across threads; each thread *builds* the
-    /// replacement alias/proposal tables against the (immutable) graph, and
-    /// the finished tables are installed serially — table construction is the
-    /// entire rebuild cost, installation is a pointer swap per state. The
-    /// M-H and direct backends have no materialized state, so they take the
-    /// serial path unconditionally (it only bumps counters).
-    ///
-    /// Produces exactly the same backend state and [`MaintenanceStats`] as
-    /// the serial path.
-    pub fn maintain_weights_parallel<M: RandomWalkModel + ?Sized>(
-        &mut self,
-        graph: &Graph,
-        model: &M,
-        touched: &[NodeId],
-        num_threads: usize,
-    ) -> MaintenanceStats {
-        let rebuilds_tables = matches!(
-            self.backend,
-            Backend::Alias { .. } | Backend::MemoryAware { .. } | Backend::Rejection { .. }
-        );
-        if !rebuilds_tables || num_threads <= 1 || touched.len() < 2 {
-            return self.maintain_weights(graph, model, touched);
-        }
-
-        let mut stats = MaintenanceStats::default();
-        let chunk_size = touched.len().div_ceil(num_threads).max(1);
-        let offsets = &self.bucket_offsets;
-
-        // Build replacement tables in parallel (reads only), install serially.
-        enum Built {
-            State(usize, Option<AliasTable>),
-            Proposal(NodeId, Option<AliasTable>),
-        }
-        let is_rejection = matches!(self.backend, Backend::Rejection { .. });
-        let plan: Option<&MemoryAwarePlan> = match &self.backend {
-            Backend::MemoryAware { plan, .. } => Some(plan),
-            _ => None,
-        };
-
-        let built: Vec<Vec<Built>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = touched
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        let mut out = Vec::new();
-                        for &v in chunk {
-                            let deg = graph.degree(v);
-                            if is_rejection {
-                                out.push(Built::Proposal(v, build_proposal(graph.weights(v))));
-                                continue;
-                            }
-                            let base = offsets[v as usize];
-                            for idx in base..offsets[v as usize + 1] {
-                                if plan.is_some_and(|p| p.kind(idx) != StateSamplerKind::Alias) {
-                                    continue;
-                                }
-                                out.push(Built::State(
-                                    idx,
-                                    build_one_table(graph, model, v, idx - base, deg),
-                                ));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("maintenance worker panicked"))
-                .collect()
-        })
-        .expect("maintenance scope panicked");
-
-        for &v in touched {
-            stats.states_examined +=
-                self.bucket_offsets[v as usize + 1] - self.bucket_offsets[v as usize];
-        }
-        match &mut self.backend {
-            Backend::Alias { tables } | Backend::MemoryAware { tables, .. } => {
-                for b in built.into_iter().flatten() {
-                    if let Built::State(idx, table) = b {
-                        stats.states_rebuilt += 1;
-                        stats.bytes_rebuilt +=
-                            table.as_ref().map(|t| t.memory_bytes()).unwrap_or(0);
-                        tables[idx] = table;
-                    }
-                }
-            }
-            Backend::Rejection { proposals, .. } => {
-                for b in built.into_iter().flatten() {
-                    if let Built::Proposal(v, table) = b {
-                        stats.states_rebuilt += 1;
-                        stats.bytes_rebuilt +=
-                            table.as_ref().map(|t| t.memory_bytes()).unwrap_or(0);
-                        proposals[v as usize] = table;
-                    }
-                }
-            }
-            Backend::MetropolisHastings { .. } | Backend::Direct => unreachable!("handled above"),
-        }
-        stats
-    }
-
     /// Re-aligns the manager with `graph` after a topology change (edge
     /// inserts/deletes already compacted into the CSR).
     ///
@@ -896,43 +790,6 @@ mod tests {
         // The materialized tables can use at most the budget (plus the offsets array).
         let offsets = (g.num_nodes() + 1) * std::mem::size_of::<usize>();
         assert!(manager.memory_bytes() - offsets <= budget);
-    }
-
-    #[test]
-    fn parallel_weight_maintenance_matches_serial() {
-        let g = uninet_graph::generators::rmat(&uninet_graph::generators::RmatConfig {
-            num_nodes: 200,
-            num_edges: 1500,
-            weighted: true,
-            seed: 31,
-            ..Default::default()
-        });
-        let model = Node2Vec::new(0.5, 2.0);
-        let touched: Vec<NodeId> = (0..g.num_nodes() as NodeId)
-            .filter(|&v| g.degree(v) > 0)
-            .step_by(3)
-            .collect();
-        for kind in all_kinds() {
-            let mut serial = SamplerManager::new(&g, &model, kind, 0);
-            let mut parallel = SamplerManager::new(&g, &model, kind, 0);
-            let s = serial.maintain_weights(&g, &model, &touched);
-            let p = parallel.maintain_weights_parallel(&g, &model, &touched, 4);
-            assert_eq!(s, p, "{kind:?} stats diverged");
-            // The materialized distributions must agree: sample both managers
-            // with identical RNGs and require identical draws.
-            let mut rng_a = SmallRng::seed_from_u64(99);
-            let mut rng_b = SmallRng::seed_from_u64(99);
-            for &v in touched.iter().take(40) {
-                let state = model.initial_state(&g, v);
-                for _ in 0..20 {
-                    assert_eq!(
-                        serial.sample(&g, &model, state, &mut rng_a),
-                        parallel.sample(&g, &model, state, &mut rng_b),
-                        "{kind:?} sampling diverged at node {v}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
