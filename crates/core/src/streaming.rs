@@ -6,9 +6,9 @@
 //! graph lives in a [`DynamicGraph`] and the update stream flows through the
 //! `uninet-ingest` pipeline — a reader thread feeding a bounded queue
 //! (back-pressure), overlay application and sampler maintenance on the
-//! session thread, then per-batch walk refresh fanned out over the walk
-//! engine's thread pool. Embeddings are either retrained from scratch on the
-//! refreshed corpus (the original behaviour) or, with
+//! session thread, then per-batch walk refresh through the walk engine's
+//! `walk_batch` on the session's threads. Embeddings are either retrained
+//! from scratch on the refreshed corpus (the original behaviour) or, with
 //! [`StreamingConfig::incremental_train`], updated online by SGD passes over
 //! only the regenerated walks.
 //!

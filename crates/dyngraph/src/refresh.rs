@@ -8,18 +8,16 @@
 //! pruned, so the index never accumulates stale entries (a wholesale rebuild
 //! remains as a defensive backstop should the bookkeeping ever drift).
 //!
-//! [`WalkRefresher::refresh_parallel`] fans walk regeneration out across
-//! worker threads (walks are independent given the shared lock-free
+//! [`WalkRefresher::refresh_parallel`] regenerates walks with the walk
+//! engine's [`walk_batch`] (walks are independent given the shared lock-free
 //! `SamplerManager`) and applies the corpus/index updates serially. Each
 //! walk's RNG derives from its id, so the thread count does not change the
 //! corpus.
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use uninet_graph::{Graph, NodeId};
-use uninet_walker::{walk_once, RandomWalkModel, SamplerManager, WalkCorpus};
+use uninet_walker::{walk_batch, RandomWalkModel, SamplerManager, WalkCorpus};
 
 /// Outcome of one refresh pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -146,20 +144,20 @@ impl WalkRefresher {
         walks_per_node: usize,
     ) -> Vec<u32> {
         self.grow(graph.num_nodes());
-        let mut new_ids = Vec::new();
-        for &start in starts {
-            if (start as usize) >= graph.num_nodes() || graph.degree(start) == 0 {
-                continue;
-            }
-            for _ in 0..walks_per_node.max(1) {
-                let id = corpus.num_walks() as u32;
-                let mut rng = self.walk_rng(id);
-                let walk = walk_once(graph, model, manager, start, self.walk_length, &mut rng);
-                corpus.push(Vec::new());
-                self.reindex_walk(id, &[], &walk);
-                corpus.set_walk(id as usize, walk);
-                new_ids.push(id);
-            }
+        let first_id = corpus.num_walks() as u32;
+        let tasks: Vec<(NodeId, u64)> = starts
+            .iter()
+            .filter(|&&start| (start as usize) < graph.num_nodes() && graph.degree(start) > 0)
+            .flat_map(|&start| std::iter::repeat_n(start, walks_per_node.max(1)))
+            .zip(first_id..)
+            .map(|(start, id)| (start, self.walk_seed(id)))
+            .collect();
+        let walks = walk_batch(graph, model, manager, &tasks, self.walk_length, 1);
+        let mut new_ids = Vec::with_capacity(walks.len());
+        for (id, walk) in (first_id..).zip(walks) {
+            self.reindex_walk(id, &[], &walk);
+            corpus.push(walk);
+            new_ids.push(id);
         }
         self.live_tokens = corpus.total_tokens();
         new_ids
@@ -183,14 +181,12 @@ impl WalkRefresher {
         ids
     }
 
-    /// The RNG driving the regeneration of walk `id` this generation, the
-    /// same on every thread so the thread count cannot change the walks.
-    fn walk_rng(&self, id: u32) -> SmallRng {
-        SmallRng::seed_from_u64(
-            self.seed
-                ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15)
-                ^ self.generation.wrapping_mul(0xD1B54A32D192ED03),
-        )
+    /// The RNG seed of walk `id`'s regeneration this generation, the same on
+    /// every thread so the thread count cannot change the walks.
+    fn walk_seed(&self, id: u32) -> u64 {
+        self.seed
+            ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15)
+            ^ self.generation.wrapping_mul(0xD1B54A32D192ED03)
     }
 
     /// Re-indexes walk `id` after regeneration: adds postings for newly
@@ -250,9 +246,8 @@ impl WalkRefresher {
         }
     }
 
-    /// Regenerates every walk that passes through any node in `touched`,
-    /// fanning the work out across `num_threads` worker threads (the walk
-    /// engine's thread-pool pattern: chunked ids, one RNG per walk), and
+    /// Regenerates every walk that passes through any node in `touched` on
+    /// up to `num_threads` threads with the walk engine's [`walk_batch`], and
     /// returns the refreshed walk ids.
     ///
     /// Refreshed walks restart from their original start node and are driven
@@ -261,8 +256,9 @@ impl WalkRefresher {
     /// and the pass generation, not the thread, so with stateless sampler
     /// backends (alias / direct / rejection) every thread count produces
     /// exactly the same corpus. The M-H backend shares live chain state
-    /// across walkers, so its walk content is schedule-dependent — just as in
-    /// the batch engine.
+    /// across walkers, so its walk content depends on the order walks visit
+    /// the chains, which repeats only on one thread — just as in the batch
+    /// engine.
     pub fn refresh_parallel<M: RandomWalkModel + ?Sized>(
         &mut self,
         corpus: &mut WalkCorpus,
@@ -284,53 +280,12 @@ impl WalkRefresher {
         ids.retain(|&id| !corpus.walk(id as usize).is_empty());
         stats.walks_refreshed = ids.len();
 
-        let num_threads = num_threads.max(1).min(ids.len().max(1));
-        let regenerated: Vec<(u32, Vec<NodeId>)> = if num_threads <= 1 || ids.len() < 2 {
-            ids.iter()
-                .map(|&id| {
-                    let start = corpus.walk(id as usize)[0];
-                    let mut rng = self.walk_rng(id);
-                    let walk = walk_once(graph, model, manager, start, self.walk_length, &mut rng);
-                    (id, walk)
-                })
-                .collect()
-        } else {
-            let chunk_size = ids.len().div_ceil(num_threads).max(1);
-            let refresher = &*self;
-            let corpus_ref = &*corpus;
-            let parts: Vec<Vec<(u32, Vec<NodeId>)>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = ids
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move |_| {
-                            chunk
-                                .iter()
-                                .map(|&id| {
-                                    let start = corpus_ref.walk(id as usize)[0];
-                                    let mut rng = refresher.walk_rng(id);
-                                    let walk = walk_once(
-                                        graph,
-                                        model,
-                                        manager,
-                                        start,
-                                        refresher.walk_length,
-                                        &mut rng,
-                                    );
-                                    (id, walk)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("refresh worker panicked"))
-                    .collect()
-            })
-            .expect("refresh scope panicked");
-            parts.into_iter().flatten().collect()
-        };
-
+        let tasks: Vec<(NodeId, u64)> = ids
+            .iter()
+            .map(|&id| (corpus.walk(id as usize)[0], self.walk_seed(id)))
+            .collect();
+        let walks = walk_batch(graph, model, manager, &tasks, self.walk_length, num_threads);
+        let regenerated = ids.iter().copied().zip(walks).collect();
         self.install(corpus, regenerated, &mut stats);
         RefreshOutcome {
             stats,
@@ -520,33 +475,54 @@ mod tests {
 
     #[test]
     fn parallel_refresh_matches_serial() {
-        // Stateless sampler: identical per-walk RNGs must give identical
+        // Stateless samplers: identical per-walk RNGs must give identical
         // corpora regardless of the thread schedule (M-H chains are shared
         // mutable state, so they are exempt from bit-exactness).
-        let (g, _, _, cfg) = setup();
-        let cfg = cfg.with_sampler(EdgeSamplerKind::Direct);
-        let model = DeepWalk::new();
-        let manager = SamplerManager::new(&g, &model, cfg.sampler, 0);
-        let engine = WalkEngine::new(cfg);
-        let starts: Vec<NodeId> = g.non_isolated_nodes().collect();
-        let (corpus, _) = engine.generate_with_manager(&g, &model, &manager, &starts);
+        for sampler in [EdgeSamplerKind::Direct, EdgeSamplerKind::Alias] {
+            let (g, _, _, cfg) = setup();
+            let cfg = cfg.with_sampler(sampler);
+            let model = DeepWalk::new();
+            let manager = SamplerManager::new(&g, &model, cfg.sampler, 0);
+            let engine = WalkEngine::new(cfg);
+            let starts: Vec<NodeId> = g.non_isolated_nodes().collect();
+            let (corpus, _) = engine.generate_with_manager(&g, &model, &manager, &starts);
 
-        let mut serial_corpus = corpus.clone();
-        let mut serial = WalkRefresher::new(&serial_corpus, g.num_nodes(), cfg.walk_length, 29);
-        let mut parallel_corpus = corpus;
-        let mut parallel = WalkRefresher::new(&parallel_corpus, g.num_nodes(), cfg.walk_length, 29);
+            let new_refresher = |corpus: &WalkCorpus| {
+                WalkRefresher::new(corpus, g.num_nodes(), cfg.walk_length, 29)
+            };
+            let mut serial_corpus = corpus.clone();
+            let mut serial = new_refresher(&serial_corpus);
+            let mut parallel_corpus = corpus.clone();
+            let mut parallel = new_refresher(&parallel_corpus);
+            let mut subset_corpus = corpus;
+            let mut subset = new_refresher(&subset_corpus);
 
-        let touched: Vec<NodeId> = (0..30).collect();
-        let serial_outcome =
-            serial.refresh_parallel(&mut serial_corpus, &g, &model, &manager, &touched, 1);
-        let outcome =
-            parallel.refresh_parallel(&mut parallel_corpus, &g, &model, &manager, &touched, 4);
+            let touched: Vec<NodeId> = (0..30).collect();
+            let serial_outcome =
+                serial.refresh_parallel(&mut serial_corpus, &g, &model, &manager, &touched, 1);
+            let outcome =
+                parallel.refresh_parallel(&mut parallel_corpus, &g, &model, &manager, &touched, 3);
 
-        assert_eq!(serial_outcome.stats, outcome.stats);
-        assert_eq!(serial_outcome.refreshed_ids, outcome.refreshed_ids);
-        assert_eq!(serial_corpus.walks(), parallel_corpus.walks());
-        assert_eq!(outcome.refreshed_ids.len(), outcome.stats.walks_refreshed);
-        assert!(outcome.refreshed_ids.windows(2).all(|w| w[0] < w[1]));
-        assert_index_exact(&parallel, &parallel_corpus, g.num_nodes());
+            assert_eq!(serial_outcome.stats, outcome.stats);
+            assert_eq!(serial_outcome.refreshed_ids, outcome.refreshed_ids);
+            assert_eq!(serial_corpus.walks(), parallel_corpus.walks());
+            assert_eq!(outcome.refreshed_ids.len(), outcome.stats.walks_refreshed);
+            assert!(outcome.refreshed_ids.windows(2).all(|w| w[0] < w[1]));
+            assert_index_exact(&parallel, &parallel_corpus, g.num_nodes());
+
+            // A walk's RNG follows its id, not its place in the pass: a pass
+            // over fewer nodes regenerates the walks it shares identically.
+            let subset_ids = subset
+                .refresh_parallel(&mut subset_corpus, &g, &model, &manager, &touched[..10], 1)
+                .refreshed_ids;
+            assert!(!subset_ids.is_empty() && subset_ids.len() < outcome.refreshed_ids.len());
+            for &id in &subset_ids {
+                assert_eq!(
+                    subset_corpus.walk(id as usize),
+                    parallel_corpus.walk(id as usize),
+                    "{sampler:?} walk {id}"
+                );
+            }
+        }
     }
 }

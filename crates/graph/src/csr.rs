@@ -7,6 +7,7 @@
 
 use crate::edge::EdgeRef;
 use crate::hetero::TypeRegistry;
+use crate::prefetch::prefetch;
 use crate::{EdgeIdx, NodeId};
 
 /// An in-memory network stored in CSR format.
@@ -176,6 +177,24 @@ impl Graph {
             u16::MAX
         } else {
             self.edge_types[self.offsets[v as usize] + k]
+        }
+    }
+
+    /// Prefetch hint for `v`'s entry in the offset array, the first read of
+    /// any step from `v`. Ignores ids past the graph.
+    #[inline(always)]
+    pub fn prefetch_node(&self, v: NodeId) {
+        prefetch(&self.offsets, v as usize);
+    }
+
+    /// Prefetch hint for the head of `v`'s adjacency row, neighbors and
+    /// weights. Reads `v`'s offset, so it pays off after
+    /// [`Graph::prefetch_node`] has landed. Ignores ids past the graph.
+    #[inline(always)]
+    pub fn prefetch_adjacency(&self, v: NodeId) {
+        if let Some(&start) = self.offsets.get(v as usize) {
+            prefetch(&self.neighbors, start);
+            prefetch(&self.weights, start);
         }
     }
 

@@ -42,12 +42,14 @@ pub mod edge;
 pub mod generators;
 pub mod hetero;
 pub mod io;
+pub mod prefetch;
 pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use csr::Graph;
 pub use edge::{Edge, EdgeRef};
 pub use hetero::{Metapath, TypeRegistry};
+pub use prefetch::prefetch;
 pub use stats::GraphStats;
 
 /// Node identifier. Graphs up to ~4.2 billion nodes are supported.

@@ -185,7 +185,9 @@ impl AtomicMhChain {
         }
     }
 
-    /// Draws the next sample, initializing lazily on first use.
+    /// Draws the next sample, initializing lazily on first use, and returns
+    /// it with its weight: the transition already evaluated `weight` at the
+    /// sample, so a caller checking for zero weight need not call it again.
     #[inline]
     pub fn step<R: Rng, F: Fn(usize) -> f32>(
         &self,
@@ -193,7 +195,7 @@ impl AtomicMhChain {
         weight: &F,
         init: InitStrategy,
         rng: &mut R,
-    ) -> usize {
+    ) -> (usize, f32) {
         assert!(
             deg > 0,
             "M-H chain cannot sample from an empty neighborhood"
@@ -215,12 +217,12 @@ impl AtomicMhChain {
         let candidate = rng.gen_range(0..deg) as u32;
         let w_cand = weight(candidate as usize);
         let w_last = weight(last as usize);
-        let accepted = w_cand >= w_last || rng.gen::<f32>() * w_last < w_cand;
-        let result = if accepted { candidate } else { last };
-        if accepted {
+        if w_cand >= w_last || rng.gen::<f32>() * w_last < w_cand {
             self.last.store(candidate, Ordering::Relaxed);
+            (candidate as usize, w_cand)
+        } else {
+            (last as usize, w_last)
         }
-        result as usize
     }
 
     /// Memory footprint per chain in bytes.
@@ -335,7 +337,9 @@ mod tests {
         let wf = |k: usize| weights[k];
         let mut samples = Vec::new();
         for _ in 0..300_000 {
-            samples.push(chain.step(4, &wf, InitStrategy::Random, &mut rng));
+            let (sample, w) = chain.step(4, &wf, InitStrategy::Random, &mut rng);
+            assert_eq!(w, weights[sample]);
+            samples.push(sample);
         }
         assert!(chain.is_initialized());
         let marginal = empirical_distribution(&samples, 4);
@@ -355,8 +359,9 @@ mod tests {
                 scope.spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(1000 + t);
                     for _ in 0..10_000 {
-                        let s = chain.step(5, wf, InitStrategy::Random, &mut rng);
+                        let (s, w) = chain.step(5, wf, InitStrategy::Random, &mut rng);
                         assert!(s < 5);
+                        assert_eq!(w, weights[s]);
                     }
                 });
             }

@@ -1,19 +1,23 @@
 //! The parallel random-walk generation engine (Algorithm 2 of the paper).
 //!
-//! Walkers are independent, so the engine shards start nodes across threads
-//! and each thread runs the walk loop with its own RNG; the per-state M-H
-//! chains are shared through the lock-free [`SamplerManager`].
+//! Every walk is a task `(start, seed)` with its own RNG, so a walk does not
+//! depend on the thread that runs it. [`walk_batch`] splits the tasks across
+//! threads; each thread advances a ring of [`RING`] walks a step at a time
+//! and, between the phases of a step, prefetches what each walk's next
+//! phase reads, so the cache misses of different walks overlap. The
+//! per-state M-H chains are shared through the lock-free [`SamplerManager`].
 
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use uninet_graph::{Graph, NodeId};
+use uninet_graph::{EdgeRef, Graph, NodeId};
 use uninet_sampler::{EdgeSamplerKind, InitStrategy};
 
 use crate::manager::SamplerManager;
 use crate::model::RandomWalkModel;
+use crate::state::WalkerState;
 use crate::walk::WalkCorpus;
 
 /// Configuration of a walk-generation run.
@@ -25,7 +29,7 @@ pub struct WalkEngineConfig {
     pub walk_length: usize,
     /// Number of worker threads (paper default 16).
     pub num_threads: usize,
-    /// Seed for the per-thread RNGs.
+    /// Seed from which every walk's own RNG is derived.
     pub seed: u64,
     /// Which edge sampler to use.
     pub sampler: EdgeSamplerKind,
@@ -146,6 +150,11 @@ impl WalkEngine {
     /// (and with it the per-state M-H chain states) survives across calls, so
     /// walk refresh after a graph update does not pay the initialization cost
     /// again. The reported `init` time is zero.
+    ///
+    /// The corpus holds `num_walks` walks per start, starts in order. Walk
+    /// `j` from `start` draws from its own RNG, seeded by a mix of
+    /// `(seed, start, j)`, so with a sampler that keeps no shared state the
+    /// corpus is the same at every thread count.
     pub fn generate_with_manager<M: RandomWalkModel + ?Sized>(
         &self,
         graph: &Graph,
@@ -154,95 +163,176 @@ impl WalkEngine {
         start_nodes: &[NodeId],
     ) -> (WalkCorpus, WalkTiming) {
         let cfg = &self.config;
-        let init = Duration::ZERO;
-        let t1 = Instant::now();
-        let num_threads = cfg.num_threads.max(1).min(start_nodes.len().max(1));
-        let chunk_size = start_nodes.len().div_ceil(num_threads.max(1)).max(1);
-
-        let mut corpus = WalkCorpus::new();
-        if start_nodes.is_empty() {
-            return (
-                corpus,
-                WalkTiming {
-                    init,
-                    walk: t1.elapsed(),
-                },
-            );
-        }
-
-        let chunks: Vec<&[NodeId]> = start_nodes.chunks(chunk_size).collect();
-        let manager_ref = manager;
-        let results: Vec<WalkCorpus> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .enumerate()
-                .map(|(tid, chunk)| {
-                    scope.spawn(move |_| {
-                        let mut rng = SmallRng::seed_from_u64(
-                            cfg.seed ^ (tid as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                        );
-                        let mut local = WalkCorpus::new();
-                        for &start in chunk.iter() {
-                            for _ in 0..cfg.num_walks {
-                                local.push(walk_once(
-                                    graph,
-                                    model,
-                                    manager_ref,
-                                    start,
-                                    cfg.walk_length,
-                                    &mut rng,
-                                ));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("walker thread panicked"))
-                .collect()
-        })
-        .expect("walker scope panicked");
-
-        for part in results {
-            corpus.extend(part);
-        }
-        let walk = t1.elapsed();
-        (corpus, WalkTiming { init, walk })
+        let t = Instant::now();
+        let tasks: Vec<(NodeId, u64)> = start_nodes
+            .iter()
+            .flat_map(|&start| {
+                (0..cfg.num_walks).map(move |j| (start, walk_seed(cfg.seed, start, j)))
+            })
+            .collect();
+        let walks = walk_batch(
+            graph,
+            model,
+            manager,
+            &tasks,
+            cfg.walk_length,
+            cfg.num_threads,
+        );
+        (
+            WalkCorpus::from_walks(walks),
+            WalkTiming {
+                init: Duration::ZERO,
+                walk: t.elapsed(),
+            },
+        )
     }
 }
 
-/// Runs one walk of at most `length` nodes from `start` (Algorithm 2, lines 5–14).
+/// The seed of walk `j` from `start` in a corpus generated under `seed`.
+fn walk_seed(seed: u64, start: NodeId, j: usize) -> u64 {
+    splitmix64(splitmix64(seed ^ splitmix64(u64::from(start))) ^ j as u64)
+}
+
+/// The SplitMix64 output function: a bijective mix of all 64 bits.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Walks advanced together on one thread. Chosen by measurement (M-H
+/// node2vec and deepwalk walks on a 100 k-node graph, 2 cores): rings of 4,
+/// 16 and 32 walked 2–5% slower than 8, and a ring of 1 about 23% slower.
+const RING: usize = 8;
+
+/// Runs every task `(start, seed)` to a walk of at most `length` nodes on up
+/// to `threads` threads (Algorithm 2, lines 5–14): walk `i` of the result
+/// belongs to task `i` and draws from an RNG seeded with its seed. A walk
+/// stops early where the sampler finds no edge.
 ///
-/// Public so that the dynamic-graph walk refresher can regenerate individual
-/// walks against a live [`SamplerManager`] without re-running a full corpus.
-pub fn walk_once<M: RandomWalkModel + ?Sized, R: rand::Rng>(
+/// With a sampler that keeps no shared state every walk is fixed by its task,
+/// whatever the thread count. M-H chains are shared by all walks, so M-H
+/// walks also depend on the order in which walks visit them, which repeats
+/// only on one thread.
+pub fn walk_batch<M: RandomWalkModel + ?Sized>(
     graph: &Graph,
     model: &M,
     manager: &SamplerManager,
-    start: NodeId,
+    tasks: &[(NodeId, u64)],
     length: usize,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    let mut walk = Vec::with_capacity(length);
-    walk.push(start);
-    let mut state = model.initial_state(graph, start);
-    for _ in 1..length {
-        let Some(k) = manager.sample(graph, model, state, rng) else {
-            break;
-        };
-        let edge = graph.edge_ref(state.position, k);
-        state = model.update_state(graph, state, edge);
-        walk.push(edge.dst);
+    threads: usize,
+) -> Vec<Vec<NodeId>> {
+    if length <= 1 {
+        return tasks.iter().map(|&(start, _)| vec![start]).collect();
     }
-    walk
+    let mut walks = vec![Vec::new(); tasks.len()];
+    let chunk = tasks.len().div_ceil(threads.max(1)).max(1);
+    crossbeam::thread::scope(|scope| {
+        let mut parts = tasks.chunks(chunk).zip(walks.chunks_mut(chunk));
+        let first = parts.next();
+        for (tasks, out) in parts {
+            scope.spawn(move |_| walk_ring(graph, model, manager, tasks, length, out));
+        }
+        if let Some((tasks, out)) = first {
+            walk_ring(graph, model, manager, tasks, length, out);
+        }
+    })
+    .expect("walker thread panicked");
+    walks
+}
+
+/// One walk in progress on a thread's ring.
+struct Lane {
+    /// Index of the walk's task (and output slot) in the thread's chunk.
+    task: usize,
+    walk: Vec<NodeId>,
+    state: WalkerState,
+    rng: SmallRng,
+    /// The edge this step drew, or `None` when the walker is stuck.
+    next: Option<EdgeRef>,
+}
+
+/// Walks `tasks` on the calling thread into `out`, [`RING`] walks at a time;
+/// `length` is at least 2.
+///
+/// Each pass over the ring takes one step of every walk in three phases; the
+/// prefetches of one phase are in flight while the thread works on the other
+/// walks, and land before the next phase reads them:
+/// (A) draw each walk's next edge, then prefetch the destination's offsets
+///     and bucket entries;
+/// (B) prefetch the destination's adjacency row;
+/// (C) move each walk's state along its edge, then prefetch the sampler slot
+///     of its new state. A finished walk leaves the ring for the next task.
+fn walk_ring<M: RandomWalkModel + ?Sized>(
+    graph: &Graph,
+    model: &M,
+    manager: &SamplerManager,
+    tasks: &[(NodeId, u64)],
+    length: usize,
+    out: &mut [Vec<NodeId>],
+) {
+    let mut queue = tasks.iter().enumerate().map(|(task, &(start, seed))| {
+        graph.prefetch_node(start);
+        manager.prefetch_bucket(start);
+        let mut walk = Vec::with_capacity(length);
+        walk.push(start);
+        Lane {
+            task,
+            walk,
+            state: model.initial_state(graph, start),
+            rng: SmallRng::seed_from_u64(seed),
+            next: None,
+        }
+    });
+    let mut ring: Vec<Lane> = queue.by_ref().take(RING).collect();
+    while !ring.is_empty() {
+        for lane in ring.iter_mut() {
+            lane.next = manager
+                .sample(graph, model, lane.state, &mut lane.rng)
+                .map(|k| graph.edge_ref(lane.state.position, k));
+            if let Some(edge) = lane.next {
+                lane.walk.push(edge.dst);
+                graph.prefetch_node(edge.dst);
+                manager.prefetch_bucket(edge.dst);
+            }
+        }
+        for lane in &ring {
+            if let Some(edge) = lane.next {
+                graph.prefetch_adjacency(edge.dst);
+            }
+        }
+        let mut i = 0;
+        while i < ring.len() {
+            let lane = &mut ring[i];
+            match lane.next {
+                Some(edge) if lane.walk.len() < length => {
+                    lane.state = model.update_state(graph, lane.state, edge);
+                    manager.prefetch_state(lane.state);
+                    i += 1;
+                }
+                _ => {
+                    out[lane.task] = std::mem::take(&mut lane.walk);
+                    match queue.next() {
+                        Some(next) => {
+                            ring[i] = next;
+                            i += 1;
+                        }
+                        None => {
+                            ring.swap_remove(i);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::{DeepWalk, Edge2Vec, FairWalk, MetaPath2Vec, Node2Vec};
+    use rand::Rng;
     use uninet_graph::generators::{heterogenize, rmat, RmatConfig};
     use uninet_graph::{GraphBuilder, Metapath};
 
@@ -254,6 +344,30 @@ mod tests {
             seed: 3,
             ..Default::default()
         })
+    }
+
+    /// One walk of at most `length` nodes from `start`, step after step:
+    /// the reference [`walk_batch`] must reproduce.
+    fn walk_once<M: RandomWalkModel + ?Sized, R: Rng>(
+        graph: &Graph,
+        model: &M,
+        manager: &SamplerManager,
+        start: NodeId,
+        length: usize,
+        rng: &mut R,
+    ) -> Vec<NodeId> {
+        let mut walk = Vec::with_capacity(length);
+        walk.push(start);
+        let mut state = model.initial_state(graph, start);
+        for _ in 1..length {
+            let Some(k) = manager.sample(graph, model, state, rng) else {
+                break;
+            };
+            let edge = graph.edge_ref(state.position, k);
+            state = model.update_state(graph, state, edge);
+            walk.push(edge.dst);
+        }
+        walk
     }
 
     fn check_walks_are_paths(graph: &Graph, corpus: &WalkCorpus) {
@@ -381,14 +495,97 @@ mod tests {
     #[test]
     fn deterministic_given_seed_and_single_thread() {
         let g = test_graph();
-        let cfg = WalkEngineConfig::default()
-            .with_num_walks(2)
-            .with_walk_length(10)
-            .with_threads(1)
-            .with_seed(123);
-        let (a, _) = WalkEngine::new(cfg).generate(&g, &DeepWalk::new());
-        let (b, _) = WalkEngine::new(cfg).generate(&g, &DeepWalk::new());
-        assert_eq!(a.walks(), b.walks());
+        for sampler in [
+            EdgeSamplerKind::MetropolisHastings(InitStrategy::high_weight_exact()),
+            EdgeSamplerKind::MetropolisHastings(InitStrategy::Random),
+            EdgeSamplerKind::Alias,
+        ] {
+            let cfg = WalkEngineConfig::default()
+                .with_num_walks(2)
+                .with_walk_length(10)
+                .with_threads(1)
+                .with_seed(123)
+                .with_sampler(sampler);
+            for model in [
+                &DeepWalk::new() as &dyn RandomWalkModel,
+                &Node2Vec::new(0.25, 4.0),
+            ] {
+                let (a, _) = WalkEngine::new(cfg).generate(&g, model);
+                let (b, _) = WalkEngine::new(cfg).generate(&g, model);
+                assert_eq!(a.walks(), b.walks(), "{sampler:?} {}", model.name());
+            }
+        }
+    }
+
+    #[test]
+    fn stateless_samplers_give_the_same_corpus_at_every_thread_count() {
+        let g = heterogenize(&test_graph(), 2, 1, 5);
+        let deepwalk = DeepWalk::new();
+        let node2vec = Node2Vec::new(0.25, 4.0);
+        let metapath = MetaPath2Vec::new(Metapath::new(vec![0, 1, 0]));
+        let models: [&dyn RandomWalkModel; 3] = [&deepwalk, &node2vec, &metapath];
+        let starts: Vec<NodeId> = g.non_isolated_nodes().collect();
+        for sampler in [
+            EdgeSamplerKind::Alias,
+            EdgeSamplerKind::Direct,
+            EdgeSamplerKind::Rejection,
+            EdgeSamplerKind::KnightKing,
+            EdgeSamplerKind::MemoryAware,
+        ] {
+            for model in models {
+                let manager = SamplerManager::new(&g, model, sampler, 0);
+                let corpora: Vec<WalkCorpus> = [1, 2, 3]
+                    .into_iter()
+                    .map(|threads| {
+                        let cfg = WalkEngineConfig::default()
+                            .with_num_walks(3)
+                            .with_walk_length(15)
+                            .with_threads(threads)
+                            .with_seed(77)
+                            .with_sampler(sampler);
+                        WalkEngine::new(cfg)
+                            .generate_with_manager(&g, model, &manager, &starts)
+                            .0
+                    })
+                    .collect();
+                let case = format!("{sampler:?} {}", model.name());
+                assert_eq!(corpora[0].walks(), corpora[1].walks(), "{case}: 1 vs 2");
+                assert_eq!(corpora[0].walks(), corpora[2].walks(), "{case}: 1 vs 3");
+
+                // Walk j from each start is walk_once under that walk's seed.
+                assert_eq!(corpora[0].num_walks(), 3 * starts.len(), "{case}");
+                for (i, walk) in corpora[0].iter().enumerate() {
+                    let (start, j) = (starts[i / 3], i % 3);
+                    let mut rng = SmallRng::seed_from_u64(walk_seed(77, start, j));
+                    let oracle = walk_once(&g, model, &manager, start, 15, &mut rng);
+                    assert_eq!(walk, oracle.as_slice(), "{case}: walk {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_batch_handles_short_and_stuck_walks() {
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 1, 1.0);
+        b.set_num_nodes(3);
+        let g = b.symmetric(true).build();
+        let model = DeepWalk::new();
+        let manager = SamplerManager::new(&g, &model, EdgeSamplerKind::Alias, 0);
+        let tasks: Vec<(NodeId, u64)> = (0..20).map(|i| (i % 3, i as u64)).collect();
+        for threads in [1, 4] {
+            for length in [0, 1] {
+                let walks = walk_batch(&g, &model, &manager, &tasks, length, threads);
+                let starts: Vec<Vec<NodeId>> = tasks.iter().map(|&(s, _)| vec![s]).collect();
+                assert_eq!(walks, starts, "length {length}, {threads} threads");
+            }
+            let walks = walk_batch(&g, &model, &manager, &tasks, 6, threads);
+            for (walk, &(start, _)) in walks.iter().zip(&tasks) {
+                let expected = if start == 2 { 1 } else { 6 };
+                assert_eq!(walk.len(), expected, "walk from {start}");
+            }
+        }
+        assert!(walk_batch(&g, &model, &manager, &[], 5, 3).is_empty());
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   index; supports the M-H sampler as well as every baseline sampler
 //!   (alias, direct, rejection, KnightKing-style, memory-aware).
 //! * [`WalkEngine`] — multi-threaded random walk generation (Algorithm 2),
-//!   with separately reported initialization and walking time.
+//!   with separately reported initialization and walking time, over
+//!   [`walk_batch`], the one walk loop: one RNG per walk, and a ring of
+//!   prefetching walks per thread.
 //!
 //! The crate sits between `uninet-graph`/`uninet-sampler` below and
 //! `uninet-embedding` above: it turns a graph into a [`WalkCorpus`] that the
@@ -44,7 +46,7 @@ pub mod models;
 pub mod state;
 pub mod walk;
 
-pub use engine::{walk_once, WalkEngine, WalkEngineConfig, WalkTiming};
+pub use engine::{walk_batch, WalkEngine, WalkEngineConfig, WalkTiming};
 pub use manager::{MaintenanceStats, SamplerManager};
 pub use model::RandomWalkModel;
 pub use models::{DeepWalk, Edge2Vec, FairWalk, MetaPath2Vec, Node2Vec};

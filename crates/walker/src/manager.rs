@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use uninet_graph::{Graph, NodeId};
+use uninet_graph::{prefetch, Graph, NodeId};
 use uninet_sampler::alias::AliasTable;
 use uninet_sampler::direct::direct_sample_fn;
 use uninet_sampler::memory_aware::{alias_table_bytes, MemoryAwarePlan, StateSamplerKind};
@@ -173,6 +173,29 @@ impl SamplerManager {
         }
     }
 
+    /// Prefetch hint for node `v`'s entry in the bucket index, which
+    /// [`SamplerManager::prefetch_state`] and the next draw from `v` read.
+    #[inline(always)]
+    pub(crate) fn prefetch_bucket(&self, v: NodeId) {
+        prefetch(&self.bucket_offsets, v as usize);
+    }
+
+    /// Prefetch hint for the sampler slot the next draw for `state` reads:
+    /// its M-H chain or its alias table. The other backends keep no
+    /// per-state slot, so for them this does nothing.
+    #[inline(always)]
+    pub(crate) fn prefetch_state(&self, state: WalkerState) {
+        match &self.backend {
+            Backend::MetropolisHastings { chains, .. } => {
+                prefetch(chains, self.state_index(state));
+            }
+            Backend::Alias { tables } | Backend::MemoryAware { tables, .. } => {
+                prefetch(tables, self.state_index(state));
+            }
+            Backend::Direct | Backend::Rejection { .. } => {}
+        }
+    }
+
     /// Approximate memory footprint of the sampler state in bytes.
     pub fn memory_bytes(&self) -> usize {
         let offsets = self.bucket_offsets.len() * std::mem::size_of::<usize>();
@@ -210,8 +233,8 @@ impl SamplerManager {
         match &self.backend {
             Backend::MetropolisHastings { chains, init } => {
                 let idx = self.state_index(state);
-                let chosen = chains[idx].step(deg, &weight, *init, rng);
-                if weight(chosen) > 0.0 {
+                let (chosen, w) = chains[idx].step(deg, &weight, *init, rng);
+                if w > 0.0 {
                     Some(chosen)
                 } else {
                     // The chain has not reached the support of the target
@@ -635,7 +658,8 @@ mod tests {
     use crate::models::{DeepWalk, MetaPath2Vec, Node2Vec};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use uninet_graph::{GraphBuilder, Metapath};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use uninet_graph::{EdgeRef, GraphBuilder, Metapath};
 
     fn small_graph() -> Graph {
         let mut b = GraphBuilder::new();
@@ -848,6 +872,52 @@ mod tests {
                 m.sample(&grown_empty, &model, WalkerState::at(5), &mut rng),
                 None
             );
+        }
+    }
+
+    /// A model that counts its `calculate_weight` calls.
+    struct CountingWeights<M> {
+        inner: M,
+        calls: AtomicUsize,
+    }
+
+    impl<M: RandomWalkModel> RandomWalkModel for CountingWeights<M> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn calculate_weight(&self, graph: &Graph, state: WalkerState, next: EdgeRef) -> f32 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.calculate_weight(graph, state, next)
+        }
+        fn update_state(&self, graph: &Graph, state: WalkerState, next: EdgeRef) -> WalkerState {
+            self.inner.update_state(graph, state, next)
+        }
+        fn bucket_size(&self, graph: &Graph, v: NodeId) -> usize {
+            self.inner.bucket_size(graph, v)
+        }
+    }
+
+    #[test]
+    fn mh_step_evaluates_the_dynamic_weight_twice() {
+        let g = small_graph();
+        for init in [InitStrategy::Random, InitStrategy::high_weight_exact()] {
+            let model = CountingWeights {
+                inner: Node2Vec::new(0.5, 2.0),
+                calls: Default::default(),
+            };
+            let manager =
+                SamplerManager::new(&g, &model, EdgeSamplerKind::MetropolisHastings(init), 0);
+            let mut rng = SmallRng::seed_from_u64(5);
+            let state = WalkerState::new(0, 1);
+            // The first draw initializes the chain; count only later steps.
+            manager.sample(&g, &model, state, &mut rng).unwrap();
+            model.calls.store(0, Ordering::Relaxed);
+            let steps = 1_000;
+            for _ in 0..steps {
+                manager.sample(&g, &model, state, &mut rng).unwrap();
+            }
+            let calls = model.calls.load(Ordering::Relaxed);
+            assert_eq!(calls, 2 * steps, "{init:?}");
         }
     }
 

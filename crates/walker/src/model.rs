@@ -17,7 +17,8 @@ use crate::state::WalkerState;
 /// A user-definable random-walk model.
 ///
 /// Implementations must be cheap to call: `calculate_weight` sits on the hot
-/// path of every sampling step (it is invoked twice per M-H step).
+/// path of every sampling step (an M-H step invokes it twice: once for the
+/// candidate and once for the chain's last sample).
 pub trait RandomWalkModel: Send + Sync {
     /// Human-readable model name (used in reports).
     fn name(&self) -> &'static str;
