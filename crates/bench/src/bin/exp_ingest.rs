@@ -26,8 +26,7 @@
 //!    and with fsync-per-append, plus a timed crash recovery; the streaming
 //!    overhead of each fsync policy and the cold-restart latency.
 //! 6. **Query-plane raw speed** — the unified SIMD distance kernels against
-//!    their scalar reference at d=128, and the int8-quantized store's
-//!    recall@10 and latency against the f32 exact scan.
+//!    their scalar reference at d=128.
 //! 7. **Open-world churn** — node arrivals wired into the live graph plus
 //!    retirements, streamed through the same pipeline: sustained churn
 //!    throughput, cold-start burn-in latency, and cold-start recall@10
@@ -761,7 +760,7 @@ fn main() {
     let json_durability = Json::Obj(dur_json_fields);
     let _ = std::fs::remove_dir_all(&dur_root);
 
-    // Part 6a: the unified SIMD kernels vs their scalar reference at d=128.
+    // Part 6: the unified SIMD kernels vs their scalar reference at d=128.
     // `kernels::reference` accumulates sequentially in f32 (the compiler
     // cannot legally reorder that), so it is an honest scalar baseline even
     // in a release build; the dispatched kernels pick avx2/sse2 at runtime.
@@ -830,73 +829,7 @@ fn main() {
         ("cosine_speedup", Json::Num(cos_speedup)),
     ]);
 
-    // Part 6b: int8 quantized serving over the same trained embeddings.
-    // The quantized store ranks candidates on the int8 codes and re-scores
-    // its top k·rerank in exact f32, so recall against the part-4 f32 exact
-    // scan is the quality axis and the int8 scan latency is the speed axis.
-    let quant_store = uninet_core::EmbeddingStore::with_ann(uninet_core::AnnConfig {
-        quantize: true,
-        ..Default::default()
-    });
-    quant_store.publish(engine.snapshot().embeddings().clone());
-    let quant_snapshot = quant_store.snapshot();
-    assert!(quant_snapshot.is_quantized());
-    let mut table = Table::new(
-        "Query plane — int8 quantized scan/ANN vs the f32 exact baseline",
-        &["mode", "median us", "p95 us", "recall@10 vs f32"],
-    );
-    let mut quant_json_fields: Vec<(&'static str, Json)> = Vec::new();
-    for (mode, label, median_key, p95_key, recall_key) in [
-        (
-            QueryMode::Exact,
-            "int8-scan",
-            "exact_median_us",
-            "exact_p95_us",
-            "exact_recall_at_10",
-        ),
-        (
-            QueryMode::Ann,
-            "int8-hnsw",
-            "ann_median_us",
-            "ann_p95_us",
-            "ann_recall_at_10",
-        ),
-    ] {
-        let mut latencies = Vec::with_capacity(query_nodes.len());
-        let mut hits = 0usize;
-        let mut total = 0usize;
-        for (&node, exact) in query_nodes.iter().zip(&exact_results) {
-            let t = Instant::now();
-            let found = quant_snapshot.top_k_mode(node, k, mode);
-            latencies.push(t.elapsed().as_secs_f64() * 1e6);
-            hits += found
-                .iter()
-                .filter(|&&(u, _)| exact.iter().any(|&(e, _)| e == u))
-                .count();
-            total += exact.len();
-        }
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let median = percentile(&latencies, 0.5);
-        let p95 = percentile(&latencies, 0.95);
-        let recall = hits as f64 / total.max(1) as f64;
-        table.add_row(&[
-            label.to_string(),
-            format!("{median:.1}"),
-            format!("{p95:.1}"),
-            format!("{recall:.4}"),
-        ]);
-        println!("quantized {label}: median {median:.1} us, recall@10 {recall:.4}");
-        quant_json_fields.push((median_key, Json::Num(median)));
-        quant_json_fields.push((p95_key, Json::Num(p95)));
-        quant_json_fields.push((recall_key, Json::Num(recall)));
-    }
-    emit(&table, "exp_ingest_quantized");
-    let json_quantized = Json::Obj(quant_json_fields);
-
-    let json_query_plane = Json::Obj(vec![
-        ("kernels", json_kernels),
-        ("quantized", json_quantized),
-    ]);
+    let json_query_plane = Json::Obj(vec![("kernels", json_kernels)]);
     println!();
 
     // Taken before part 7 shadows `engine` with the churn session's.

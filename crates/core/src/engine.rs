@@ -378,11 +378,10 @@ impl EngineBuilder {
         config.walk.num_threads = config.walk.num_threads.max(1);
         config.embedding.num_threads = config.embedding.num_threads.max(1);
 
-        // ANN parameters only matter while the index is on; int8 serving
-        // needs the index to carry its codes.
+        // ANN parameters only matter while the index is on.
         let ann = &streaming.ann;
         let ann_off = !streaming.ann_index;
-        let checks: [(&'static str, bool, String); 14] = [
+        let checks: [(&'static str, bool, String); 12] = [
             (
                 "walk.num_walks",
                 config.walk.num_walks >= 1,
@@ -446,16 +445,6 @@ impl EngineBuilder {
                 "streaming.ann.ef_search",
                 ann_off || ann.ef_search >= 1,
                 "the query beam must be positive (got 0)".into(),
-            ),
-            (
-                "streaming.ann.rerank",
-                ann_off || ann.rerank >= 1,
-                "the f32 re-rank budget must be at least 1 per result (got 0)".into(),
-            ),
-            (
-                "streaming.ann.quantize",
-                !(ann_off && ann.quantize),
-                "int8 quantized serving requires ann_index".into(),
             ),
             (
                 "streaming.cold_start_boost",

@@ -73,7 +73,7 @@ pub use uninet_dyngraph::{
 pub use uninet_embedding::kernels;
 pub use uninet_embedding::{
     AnnConfig, EmbeddingSnapshot, EmbeddingStore, Embeddings, HnswIndex, IncrementalStats,
-    KernelBackend, QuantizedMatrix, QueryMode, StoreTelemetry,
+    KernelBackend, QueryMode, StoreTelemetry,
 };
 pub use uninet_graph::{Graph, GraphError};
 pub use uninet_ingest::{IngestConfig, IngestMetrics, QueueStats};

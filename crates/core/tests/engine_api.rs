@@ -163,7 +163,6 @@ fn builder_rejects_bad_configs() {
                 ..base
             },
         ),
-        ("streaming.ann.rerank", AnnConfig { rerank: 0, ..base }),
     ];
     for (field, ann) in ann_cases {
         assert_invalid(
@@ -185,19 +184,6 @@ fn builder_rejects_bad_configs() {
             "{field} checked with the index off"
         );
     }
-    // Quantized serving without an index to carry it is rejected even though
-    // the index itself is off.
-    assert_invalid(
-        streaming(StreamingConfig {
-            ann: AnnConfig {
-                quantize: true,
-                ..base
-            },
-            ..Default::default()
-        })
-        .unwrap_err(),
-        "streaming.ann.quantize",
-    );
     // A valid configuration still builds.
     assert!(Engine::builder().graph(g()).build().is_ok());
 }
@@ -207,7 +193,6 @@ fn streaming_ann_reaches_the_store_with_the_engine_seed_and_threads() {
     let ann = AnnConfig {
         m: 6,
         ef_construction: 24,
-        quantize: true,
         ..Default::default()
     };
     let engine = Engine::builder()
@@ -367,25 +352,19 @@ fn quantized_ann_engine_serves_exact_scores() {
         .sampler(EdgeSamplerKind::MetropolisHastings(InitStrategy::Random))
         .streaming(StreamingConfig {
             ann_index: true,
-            ann: AnnConfig {
-                quantize: true,
-                rerank: 4,
-                ..Default::default()
-            },
             ..Default::default()
         })
         .build()
         .unwrap();
     engine.train().unwrap();
     let snapshot = engine.snapshot();
-    assert!(snapshot.is_quantized(), "snapshot should carry int8 codes");
-    assert!(snapshot.ann().is_some_and(|i| i.is_quantized()));
+    assert!(snapshot.ann().is_some());
     for node in [0u32, 7, 42] {
         for mode in [QueryMode::Exact, QueryMode::Ann] {
             let hits = engine.top_k_mode(node, 10, mode);
             assert_eq!(hits.len(), 10);
             for &(u, s) in &hits {
-                // Quantization ranks candidates, but every reported score
+                // The index walks int8 codes, but every reported score
                 // must be the exact f32 cosine.
                 let want = snapshot.embeddings().cosine_similarity(node, u);
                 assert!((s - want).abs() < 1e-5, "{mode:?} node {node} hit {u}");

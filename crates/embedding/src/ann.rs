@@ -37,10 +37,12 @@
 //! * **Cosine via normalization.** Vectors are L2-normalized at build time,
 //!   so similarity is one [`kernels::dot`] — the same SIMD-dispatched kernel
 //!   the exact scan uses — and results carry the same cosine scores.
-//! * **Optional int8 traversal.** With [`AnnConfig::quantize`] the index also
-//!   carries a [`QuantizedMatrix`] of the normalized vectors; queries walk the
-//!   graph scoring candidates in int8 and re-score only the top
-//!   `k · rerank` candidates in f32, so reported similarities stay exact.
+//! * **int8 traversal, f32 re-score.** The index also carries int8 codes of
+//!   the normalized vectors' offsets from their mean row (one scale per row;
+//!   see [`crate::quant`] for why offsets). Queries walk the graph scoring
+//!   candidates on the codes — a quarter of the bytes per visit — then
+//!   re-score every node of the final beam in f32, so reported similarities
+//!   are exact cosines. Construction scores in f32 throughout.
 //! * **Only the graph is worth persisting.** [`HnswIndex::export_graph`]
 //!   writes the adjacency lists, the entry point and the build parameters;
 //!   normalized rows, norms and int8 codes are an `O(n·d)` pass over the
@@ -64,7 +66,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::kernels;
-use crate::quant::QuantizedMatrix;
+use crate::quant::{self, QuantizedMatrix};
 use crate::Embeddings;
 
 /// Hard cap on HNSW layer count; with `m >= 2` the level sampler reaches
@@ -101,13 +103,6 @@ pub struct AnnConfig {
     pub ef_search: usize,
     /// Seed of the deterministic per-node layer hash.
     pub seed: u64,
-    /// Score candidates in int8 during traversal and exact scans, re-scoring
-    /// only the top slice in f32. Cuts scan bandwidth 4x; reported scores
-    /// stay exact f32.
-    pub quantize: bool,
-    /// With [`quantize`](Self::quantize): how many candidates per requested
-    /// result are re-scored in f32 (`k · rerank`, clamped to the beam).
-    pub rerank: usize,
     /// Threads a build runs on (0 counts as 1). The graph is the same for
     /// every value, so this is not part of an exported graph's identity.
     pub threads: usize,
@@ -120,8 +115,6 @@ impl Default for AnnConfig {
             ef_construction: 100,
             ef_search: 64,
             seed: 42,
-            quantize: false,
-            rerank: 4,
             threads: 1,
         }
     }
@@ -295,7 +288,7 @@ fn par_for<S: Send>(workers: &mut [S], len: usize, work: impl Fn(&mut S, usize) 
 }
 
 /// A query the beam search can score nodes against: the f32 normalized vector
-/// (construction, unquantized search) or its int8 codes (quantized search).
+/// (construction) or its int8 codes (search).
 enum QueryRef<'a> {
     F32(&'a [f32]),
     I8 { codes: &'a [i8], scale: f32 },
@@ -434,13 +427,12 @@ pub struct HnswIndex {
     dim: usize,
     num_nodes: usize,
     ef_search: usize,
-    /// f32 re-rank budget multiplier for the quantized path.
-    rerank: usize,
     /// L2-normalized copies of the indexed vectors (zero vectors stay zero),
     /// so similarity is one dot product.
     normalized: Vec<f32>,
-    /// Int8 codes of `normalized` when the config enables quantized traversal.
-    quant: Option<QuantizedMatrix>,
+    /// Int8 codes of each `normalized` row's offset from their mean: what a
+    /// search walks the graph on (see [`crate::quant`]).
+    quant: QuantizedMatrix,
     /// `neighbors[node][level]` — adjacency per layer, `0..=node_level`.
     neighbors: Vec<Vec<Vec<u32>>>,
     entry: u32,
@@ -491,7 +483,7 @@ impl HnswIndex {
             .filter(|&v| live.is_none_or(|mask| mask[v as usize]))
             .collect();
         index.construct(&order, config);
-        index.finish_build(config, start);
+        index.build_time = start.elapsed();
         index
     }
 
@@ -599,20 +591,22 @@ impl HnswIndex {
         let order: Vec<u32> = (0..n as u32).filter(|&v| fresh[v as usize]).collect();
         index.construct(&order, config);
         index.incremental = Some(stats);
-        index.finish_build(config, start);
+        index.build_time = start.elapsed();
         index
     }
 
-    /// An index shell with normalized vectors but no graph yet.
+    /// An index shell with normalized vectors and their int8 codes but no
+    /// graph yet.
     fn empty_shell(embeddings: &Embeddings, config: &AnnConfig) -> Self {
         let n = embeddings.num_nodes();
+        let dim = embeddings.dim();
+        let normalized = normalize_rows(embeddings);
         HnswIndex {
-            dim: embeddings.dim(),
+            dim,
             num_nodes: n,
             ef_search: config.ef_search.max(1),
-            rerank: config.rerank.max(1),
-            normalized: normalize_rows(embeddings),
-            quant: None,
+            quant: QuantizedMatrix::quantize(dim, &normalized, &quant::mean_row(dim, &normalized)),
+            normalized,
             neighbors: vec![Vec::new(); n],
             entry: 0,
             top_level: 0,
@@ -623,15 +617,6 @@ impl HnswIndex {
             build_time: Duration::ZERO,
             incremental: None,
         }
-    }
-
-    /// Post-build pass: quantize the normalized matrix when configured, stamp
-    /// the build time.
-    fn finish_build(&mut self, config: &AnnConfig, start: Instant) {
-        if config.quantize && self.num_nodes > 0 {
-            self.quant = Some(QuantizedMatrix::quantize(self.dim, &self.normalized));
-        }
-        self.build_time = start.elapsed();
     }
 
     /// Serializes the graph — and nothing else — so a restart can skip the
@@ -675,10 +660,9 @@ impl HnswIndex {
 
     /// Rebuilds an index from an [`export_graph`](Self::export_graph) byte
     /// string and the matrix it was serving, without inserting anything:
-    /// rows are normalized (and quantized, when configured) from
-    /// `embeddings`, the adjacency is taken from `bytes`. With the same
-    /// matrix and config the result answers every query exactly as the
-    /// exporting index did.
+    /// rows are normalized and quantized from `embeddings`, the adjacency is
+    /// taken from `bytes`. With the same matrix and config the result answers
+    /// every query exactly as the exporting index did.
     ///
     /// Nothing read is trusted. The graph must cover exactly
     /// `embeddings.num_nodes()` rows and carry `config`'s
@@ -810,7 +794,7 @@ impl HnswIndex {
             index.entry = entry;
             index.top_level = top_level;
         }
-        index.finish_build(config, start);
+        index.build_time = start.elapsed();
         Ok(index)
     }
 
@@ -857,11 +841,6 @@ impl HnswIndex {
         self.top_level
     }
 
-    /// Whether queries traverse the graph scoring candidates in int8.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
     /// Reuse statistics when this index came from [`graft`](Self::graft)
     /// (and did not fall back to a full build); `None` for full builds.
     pub fn incremental_stats(&self) -> Option<IncrementalStats> {
@@ -891,11 +870,7 @@ impl HnswIndex {
     fn score(&self, query: &QueryRef<'_>, v: u32) -> f32 {
         match *query {
             QueryRef::F32(q) => self.dot(q, v),
-            QueryRef::I8 { codes, scale } => self
-                .quant
-                .as_ref()
-                .expect("int8 query against unquantized index")
-                .dot_query(codes, scale, v),
+            QueryRef::I8 { codes, scale } => self.quant.dot_query(codes, scale, v),
         }
     }
 
@@ -1090,7 +1065,7 @@ impl HnswIndex {
     /// heuristic on every layer it joins. `q` never selects itself, though a
     /// graft's stale links can lead the beam to it. Construction always
     /// scores in f32: graph quality decides recall for every later query, so
-    /// the build never trades it for quantized bandwidth.
+    /// the build never trades it for int8 bandwidth.
     fn plan_links(&self, q: u32, pos: u32, config: &AnnConfig, ml: f64, w: &mut BuildScratch) {
         let level = level_for(config.seed, q, ml);
         let qref = QueryRef::F32(self.vec_of(q));
@@ -1127,10 +1102,10 @@ impl HnswIndex {
     /// The `k` indexed vectors most cosine-similar to `query`, best first.
     ///
     /// `query` need not be an indexed vector — external embeddings of the
-    /// right dimensionality work too (it is normalized internally). On a
-    /// quantized index the graph is walked with int8 scores and the top
-    /// `k · rerank` candidates are re-scored in f32, so the returned scores
-    /// are always exact cosines.
+    /// right dimensionality work too (it is normalized internally). The graph
+    /// is walked on int8 scores with a beam of `max(ef_search, k)`, then every
+    /// node of that beam is re-scored in f32, so the returned scores are
+    /// always exact cosines.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<(u32, f32)> {
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         if self.num_nodes == 0 || k == 0 || !self.seeded {
@@ -1144,6 +1119,11 @@ impl HnswIndex {
         } else {
             query.iter().map(|x| x / norm).collect()
         };
+        let (codes, scale) = QuantizedMatrix::quantize_query(&normalized);
+        let qref = QueryRef::I8 {
+            codes: &codes,
+            scale,
+        };
         // Reuse per-thread search memory: allocating (and zeroing) a visited
         // set per query would put an O(n) memset on the sub-linear serving
         // path.
@@ -1154,43 +1134,15 @@ impl HnswIndex {
         SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.visited.ensure(self.num_nodes);
-            match &self.quant {
-                None => {
-                    let qref = QueryRef::F32(&normalized);
-                    let ef = self.ef_search.max(k);
-                    self.descend(&qref, ef, scratch);
-                    scratch.beam.iter().take(k).map(|s| (s.1, s.0)).collect()
-                }
-                Some(_) => {
-                    let (codes, scale) = QuantizedMatrix::quantize_query(&normalized);
-                    let qref = QueryRef::I8 {
-                        codes: &codes,
-                        scale,
-                    };
-                    // Widen the beam to the re-rank budget so the f32 pass
-                    // has k·rerank candidates to choose from.
-                    let budget = k.saturating_mul(self.rerank);
-                    let ef = self.ef_search.max(budget);
-                    self.descend(&qref, ef, scratch);
-                    let mut rescored: Vec<Sim> = scratch
-                        .beam
-                        .iter()
-                        .take(budget)
-                        .map(|s| Sim(self.dot(&normalized, s.1), s.1))
-                        .collect();
-                    rescored.sort_by(|a, b| b.cmp(a));
-                    rescored.truncate(k);
-                    rescored.into_iter().map(|s| (s.1, s.0)).collect()
-                }
+            self.greedy_descent(&qref, 0, scratch);
+            self.search_layer(&qref, self.ef_search.max(k), 0, scratch);
+            let beam = &mut scratch.beam;
+            for s in beam.iter_mut() {
+                s.0 = self.dot(&normalized, s.1);
             }
+            beam.sort_by(|a, b| b.cmp(a));
+            beam.iter().take(k).map(|s| (s.1, s.0)).collect()
         })
-    }
-
-    /// Greedy upper-layer descent followed by the layer-0 beam search; the
-    /// answer is left in `s.beam`, best first.
-    fn descend(&self, qref: &QueryRef<'_>, ef: usize, s: &mut SearchScratch) {
-        self.greedy_descent(qref, 0, s);
-        self.search_layer(qref, ef, 0, s);
     }
 
     /// Starts `s.beam` at the entry point and walks it down (beam width 1)
@@ -1209,6 +1161,7 @@ impl HnswIndex {
         if (node as usize) >= self.num_nodes || k == 0 {
             return Vec::new();
         }
+        let k = k.min(self.num_nodes);
         let query: Vec<f32> = self.vec_of(node).to_vec();
         // Over-fetch by one so the query node's own hit can be dropped.
         let mut hits = self.search(&query, k + 1);
@@ -1388,20 +1341,68 @@ mod tests {
 
     #[test]
     fn quantized_index_keeps_recall_and_exact_scores() {
+        // The search walks int8 codes; what it reports must still be the f32
+        // answer: recall against the exact scan, and exact cosines.
         let emb = random_unit_embeddings(400, 24, 11);
-        let cfg = AnnConfig {
-            quantize: true,
-            ..Default::default()
-        };
-        let index = HnswIndex::build(&emb, &cfg);
-        assert!(index.is_quantized());
+        let index = HnswIndex::build(&emb, &AnnConfig::default());
         let recall = recall_vs_exact(&index, &emb, 10, 7);
-        assert!(recall >= 0.9, "quantized recall@10 too low: {recall}");
-        // Re-ranked scores are exact f32 cosines, not dequantized estimates.
+        assert!(recall >= 0.9, "recall@10 too low: {recall}");
+        // Re-scored scores are exact f32 cosines, not dequantized estimates.
         for (u, s) in index.search_node(3, 5) {
             let want = emb.cosine_similarity(3, u);
             assert!((s - want).abs() < 1e-5, "node {u}: {s} vs {want}");
         }
+    }
+
+    #[test]
+    fn a_k_past_a_quarter_of_the_beam_is_rescored_whole() {
+        // k = 20 against ef_search = 64: k is more than a quarter of the
+        // beam, and the beam is not widened for it. Re-scoring the whole
+        // max(ef_search, k) beam in f32 must still hold recall and give
+        // exact scores.
+        let emb = random_unit_embeddings(600, 24, 17);
+        let index = HnswIndex::build(&emb, &AnnConfig::default());
+        let recall = recall_vs_exact(&index, &emb, 20, 5);
+        assert!(recall >= 0.95, "recall@20 too low: {recall}");
+        for node in (0..600u32).step_by(37) {
+            let hits = index.search_node(node, 20);
+            assert_eq!(hits.len(), 20, "node {node}");
+            for pair in hits.windows(2) {
+                assert!(pair[0].1 >= pair[1].1, "node {node}: not best first");
+            }
+            for (u, s) in hits {
+                let want = emb.cosine_similarity(node, u);
+                assert!(
+                    (s - want).abs() < 1e-6,
+                    "node {node} hit {u}: {s} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_narrow_cone_keeps_recall() {
+        // Under-trained embeddings can crowd into a narrow cone, where
+        // neighbours' cosines differ in the fourth decimal. The int8 codes
+        // are taken around the rows' mean, so the walk still tells the
+        // neighbours apart.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let shared: Vec<f32> = (0..24).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let flat: Vec<f32> = (0..500)
+            .flat_map(|_| {
+                shared
+                    .iter()
+                    .map(|x| x + 0.05 * rng.gen_range(-1.0f32..1.0))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let emb = Embeddings::from_flat(24, flat);
+        let index = HnswIndex::build(&emb, &AnnConfig::default());
+        let recall = recall_vs_exact(&index, &emb, 10, 7);
+        assert!(
+            recall >= 0.9,
+            "recall@10 in a narrow cone too low: {recall}"
+        );
     }
 
     #[test]
@@ -1572,22 +1573,19 @@ mod tests {
     #[test]
     fn exported_graph_imports_to_an_index_with_identical_answers() {
         let emb = random_unit_embeddings(300, 16, 41);
-        for quantize in [false, true] {
-            let cfg = AnnConfig {
-                seed: 7,
-                quantize,
-                ..Default::default()
-            };
-            let built = HnswIndex::build(&emb, &cfg);
-            let bytes = built.export_graph();
-            let imported = HnswIndex::import_graph(&bytes, &emb, &cfg).expect("round trip");
-            assert_eq!(imported.is_quantized(), quantize);
-            assert!(imported.incremental_stats().is_none());
-            assert!(imported.covers_universe(None));
-            assert_eq!(imported.graph_size(), built.graph_size());
-            assert_same_answers(&built, &imported, 10);
-            assert_eq!(imported.export_graph(), bytes, "export is a fixed point");
-        }
+        let cfg = AnnConfig {
+            seed: 7,
+            ..Default::default()
+        };
+        let built = HnswIndex::build(&emb, &cfg);
+        let bytes = built.export_graph();
+        let imported = HnswIndex::import_graph(&bytes, &emb, &cfg).expect("round trip");
+        assert!(imported.incremental_stats().is_none());
+        assert!(imported.covers_universe(None));
+        assert_eq!(imported.graph_size(), built.graph_size());
+        // Same graph, same recomputed codes: every answer, bit for bit.
+        assert_same_answers(&built, &imported, 10);
+        assert_eq!(imported.export_graph(), bytes, "export is a fixed point");
     }
 
     #[test]

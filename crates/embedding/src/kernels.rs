@@ -491,7 +491,7 @@ pub fn squared_norm(a: &[f32]) -> f32 {
     reference::squared_norm(a)
 }
 
-/// The fused SGNS (skip-gram / CBOW with negative sampling) update of one
+/// The fused SGNS (skip-gram with negative sampling) update of one
 /// `(input, output)` row pair at gradient scale `g`, SIMD-dispatched:
 ///
 /// ```text
@@ -539,7 +539,7 @@ pub fn l2_norm(a: &[f32]) -> f32 {
 }
 
 /// i8·i8 → i32 dot product, SIMD-dispatched. Exact (integer arithmetic, no
-/// rounding), so the quantized scan ranks identically on every backend.
+/// rounding), so an HNSW search walks the same path on every backend.
 #[inline]
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]

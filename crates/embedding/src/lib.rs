@@ -11,8 +11,7 @@
 //! * [`negative::UnigramTable`] — the `f^0.75` negative-sampling table,
 //! * [`matrix::EmbeddingMatrix`] — lock-free shared parameter matrices
 //!   (Hogwild-style SGD with relaxed atomics),
-//! * [`skipgram`] / [`cbow`] — the two training objectives with negative
-//!   sampling,
+//! * [`skipgram`] — the skip-gram objective with negative sampling,
 //! * [`trainer::Word2VecTrainer`] — the multi-threaded training driver with a
 //!   linearly decaying learning rate.
 //!
@@ -39,13 +38,12 @@
 //! ```
 
 pub mod ann;
-pub mod cbow;
 pub mod io;
 pub mod kernels;
 pub mod matrix;
 pub mod negative;
 pub mod online;
-pub mod quant;
+pub(crate) mod quant;
 pub mod sigmoid;
 pub mod skipgram;
 pub mod store;
@@ -58,11 +56,10 @@ pub use kernels::KernelBackend;
 pub use matrix::EmbeddingMatrix;
 pub use negative::UnigramTable;
 pub use online::OnlineWord2Vec;
-pub use quant::QuantizedMatrix;
 pub use sigmoid::SigmoidTable;
 pub use store::{EmbeddingSnapshot, EmbeddingStore};
 pub use telemetry::StoreTelemetry;
-pub use trainer::{TrainStats, TrainingMode, Word2VecConfig, Word2VecTrainer};
+pub use trainer::{TrainStats, Word2VecConfig, Word2VecTrainer};
 pub use vocab::Vocabulary;
 
 /// Learned node embeddings: one `dim`-dimensional vector per node.

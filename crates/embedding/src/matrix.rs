@@ -96,17 +96,6 @@ impl EmbeddingMatrix {
         }
     }
 
-    /// Adds `scale` times row `row` onto `acc` (length `dim`) — the CBOW
-    /// context average without a temporary row.
-    #[inline]
-    pub fn accumulate_row(&self, row: usize, scale: f32, acc: &mut [f32]) {
-        debug_assert_eq!(acc.len(), self.dim);
-        let base = row * self.dim;
-        for (a, cell) in acc.iter_mut().zip(&self.data[base..base + self.dim]) {
-            *a += scale * f32::from_bits(cell.load(Ordering::Relaxed));
-        }
-    }
-
     /// Grows the matrix to `new_rows`, zero-initializing the added rows.
     ///
     /// Shrinking is a no-op: rows are never dropped so retired ids keep their
@@ -191,9 +180,6 @@ mod tests {
         let mut buf = vec![0.0; 3];
         m.read_row(1, &mut buf);
         assert_eq!(buf, vec![1.0, 2.0, 3.0]);
-        let mut acc = vec![1.0; 3];
-        m.accumulate_row(1, 2.0, &mut acc);
-        assert_eq!(acc, vec![3.0, 5.0, 7.0]);
         // row 0 untouched
         m.read_row(0, &mut buf);
         assert_eq!(buf, vec![0.0, 0.0, 0.0]);

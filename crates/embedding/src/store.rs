@@ -61,8 +61,8 @@
 //!
 //! **Restart.** [`EmbeddingStore::restore`] installs a recovered matrix at
 //! its original epoch, and with it the index that was serving it when the
-//! caller read one back ([`HnswIndex::import_graph`]): norms and int8 codes
-//! are recomputed, the graph is not rebuilt.
+//! caller read one back ([`HnswIndex::import_graph`]): norms and the index's
+//! int8 codes are recomputed, the graph is not rebuilt.
 //!
 //! ```
 //! use uninet_embedding::{Embeddings, EmbeddingStore, QueryMode};
@@ -81,7 +81,6 @@ use std::time::{Duration, Instant};
 
 use crate::ann::{AnnConfig, HnswIndex, QueryMode};
 use crate::kernels;
-use crate::quant::QuantizedMatrix;
 use crate::telemetry::StoreTelemetry;
 use crate::Embeddings;
 
@@ -92,12 +91,6 @@ pub struct EmbeddingSnapshot {
     embeddings: Embeddings,
     /// Precomputed L2 norm per node, so cosine queries cost one dot product.
     norms: Vec<f32>,
-    /// Int8 codes of the raw vectors when the store's [`AnnConfig`] enables
-    /// quantization: the exact scan ranks candidates through these and
-    /// re-scores only the top slice in f32.
-    quant: Option<QuantizedMatrix>,
-    /// f32 re-rank budget multiplier for the quantized exact scan.
-    rerank: usize,
     /// HNSW index, when the publishing store enables ANN. Shared with the
     /// snapshots that kept it (see [`EmbeddingStore::publish_keeping_index`]).
     ann: Option<Arc<HnswIndex>>,
@@ -129,24 +122,16 @@ impl EmbeddingSnapshot {
             .map(|cfg| HnswIndex::build_masked(&embeddings, cfg, live.as_deref()));
         let ann_time = t_ann.elapsed();
         let t_norms = Instant::now();
-        let snapshot = Self::with_index(
-            epoch,
-            embeddings,
-            ann_config,
-            ann.map(Arc::new),
-            epoch,
-            live,
-        );
+        let snapshot = Self::with_index(epoch, embeddings, ann.map(Arc::new), epoch, live);
         (snapshot, t_norms.elapsed(), ann_time)
     }
 
     /// Assembles a snapshot around an index that already exists (or around
-    /// none), built from the vectors of `index_epoch`: the norms pass and the
-    /// int8 codes are all that is computed.
+    /// none), built from the vectors of `index_epoch`: the norms pass is all
+    /// that is computed.
     fn with_index(
         epoch: u64,
         embeddings: Embeddings,
-        ann_config: Option<&AnnConfig>,
         ann: Option<Arc<HnswIndex>>,
         index_epoch: u64,
         live: Option<Vec<bool>>,
@@ -161,15 +146,10 @@ impl EmbeddingSnapshot {
         let norms = (0..embeddings.num_nodes() as u32)
             .map(|v| kernels::l2_norm(embeddings.vector(v)))
             .collect();
-        let quant = ann_config
-            .filter(|cfg| cfg.quantize && embeddings.num_nodes() > 0)
-            .map(|_| QuantizedMatrix::quantize(embeddings.dim(), embeddings.as_flat()));
         let mut snapshot = EmbeddingSnapshot {
             epoch,
             embeddings,
             norms,
-            quant,
-            rerank: ann_config.map(|cfg| cfg.rerank.max(1)).unwrap_or(1),
             ann,
             index_epoch,
             retired_since_index: 0,
@@ -244,30 +224,22 @@ impl EmbeddingSnapshot {
     }
 
     /// The `k` nodes most cosine-similar to `node` (excluding `node` itself),
-    /// best first. Empty when `node` is out of range.
+    /// best first, by an exact f32 scan. Empty when `node` is out of range;
+    /// a `k` past the row count asks for every live row.
     ///
-    /// On a quantized snapshot the scan ranks candidates through the int8
-    /// codes (4x less bandwidth) and re-scores the best `k · rerank` of them
-    /// in f32, so reported scores are always exact cosines.
+    /// Bounded selection keeps the k best seen so far in a min-heap, so a
+    /// query over n nodes costs O(n · dim + n log k) instead of a full sort.
+    /// `Sim` is the same ordered-score type the ANN path uses, so both paths
+    /// break score ties identically.
     pub fn top_k(&self, node: u32, k: usize) -> Vec<(u32, f32)> {
-        if !self.contains(node) || k == 0 {
-            return Vec::new();
-        }
-        match &self.quant {
-            Some(quant) => self.top_k_quantized(node, k, quant),
-            None => self.scan_top_k(node, k),
-        }
-    }
-
-    /// The f32 exact scan: bounded selection keeping the k best seen so far
-    /// in a min-heap, so a query over n nodes costs O(n · dim + n log k)
-    /// instead of a full sort. `Sim` is the same ordered-score type the ANN
-    /// path uses, so both paths break score ties identically.
-    fn scan_top_k(&self, node: u32, k: usize) -> Vec<(u32, f32)> {
         use crate::ann::Sim;
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
+        let k = k.min(self.num_nodes());
+        if !self.contains(node) || k == 0 {
+            return Vec::new();
+        }
         // The query vector and its norm are loop-invariant — fetch them once.
         let va = self.embeddings.vector(node);
         let na = self.norms[node as usize];
@@ -294,59 +266,6 @@ impl EmbeddingSnapshot {
             .collect()
     }
 
-    /// The int8 scan: rank all candidates by dequantized approximate cosine,
-    /// keep the best `k · rerank`, then re-score that slice with exact f32
-    /// cosines and return the top k.
-    fn top_k_quantized(&self, node: u32, k: usize, quant: &QuantizedMatrix) -> Vec<(u32, f32)> {
-        use crate::ann::Sim;
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let budget = k.saturating_mul(self.rerank);
-        let qrow = quant.row(node);
-        let qscale = quant.scale(node);
-        let na = self.norms[node as usize];
-        let mut heap: BinaryHeap<Reverse<Sim>> = BinaryHeap::with_capacity(budget + 1);
-        for u in 0..self.embeddings.num_nodes() as u32 {
-            if u == node || !self.is_live(u) {
-                continue;
-            }
-            let nb = self.norms[u as usize];
-            let s = if na == 0.0 || nb == 0.0 {
-                0.0
-            } else {
-                quant.dot_query(qrow, qscale, u) / (na * nb)
-            };
-            heap.push(Reverse(Sim(s, u)));
-            if heap.len() > budget {
-                heap.pop();
-            }
-        }
-        let va = self.embeddings.vector(node);
-        let mut rescored: Vec<Sim> = heap
-            .into_iter()
-            .map(|Reverse(Sim(_, u))| {
-                Sim(
-                    kernels::cosine_with_norms(
-                        va,
-                        self.embeddings.vector(u),
-                        na,
-                        self.norms[u as usize],
-                    ),
-                    u,
-                )
-            })
-            .collect();
-        rescored.sort_by(|a, b| b.cmp(a));
-        rescored.truncate(k);
-        rescored.into_iter().map(|Sim(s, u)| (u, s)).collect()
-    }
-
-    /// Whether this snapshot scans through int8 codes.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
     /// The snapshot's ANN index, when the publishing store enabled one. It
     /// was built from the vectors of [`index_epoch`](Self::index_epoch).
     pub fn ann(&self) -> Option<&HnswIndex> {
@@ -364,7 +283,9 @@ impl EmbeddingSnapshot {
     /// Like [`top_k`](EmbeddingSnapshot::top_k), but with an explicit
     /// [`QueryMode`]. [`QueryMode::Ann`] routes through the HNSW index and
     /// falls back to the exact scan when the snapshot carries no index or the
-    /// graph search comes back short (possible on degenerate inputs).
+    /// graph search comes back short (possible on degenerate inputs). Like
+    /// [`top_k`](Self::top_k), it clamps `k` to the row count first, so no
+    /// request can size an allocation past the snapshot.
     pub fn top_k_mode(&self, node: u32, k: usize, mode: QueryMode) -> Vec<(u32, f32)> {
         self.top_k_mode_traced(node, k, mode).0
     }
@@ -374,6 +295,7 @@ impl EmbeddingSnapshot {
     /// or a query node the index predates). Exact queries never count as
     /// fallbacks.
     fn top_k_mode_traced(&self, node: u32, k: usize, mode: QueryMode) -> (Vec<(u32, f32)>, bool) {
+        let k = k.min(self.num_nodes());
         match (mode, &self.ann) {
             (QueryMode::Ann, Some(index)) if self.contains(node) && k > 0 => {
                 let hits = if self.index_epoch == self.epoch {
@@ -482,7 +404,6 @@ impl EmbeddingStore {
                 0,
                 Embeddings::from_flat(1, Vec::new()),
                 None,
-                None,
                 0,
                 None,
             ))),
@@ -575,7 +496,6 @@ impl EmbeddingStore {
         let snapshot = EmbeddingSnapshot::with_index(
             epoch,
             embeddings,
-            self.ann.as_ref(),
             Some(Arc::clone(index)),
             prev.index_epoch,
             live,
@@ -652,7 +572,6 @@ impl EmbeddingStore {
         self.install(EmbeddingSnapshot::with_index(
             epoch,
             embeddings,
-            self.ann.as_ref(),
             ann.map(Arc::new),
             epoch,
             live,
@@ -889,38 +808,54 @@ mod tests {
 
     #[test]
     fn quantized_snapshots_serve_exact_scores() {
-        let store = EmbeddingStore::with_ann(AnnConfig {
-            quantize: true,
-            ..AnnConfig::default()
-        });
+        // The index walks int8 codes, but both query modes report f32
+        // cosines; over 5 nodes the whole beam is every node, so ANN and the
+        // exact scan must agree hit for hit.
+        let store = EmbeddingStore::with_ann(AnnConfig::default());
         store.publish(sample());
         let snap = store.snapshot();
-        assert!(snap.is_quantized());
-        // The re-rank budget (k·rerank) covers all 5 nodes here, so the
-        // quantized scan must agree with the plain f32 scan exactly.
-        let plain = EmbeddingStore::new();
-        plain.publish(sample());
         for node in 0..5u32 {
-            let quantized = snap.top_k(node, 3);
-            let exact = plain.snapshot().top_k(node, 3);
-            assert_eq!(quantized.len(), exact.len(), "node {node}");
-            for (q, e) in quantized.iter().zip(&exact) {
+            let exact = snap.top_k_mode(node, 3, QueryMode::Exact);
+            let ann = snap.top_k_mode(node, 3, QueryMode::Ann);
+            assert_eq!(ann.len(), exact.len(), "node {node}");
+            for (a, e) in ann.iter().zip(&exact) {
                 assert!(
-                    (q.1 - e.1).abs() < 1e-6,
-                    "node {node}: {quantized:?} vs {exact:?}"
+                    (a.1 - e.1).abs() < 1e-6,
+                    "node {node}: {ann:?} vs {exact:?}"
                 );
             }
-        }
-        // The ANN path over the quantized index also reports f32 scores.
-        for node in 0..5u32 {
-            for (u, s) in snap.top_k_mode(node, 2, QueryMode::Ann) {
+            for (u, s) in ann {
                 let want = snap.cosine(node, u).unwrap();
                 assert!(
-                    (s - want).abs() < 1e-5,
+                    (s - want).abs() < 1e-6,
                     "node {node} hit {u}: {s} vs {want}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_huge_k_is_clamped_to_the_rows_before_anything_is_allocated() {
+        // A k from the wire can be u32::MAX: nothing may be sized by it, and
+        // it asks for every live row.
+        let store = EmbeddingStore::with_ann(AnnConfig::default());
+        let mut live = vec![true; 100];
+        for v in (0..100).step_by(9) {
+            live[v] = false;
+        }
+        let flat: Vec<f32> = (0..100 * 8)
+            .map(|i| ((i * 37 % 101) as f32).sin())
+            .collect();
+        store.publish_with_universe(Embeddings::from_flat(8, flat), Some(live));
+        let snap = store.snapshot();
+        let want = snap.live_count() - 1;
+        for mode in [QueryMode::Exact, QueryMode::Ann] {
+            let hits = snap.top_k_mode(3, u32::MAX as usize, mode);
+            assert_eq!(hits.len(), want, "{mode:?}");
+            assert!(hits.iter().all(|&(u, _)| u != 3 && snap.is_live(u)));
+            assert_eq!(snap.top_k_mode(3, usize::MAX, mode).len(), want);
+        }
+        assert_eq!(snap.top_k(3, usize::MAX).len(), want);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The multi-threaded word2vec training driver.
 //!
-//! Walks are sharded across threads; every thread runs the skip-gram or CBOW
+//! Walks are sharded across threads; every thread runs the skip-gram
 //! window kernel ([`skipgram::WindowScratch`]) against the shared
 //! [`EmbeddingMatrix`] (Hogwild). The learning rate decays linearly with
 //! training progress, as in word2vec.c.
@@ -15,16 +15,7 @@ use crate::negative::UnigramTable;
 use crate::sigmoid::SigmoidTable;
 use crate::skipgram::WindowScratch;
 use crate::vocab::Vocabulary;
-use crate::{cbow, skipgram, Embeddings};
-
-/// Which word2vec objective to optimize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainingMode {
-    /// Skip-gram with negative sampling (the default for all five NRL models).
-    SkipGram,
-    /// Continuous bag-of-words with negative sampling.
-    Cbow,
-}
+use crate::{skipgram, Embeddings};
 
 /// Word2vec hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -43,8 +34,6 @@ pub struct Word2VecConfig {
     pub subsample: f64,
     /// Number of training threads.
     pub num_threads: usize,
-    /// Training objective.
-    pub mode: TrainingMode,
     /// RNG seed.
     pub seed: u64,
 }
@@ -59,7 +48,6 @@ impl Default for Word2VecConfig {
             initial_alpha: 0.025,
             subsample: 0.0,
             num_threads: 16,
-            mode: TrainingMode::SkipGram,
             seed: 42,
         }
     }
@@ -72,7 +60,7 @@ pub struct TrainStats {
     /// is the center of one window.
     pub tokens_processed: u64,
     /// (context, center) pairs inside those windows, over all epochs: one
-    /// SGNS update each in skip-gram, one averaged input row each in CBOW.
+    /// SGNS update each.
     pub pairs_processed: u64,
     /// Mean negative log-likelihood per window in the final epoch — a
     /// *sampled* monitoring estimate: skip-gram scores one (context, center)
@@ -139,10 +127,6 @@ pub(crate) fn run_sgd_pass(
 
     let num_threads = cfg.num_threads.max(1).min(walks.len().max(1));
     let chunk = walks.len().div_ceil(num_threads.max(1)).max(1);
-    let train_walk = match cfg.mode {
-        TrainingMode::SkipGram => skipgram::train_walk,
-        TrainingMode::Cbow => cbow::train_walk,
-    };
 
     let (tokens, pairs, final_loss, final_tokens) = crossbeam::thread::scope(|scope| {
         let workers: Vec<_> = walks
@@ -188,7 +172,7 @@ pub(crate) fn run_sgd_pass(
                                         as f32
                                 }
                             };
-                            let (walk_pairs, loss) = train_walk(
+                            let (walk_pairs, loss) = skipgram::train_walk(
                                 input,
                                 output,
                                 &sentence,
@@ -288,22 +272,6 @@ mod tests {
         assert!(stats.pairs_processed > 0);
         let (intra, inter) = intra_vs_inter(&emb);
         assert!(intra > inter + 0.2, "intra {intra} vs inter {inter}");
-    }
-
-    #[test]
-    fn cbow_separates_clusters() {
-        let cfg = Word2VecConfig {
-            dim: 16,
-            window: 4,
-            negative: 4,
-            epochs: 3,
-            num_threads: 2,
-            mode: TrainingMode::Cbow,
-            ..Default::default()
-        };
-        let (emb, _) = Word2VecTrainer::new(cfg).train(&two_cluster_walks(), 10);
-        let (intra, inter) = intra_vs_inter(&emb);
-        assert!(intra > inter + 0.15, "intra {intra} vs inter {inter}");
     }
 
     #[test]

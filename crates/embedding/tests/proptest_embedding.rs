@@ -106,12 +106,6 @@ proptest! {
         for j in 0..dim {
             prop_assert!((after[j] - before[j] - values[j]).abs() < 1e-5);
         }
-        // accumulate_row adds the scaled row onto an accumulator.
-        let mut acc = values.to_vec();
-        m.accumulate_row(target, 0.5, &mut acc);
-        for j in 0..dim {
-            prop_assert!((acc[j] - values[j] - 0.5 * after[j]).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use uninet_embedding::{TrainingMode, Word2VecConfig, Word2VecTrainer};
+use uninet_embedding::{Word2VecConfig, Word2VecTrainer};
 
 struct Counting;
 
@@ -43,34 +43,31 @@ fn walks(count: usize) -> Vec<Vec<u32>> {
 
 #[test]
 fn sgd_pass_allocations_do_not_grow_with_the_corpus() {
-    for mode in [TrainingMode::SkipGram, TrainingMode::Cbow] {
-        let trainer = Word2VecTrainer::new(Word2VecConfig {
-            dim: 24,
-            window: 5,
-            negative: 4,
-            num_threads: 2,
-            subsample: 1e-2,
-            mode,
-            ..Default::default()
-        });
-        let (few, many) = (walks(16), walks(16 * 20));
-        let (mut session, _) = trainer.train_online(&few, 50);
-        // Whatever initializes lazily (kernel dispatch, thread-locals) does
-        // so before the counting starts.
-        trainer.train_incremental(&mut session, &few);
+    let trainer = Word2VecTrainer::new(Word2VecConfig {
+        dim: 24,
+        window: 5,
+        negative: 4,
+        num_threads: 2,
+        subsample: 1e-2,
+        ..Default::default()
+    });
+    let (few, many) = (walks(16), walks(16 * 20));
+    let (mut session, _) = trainer.train_online(&few, 50);
+    // Whatever initializes lazily (kernel dispatch, thread-locals) does
+    // so before the counting starts.
+    trainer.train_incremental(&mut session, &few);
 
-        let mut count = |corpus: &[Vec<u32>]| {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let stats = trainer.train_incremental(&mut session, corpus);
-            assert!(stats.pairs_processed > stats.tokens_processed);
-            ALLOCATIONS.load(Ordering::Relaxed) - before
-        };
-        let (for_few, for_many) = (count(&few), count(&many));
-        // 304 more walks, 9 120 more tokens: one allocation per walk would
-        // show as hundreds. Thread start-up may differ by a few.
-        assert!(
-            for_many <= for_few + 8,
-            "{mode:?}: {for_few} allocations for 16 walks, {for_many} for 320"
-        );
-    }
+    let mut count = |corpus: &[Vec<u32>]| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let stats = trainer.train_incremental(&mut session, corpus);
+        assert!(stats.pairs_processed > stats.tokens_processed);
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    let (for_few, for_many) = (count(&few), count(&many));
+    // 304 more walks, 9 120 more tokens: one allocation per walk would
+    // show as hundreds. Thread start-up may differ by a few.
+    assert!(
+        for_many <= for_few + 8,
+        "{for_few} allocations for 16 walks, {for_many} for 320"
+    );
 }

@@ -117,12 +117,9 @@ QUERY SERVICE (ANN):
                                                               [default: 16]
   --ann-ef-construction <N>
                           HNSW construction beam width        [default: 100]
-  --ann-ef-search <N>     HNSW query beam width (recall knob) [default: 64]
-  --ann-quantize          rank top-k candidates through int8 codes (4x less
-                          scan bandwidth), re-scoring the best k*rerank in
-                          f32 so reported scores stay exact; requires --ann
-  --ann-rerank <N>        f32 re-rank budget per requested result under
-                          --ann-quantize                      [default: 4]
+  --ann-ef-search <N>     HNSW query beam width (recall knob); queries walk
+                          the graph on int8 codes and re-score the whole
+                          beam in f32, so scores are exact    [default: 64]
 
 SERVING (wire protocol):
   --serve <ADDR>          after training/recovery, serve vector / cosine /
@@ -143,13 +140,13 @@ OUTPUT:
 ";
 
 /// Flags that take no value.
-const SWITCHES: &str = "directed-updates incremental-train allow-churn ann ann-quantize recover";
+const SWITCHES: &str = "directed-updates incremental-train allow-churn ann recover";
 
 /// Flags that take the next argument as their value.
 const VALUE_FLAGS: &str = "input synthetic nodes mean-degree model p q metapath num-walks \
     walk-length dim epochs threads sampler seed updates update-batch-size compaction-threshold \
     queue-capacity cold-start-burn-in cold-start-boost wal-dir snapshot-every \
-    wal-fsync ann-m ann-ef-construction ann-ef-search ann-rerank serve \
+    wal-fsync ann-m ann-ef-construction ann-ef-search serve \
     serve-max-inflight output metrics-json";
 
 fn is_one_of(flags: &str, key: &str) -> bool {
@@ -382,8 +379,6 @@ fn build_streaming(args: &Args) -> Result<StreamingConfig, UniNetError> {
             m: args.parse_or("ann-m", d.ann.m)?,
             ef_construction: args.parse_or("ann-ef-construction", d.ann.ef_construction)?,
             ef_search: args.parse_or("ann-ef-search", d.ann.ef_search)?,
-            quantize: args.get("ann-quantize").is_some(),
-            rerank: args.parse_or("ann-rerank", d.ann.rerank)?,
             ..d.ann
         },
         allow_churn: args.get("allow-churn").is_some(),
@@ -469,15 +464,10 @@ fn run() -> Result<(), UniNetError> {
         let ann = &engine.streaming_config().ann;
         eprintln!(
             "query service: HNSW ANN per snapshot (M={}, ef_construction={}, ef_search={}, \
-             {} scoring, kernels={})",
+             kernels={})",
             ann.m,
             ann.ef_construction,
             ann.ef_search,
-            if ann.quantize {
-                "int8+f32-rerank"
-            } else {
-                "f32"
-            },
             uninet_core::kernels::backend_name(),
         );
     }
@@ -750,7 +740,6 @@ mod tests {
             ("ann-m", d.ann.m),
             ("ann-ef-construction", d.ann.ef_construction),
             ("ann-ef-search", d.ann.ef_search),
-            ("ann-rerank", d.ann.rerank),
         ];
         for (flag, want) in usizes {
             assert_eq!(help_default(flag).parse::<usize>(), Ok(want), "--{flag}");
@@ -776,7 +765,7 @@ mod tests {
         let every_flag = args(
             "--update-batch-size 7 --compaction-threshold 9 --directed-updates \
              --queue-capacity 5 --incremental-train --ann --ann-m 6 \
-             --ann-ef-construction 30 --ann-ef-search 40 --ann-quantize --ann-rerank 2 \
+             --ann-ef-construction 30 --ann-ef-search 40 \
              --allow-churn --cold-start-burn-in 4 --cold-start-boost 1.5",
         )
         .unwrap();
@@ -791,8 +780,6 @@ mod tests {
                 m: 6,
                 ef_construction: 30,
                 ef_search: 40,
-                quantize: true,
-                rerank: 2,
                 ..AnnConfig::default()
             },
             allow_churn: true,

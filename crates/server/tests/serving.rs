@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use uninet_core::{AnnConfig, Engine, GraphMutation, ModelSpec, QueryMode, StreamingConfig};
+use uninet_core::{Engine, GraphMutation, ModelSpec, QueryMode, StreamingConfig};
 use uninet_graph::generators::{rmat, RmatConfig};
 use uninet_server::{serve, Client, ClientError, ErrorCode, ServeAddr, ServerConfig};
 
@@ -101,8 +101,9 @@ fn concurrent_clients_observe_monotone_epochs_while_training_publishes() {
 
 #[test]
 fn quantized_serving_is_wire_transparent() {
-    // A quantized+incremental ANN engine must look identical on the wire:
-    // same protocol frames, same f32 score encoding, exact cosine scores.
+    // The ANN index walks int8 codes, yet on the wire it must look like any
+    // other engine: same protocol frames, same f32 score encoding, exact
+    // cosine scores.
     let graph = rmat(&RmatConfig {
         num_nodes: 150,
         num_edges: 1000,
@@ -120,17 +121,13 @@ fn quantized_serving_is_wire_transparent() {
         .seed(7)
         .streaming(StreamingConfig {
             ann_index: true,
-            ann: AnnConfig {
-                quantize: true,
-                ..Default::default()
-            },
             ..Default::default()
         })
         .build()
         .expect("valid configuration");
     engine.train().expect("initial training");
     let snapshot = engine.snapshot();
-    assert!(snapshot.is_quantized());
+    assert!(snapshot.ann().is_some());
 
     let server = serve(
         &engine,
@@ -151,10 +148,53 @@ fn quantized_serving_is_wire_transparent() {
             );
         }
     }
-    // Cosine frames are untouched by quantization: still exact f32.
+    // Cosine frames never touch the codes: still exact f32.
     let (_, cos) = client.cosine(0, 1).expect("cosine");
     let want = snapshot.cosine(0, 1).unwrap();
     assert!((cos.unwrap() - want).abs() < 1e-6);
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_huge_k_on_the_wire_answers_every_row_and_keeps_the_connection() {
+    // k is a wire u32. u32::MAX must not size anything in the server: it
+    // asks for every other row, and the connection keeps serving.
+    let engine = Engine::builder()
+        .graph(rmat(&RmatConfig {
+            num_nodes: 150,
+            num_edges: 1000,
+            weighted: true,
+            seed: 7,
+            ..Default::default()
+        }))
+        .model(ModelSpec::DeepWalk)
+        .num_walks(1)
+        .walk_length(8)
+        .dim(16)
+        .threads(2)
+        .seed(7)
+        .streaming(StreamingConfig {
+            ann_index: true,
+            ..Default::default()
+        })
+        .build()
+        .expect("valid configuration");
+    engine.train().expect("initial training");
+    let n = engine.snapshot().num_nodes();
+    let server = serve(
+        &engine,
+        &ServeAddr::parse("127.0.0.1:0"),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.addr().to_string().as_str()).expect("connect");
+    for mode in [QueryMode::Exact, QueryMode::Ann] {
+        let (epoch, neighbors) = client.top_k(3, u32::MAX, mode).expect("top_k");
+        assert_eq!(neighbors.len(), n - 1, "{mode:?}");
+        assert!(neighbors.iter().all(|&(u, _)| u != 3));
+        assert_eq!(client.epoch().expect("epoch after a huge k"), epoch);
+    }
     drop(client);
     server.shutdown();
 }
