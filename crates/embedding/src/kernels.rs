@@ -1,5 +1,5 @@
 //! Unified SIMD kernels — the single dot/cosine/norm implementation for the
-//! whole query plane, and the trainer's fused SGNS update.
+//! whole query plane, and the trainer's fused SGNS window kernel.
 //!
 //! Every similarity computed while serving queries (the exact scan in
 //! `store.rs`, HNSW traversal and neighbour selection in `ann.rs`,
@@ -11,6 +11,10 @@
 //! * the hot loops are vectorized once, not four times, and
 //! * **every path produces bit-identical scores**, which keeps top-k
 //!   tie-breaking consistent between the exact scan and the ANN index.
+//!
+//! The trainer's [`sgns_window`] fuses a window's dots and updates into two
+//! passes per run of distinct slots. Its scores round as [`dot`] does and its
+//! rows as one update per sample, so it changes no trained bit.
 //!
 //! # Dispatch
 //!
@@ -35,8 +39,9 @@
 //! intrinsics. Each wrapper is only reachable after the matching CPUID
 //! feature check, takes plain `&[f32]`/`&[i8]` slices, uses exclusively
 //! *unaligned* loads, and processes the tail with the scalar loop — no
-//! pointer arithmetic escapes the slice bounds. The wrappers are exercised
-//! under miri in CI.
+//! pointer arithmetic escapes the slice bounds (the window kernels address a
+//! slot's row only after [`sgns_window`] checked that every slot's row lies
+//! inside `out` and `d_out`). The wrappers are exercised under miri in CI.
 //!
 //! ```
 //! use uninet_embedding::kernels;
@@ -77,14 +82,35 @@ pub mod reference {
         acc
     }
 
-    /// Scalar fused SGNS update, lane by lane and in this order:
+    /// Scalar SGNS window step (see [`super::sgns_window`]), one sample after
+    /// another: [`dot`], then the gradient, then lane by lane
     /// `d_in += g·out; out += g·inp; d_out += g·inp` — the input gradient
-    /// sees the output row as it was *before* this update moved it.
+    /// sees the output row as it was *before* this sample moved it.
+    pub fn sgns_window(
+        inp: &[f32],
+        out: &mut [f32],
+        d_in: &mut [f32],
+        d_out: &mut [f32],
+        samples: &[usize],
+        mut gradient: impl FnMut(usize, f32) -> f32,
+    ) {
+        let dim = inp.len();
+        for (i, &slot) in samples.iter().enumerate() {
+            let row = slot * dim..(slot + 1) * dim;
+            let g = gradient(i, dot(inp, &out[row.clone()]));
+            update(g, inp, &mut out[row.clone()], d_in, &mut d_out[row]);
+        }
+    }
+
+    /// One sample's update, lane by lane; also the SIMD kernels' tail.
     #[inline]
-    pub fn sgns_update(g: f32, inp: &[f32], out: &mut [f32], d_in: &mut [f32], d_out: &mut [f32]) {
-        debug_assert!(
-            inp.len() == out.len() && inp.len() == d_in.len() && inp.len() == d_out.len()
-        );
+    pub(super) fn update(
+        g: f32,
+        inp: &[f32],
+        out: &mut [f32],
+        d_in: &mut [f32],
+        d_out: &mut [f32],
+    ) {
         for (((&x, o), di), d_o) in inp.iter().zip(out).zip(d_in).zip(d_out) {
             *di += g * *o;
             *o += g * x;
@@ -234,44 +260,6 @@ mod x86 {
         out
     }
 
-    /// AVX2+FMA fused SGNS update (see [`super::sgns_update`]): one pass over
-    /// the four rows, three FMAs per 8 lanes.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA (checked by the dispatcher) and four slices of
-    /// one length (checked by [`super::sgns_update`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sgns_update_avx2(
-        g: f32,
-        inp: &[f32],
-        out: &mut [f32],
-        d_in: &mut [f32],
-        d_out: &mut [f32],
-    ) {
-        let n = inp.len();
-        debug_assert!(out.len() == n && d_in.len() == n && d_out.len() == n);
-        let chunks = n / 8;
-        let vg = _mm256_set1_ps(g);
-        for i in 0..chunks {
-            let at = i * 8;
-            let vi = _mm256_loadu_ps(inp.as_ptr().add(at));
-            let vo = _mm256_loadu_ps(out.as_ptr().add(at));
-            let vdi = _mm256_loadu_ps(d_in.as_ptr().add(at));
-            let vdo = _mm256_loadu_ps(d_out.as_ptr().add(at));
-            _mm256_storeu_ps(d_in.as_mut_ptr().add(at), _mm256_fmadd_ps(vg, vo, vdi));
-            _mm256_storeu_ps(out.as_mut_ptr().add(at), _mm256_fmadd_ps(vg, vi, vo));
-            _mm256_storeu_ps(d_out.as_mut_ptr().add(at), _mm256_fmadd_ps(vg, vi, vdo));
-        }
-        let done = chunks * 8;
-        super::reference::sgns_update(
-            g,
-            &inp[done..],
-            &mut out[done..],
-            &mut d_in[done..],
-            &mut d_out[done..],
-        );
-    }
-
     /// AVX2 i8 dot product: sign-extend 16 lanes at a time to i16, multiply
     /// into i32 pairs with `madd`, accumulate in i32 lanes. Exact.
     ///
@@ -340,48 +328,6 @@ mod x86 {
         out
     }
 
-    /// SSE2 fused SGNS update (see [`super::sgns_update`]): 4-lane
-    /// multiply-add, rounding exactly as the scalar reference does.
-    ///
-    /// # Safety
-    /// Requires SSE2 (checked by the dispatcher) and four slices of one
-    /// length (checked by [`super::sgns_update`]).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn sgns_update_sse2(
-        g: f32,
-        inp: &[f32],
-        out: &mut [f32],
-        d_in: &mut [f32],
-        d_out: &mut [f32],
-    ) {
-        let n = inp.len();
-        debug_assert!(out.len() == n && d_in.len() == n && d_out.len() == n);
-        let chunks = n / 4;
-        let vg = _mm_set1_ps(g);
-        for i in 0..chunks {
-            let at = i * 4;
-            let vi = _mm_loadu_ps(inp.as_ptr().add(at));
-            let vo = _mm_loadu_ps(out.as_ptr().add(at));
-            let vdi = _mm_loadu_ps(d_in.as_ptr().add(at));
-            let vdo = _mm_loadu_ps(d_out.as_ptr().add(at));
-            let step = _mm_mul_ps(vg, vi);
-            _mm_storeu_ps(
-                d_in.as_mut_ptr().add(at),
-                _mm_add_ps(vdi, _mm_mul_ps(vg, vo)),
-            );
-            _mm_storeu_ps(out.as_mut_ptr().add(at), _mm_add_ps(vo, step));
-            _mm_storeu_ps(d_out.as_mut_ptr().add(at), _mm_add_ps(vdo, step));
-        }
-        let done = chunks * 4;
-        super::reference::sgns_update(
-            g,
-            &inp[done..],
-            &mut out[done..],
-            &mut d_in[done..],
-            &mut d_out[done..],
-        );
-    }
-
     /// SSE2 i8 dot product via i16 widening + `madd`. Exact.
     ///
     /// # Safety
@@ -407,6 +353,124 @@ mod x86 {
         }
         out
     }
+
+    /// Samples per run of the window kernels: one accumulator register each.
+    const RUN: usize = 8;
+
+    /// End of the run that starts at `start`: the longest stretch of samples
+    /// with distinct slots, at most [`RUN`]. A slot seen again starts a new
+    /// run, so its score sees the earlier update.
+    fn run_end(samples: &[usize], start: usize) -> usize {
+        let limit = samples.len().min(start + RUN);
+        (start + 1..limit)
+            .find(|&end| samples[start..end].contains(&samples[end]))
+            .unwrap_or(limit)
+    }
+
+    /// Defines a window kernel (see [`super::sgns_window`]) at one width. Per
+    /// run: one accumulator per sample over one load of each input chunk,
+    /// advanced by `$dot` as that width's `dot` is; then the updates with the
+    /// chunk's `d_in` in a register, each sample's by `$update`.
+    macro_rules! window_kernel {
+        (
+            $(#[$doc:meta])* $name:ident, $feature:literal, $lanes:literal,
+            $zero:ident, $load:ident, $store:ident, $set1:ident, $hsum:ident,
+            |$acc:ident, $x:ident, $o:ident| $dot:expr,
+            |$g:ident, $vi:ident, $vo:ident, $vdi:ident, $vd:ident| $update:expr $(,)?
+        ) => {
+            $(#[$doc])*
+            ///
+            /// # Safety
+            /// Requires the CPU features named above (checked by the
+            /// dispatcher) and the row bounds checked by
+            /// [`super::sgns_window`].
+            #[target_feature(enable = $feature)]
+            pub unsafe fn $name(
+                inp: &[f32],
+                out: &mut [f32],
+                d_in: &mut [f32],
+                d_out: &mut [f32],
+                samples: &[usize],
+                mut gradient: impl FnMut(usize, f32) -> f32,
+            ) {
+                let dim = inp.len();
+                let body = dim / $lanes * $lanes;
+                let mut start = 0;
+                while start < samples.len() {
+                    let run = &samples[start..run_end(samples, start)];
+                    // Derived per run: the scalar tail below reborrows the slices.
+                    let (ip, op) = (inp.as_ptr(), out.as_mut_ptr());
+                    let (dip, dop) = (d_in.as_mut_ptr(), d_out.as_mut_ptr());
+                    let mut acc = [$zero(); RUN];
+                    for at in (0..body).step_by($lanes) {
+                        let $x = $load(ip.add(at));
+                        for ($acc, &slot) in acc.iter_mut().zip(run) {
+                            let $o = $load(op.add(slot * dim + at));
+                            *$acc = $dot;
+                        }
+                    }
+                    let mut g = [0.0f32; RUN];
+                    for (j, &slot) in run.iter().enumerate() {
+                        let mut score = $hsum(acc[j]);
+                        for i in body..dim {
+                            score += *ip.add(i) * *op.add(slot * dim + i);
+                        }
+                        g[j] = gradient(start + j, score);
+                    }
+                    for at in (0..body).step_by($lanes) {
+                        let $vi = $load(ip.add(at));
+                        let mut $vdi = $load(dip.add(at));
+                        for (&gj, &slot) in g.iter().zip(run) {
+                            let $g = $set1(gj);
+                            let row = slot * dim + at;
+                            let (o, d) = (op.add(row), dop.add(row));
+                            let ($vo, $vd) = ($load(o), $load(d));
+                            let (new_di, new_o, new_d) = $update;
+                            $vdi = new_di;
+                            $store(o, new_o);
+                            $store(d, new_d);
+                        }
+                        $store(dip.add(at), $vdi);
+                    }
+                    for (&gj, &slot) in g.iter().zip(run) {
+                        if body < dim {
+                            let row = slot * dim + body..(slot + 1) * dim;
+                            let (inp, d_in) = (&inp[body..], &mut d_in[body..]);
+                            let (o, d) = (&mut out[row.clone()], &mut d_out[row]);
+                            super::reference::update(gj, inp, o, d_in, d);
+                        }
+                    }
+                    start += run.len();
+                }
+            }
+        };
+    }
+
+    window_kernel!(
+        /// AVX2+FMA window step: 8 lanes, one FMA chain per sample as in
+        /// [`dot_avx2`], three FMAs per sample and chunk in the updates.
+        sgns_window_avx2, "avx2,fma", 8,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, hsum256,
+        |acc, x, o| _mm256_fmadd_ps(x, o, *acc),
+        |g, x, o, di, d| (
+            _mm256_fmadd_ps(g, o, di),
+            _mm256_fmadd_ps(g, x, o),
+            _mm256_fmadd_ps(g, x, d),
+        ),
+    );
+
+    window_kernel!(
+        /// SSE2 window step: 4 lanes, a multiply then an add everywhere, as
+        /// [`dot_sse2`] and the scalar update round.
+        sgns_window_sse2, "sse2", 4,
+        _mm_setzero_ps, _mm_loadu_ps, _mm_storeu_ps, _mm_set1_ps, hsum128,
+        |acc, x, o| _mm_add_ps(*acc, _mm_mul_ps(x, o)),
+        |g, x, o, di, d| (
+            _mm_add_ps(di, _mm_mul_ps(g, o)),
+            _mm_add_ps(o, _mm_mul_ps(g, x)),
+            _mm_add_ps(d, _mm_mul_ps(g, x)),
+        ),
+    );
 
     /// Horizontal sum of 8 f32 lanes.
     ///
@@ -491,45 +555,79 @@ pub fn squared_norm(a: &[f32]) -> f32 {
     reference::squared_norm(a)
 }
 
-/// The fused SGNS (skip-gram with negative sampling) update of one
-/// `(input, output)` row pair at gradient scale `g`, SIMD-dispatched:
+/// One SGNS (skip-gram with negative sampling) step of the input vector
+/// `inp` against a window's samples, SIMD-dispatched. `out` and `d_out` hold
+/// one `inp.len()`-wide row per slot; `samples[i]` is sample `i`'s slot. In
+/// sample order, each sample scores `s = inp·out[slot]`, takes
+/// `g = gradient(i, s)`, then
 ///
 /// ```text
-/// d_in  += g · out      (the output row as it was before this call)
-/// out   += g · inp
-/// d_out += g · inp
+/// d_in       += g · out[slot]   (the row as it was before this sample)
+/// out[slot]  += g · inp
+/// d_out[slot] += g · inp
 /// ```
 ///
-/// `out` is a thread-local copy of a shared output row that later updates of
-/// the same window must see moved; `d_in`/`d_out` accumulate what the caller
-/// scatters back onto the shared matrices once per window. One pass over the
-/// four rows instead of three.
+/// The SIMD backends do a run of distinct slots in two passes, dots then
+/// updates; a repeated slot starts a new run. Every score rounds as [`dot`]
+/// does and every row as one update per sample, bit for bit.
 ///
 /// # Panics
 ///
-/// Panics unless the four slices have one length.
+/// Panics unless `d_in` is as wide as `inp`, `out` and `d_out` have one
+/// length and every slot's row lies inside them.
 #[inline]
-pub fn sgns_update(g: f32, inp: &[f32], out: &mut [f32], d_in: &mut [f32], d_out: &mut [f32]) {
-    let n = inp.len();
+pub fn sgns_window(
+    inp: &[f32],
+    out: &mut [f32],
+    d_in: &mut [f32],
+    d_out: &mut [f32],
+    samples: &[usize],
+    gradient: impl FnMut(usize, f32) -> f32,
+) {
+    let dim = inp.len();
     assert!(
-        out.len() == n && d_in.len() == n && d_out.len() == n,
-        "sgns_update rows differ in length"
+        d_in.len() == dim
+            && out.len() == d_out.len()
+            && (dim == 0 || samples.iter().all(|&slot| slot < out.len() / dim)),
+        "sgns_window rows out of bounds"
     );
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     {
         match dispatch::backend() {
-            // SAFETY: feature presence verified by the dispatcher; the four
-            // lengths were checked equal above.
+            // SAFETY: feature presence verified by the dispatcher; the row
+            // bounds were checked above.
             KernelBackend::Avx2 => {
-                return unsafe { x86::sgns_update_avx2(g, inp, out, d_in, d_out) }
+                return unsafe { x86::sgns_window_avx2(inp, out, d_in, d_out, samples, gradient) }
             }
             KernelBackend::Sse2 => {
-                return unsafe { x86::sgns_update_sse2(g, inp, out, d_in, d_out) }
+                return unsafe { x86::sgns_window_sse2(inp, out, d_in, d_out, samples, gradient) }
             }
             KernelBackend::Scalar => {}
         }
     }
-    reference::sgns_update(g, inp, out, d_in, d_out)
+    reference::sgns_window(inp, out, d_in, d_out, samples, gradient)
+}
+
+/// Lane-wise `a + b` of two `f32` pairs packed in `u64`s (the lower half is
+/// the first lane), rounding as two scalar adds do: the embedding matrix's
+/// two-lane cell update, one SSE2 add on x86_64.
+#[inline]
+pub(crate) fn add_f32_pairs(a: u64, b: u64) -> u64 {
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    {
+        use std::arch::x86_64::*;
+        // SAFETY: SSE2 is part of the x86_64 baseline; no memory is touched.
+        unsafe {
+            let lanes = |x: u64| _mm_castsi128_ps(_mm_cvtsi64_si128(x as i64));
+            _mm_cvtsi128_si64(_mm_castps_si128(_mm_add_ps(lanes(a), lanes(b)))) as u64
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+    {
+        let lane = |x: u64, shift: u32| f32::from_bits((x >> shift) as u32);
+        let (lo, hi) = (lane(a, 0) + lane(b, 0), lane(a, 32) + lane(b, 32));
+        u64::from(lo.to_bits()) | u64::from(hi.to_bits()) << 32
+    }
 }
 
 /// L2 norm (`‖a‖`), SIMD-dispatched.
@@ -640,36 +738,100 @@ mod tests {
         }
     }
 
+    /// The window kernel is per-sample [`dot`] then update, bit for bit:
+    /// every score is `dot` of the row as the earlier samples left it, every
+    /// lane one FMA on the AVX2 body and a multiply then an add elsewhere.
     #[test]
-    fn sgns_update_matches_reference_across_dims_and_remainders() {
-        for dim in (0usize..20).chain([31, 32, 33, 64, 100, 128, 129]) {
-            let inp = pseudo_vec(dim, 5 + dim as u32);
-            let out = pseudo_vec(dim, 50 + dim as u32);
-            let d_in = pseudo_vec(dim, 500 + dim as u32);
-            let d_out = pseudo_vec(dim, 5000 + dim as u32);
-            let g = 0.37f32;
-            let (mut got_out, mut got_di, mut got_do) = (out.clone(), d_in.clone(), d_out.clone());
-            sgns_update(g, &inp, &mut got_out, &mut got_di, &mut got_do);
-            let (mut want_out, mut want_di, mut want_do) = (out.clone(), d_in, d_out);
-            reference::sgns_update(g, &inp, &mut want_out, &mut want_di, &mut want_do);
-            // One multiply-add per lane: FMA and mul+add differ by at most
-            // one rounding of a value no larger than |a| + |g·b| < 2.
-            for (got, want) in [
-                (&got_out, &want_out),
-                (&got_di, &want_di),
-                (&got_do, &want_do),
-            ] {
-                for (x, y) in got.iter().zip(want) {
-                    assert!((x - y).abs() <= 2.0 * f32::EPSILON, "dim {dim}: {x} vs {y}");
+    fn sgns_window_is_per_sample_dot_then_update_bitwise() {
+        // Slots repeat at once, after a gap, and after a full run of 8.
+        let samples = [0usize, 1, 2, 1, 3, 3, 0, 4, 5, 6, 7, 8, 9, 2, 9];
+        let slots = 10;
+        // Depends on the score, so a score off by one bit shows in the rows.
+        let gradient = |i: usize, score: f32| (0.5 - score) * (0.1 + 0.01 * i as f32);
+        for dim in 1usize..=72 {
+            let seed = dim as u32;
+            let inp = pseudo_vec(dim, 3 + seed);
+            let (out, d_in, d_out) = (
+                pseudo_vec(slots * dim, 30 + seed),
+                pseudo_vec(dim, 300 + seed),
+                pseudo_vec(slots * dim, 3000 + seed),
+            );
+            let (mut got_out, mut got_d_in, mut got_d_out) =
+                (out.clone(), d_in.clone(), d_out.clone());
+            let mut scores = Vec::new();
+            sgns_window(
+                &inp,
+                &mut got_out,
+                &mut got_d_in,
+                &mut got_d_out,
+                &samples,
+                |i, s| {
+                    scores.push(s);
+                    gradient(i, s)
+                },
+            );
+
+            let fused = if backend() == KernelBackend::Avx2 {
+                dim / 8 * 8
+            } else {
+                0
+            };
+            let (mut out, mut d_in, mut d_out) = (out, d_in, d_out);
+            for (i, &slot) in samples.iter().enumerate() {
+                let score = dot(&inp, &out[slot * dim..(slot + 1) * dim]);
+                assert_eq!(
+                    scores[i].to_bits(),
+                    score.to_bits(),
+                    "dim {dim}, sample {i}"
+                );
+                let g = gradient(i, score);
+                for (j, &x) in inp.iter().enumerate() {
+                    let (o, d) = (&mut out[slot * dim + j], &mut d_out[slot * dim + j]);
+                    if j < fused {
+                        d_in[j] = g.mul_add(*o, d_in[j]);
+                        (*o, *d) = (g.mul_add(x, *o), g.mul_add(x, *d));
+                    } else {
+                        d_in[j] += g * *o;
+                        (*o, *d) = (*o + g * x, *d + g * x);
+                    }
                 }
             }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got_out), bits(&out), "out, dim {dim}");
+            assert_eq!(bits(&got_d_in), bits(&d_in), "d_in, dim {dim}");
+            assert_eq!(bits(&got_d_out), bits(&d_out), "d_out, dim {dim}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "differ in length")]
-    fn sgns_update_rejects_ragged_rows() {
-        sgns_update(1.0, &[0.0; 4], &mut [0.0; 4], &mut [0.0; 3], &mut [0.0; 4]);
+    #[should_panic(expected = "out of bounds")]
+    fn sgns_window_rejects_rows_out_of_bounds() {
+        let (mut out, mut d_out) = ([0.0; 8], [0.0; 8]);
+        sgns_window(
+            &[0.0; 4],
+            &mut out,
+            &mut [0.0; 4],
+            &mut d_out,
+            &[0, 2],
+            |_, _| 0.0,
+        );
+    }
+
+    /// A slot whose row end overflows `usize` is out of bounds too, not a
+    /// row that wraps around to the start.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn sgns_window_rejects_a_slot_past_the_address_space() {
+        let (mut out, mut d_out) = ([0.0; 8], [0.0; 8]);
+        let slot = usize::MAX / 4 + 1;
+        sgns_window(
+            &[0.0; 4],
+            &mut out,
+            &mut [0.0; 4],
+            &mut d_out,
+            &[slot],
+            |_, _| 0.0,
+        );
     }
 
     #[test]

@@ -3,11 +3,16 @@
 //! The original word2vec (and UniNet's trainer) lets all threads update the
 //! same parameter matrix without locks; conflicting updates are rare and
 //! benign. Rust forbids plain data races, so the matrix stores `f32` bits in
-//! relaxed `AtomicU32` cells: updates remain lock-free and wait-free while the
-//! program stays free of undefined behaviour.
+//! relaxed atomic cells: updates remain lock-free and wait-free while the
+//! program stays free of undefined behaviour. A cell is an `AtomicU64` that
+//! holds two lanes (the lower half is the even column), which halves the
+//! atomic operations of a row read or write; an odd-width row ends with one
+//! padding lane that stays zero. Hogwild's unit is therefore a lane pair: a
+//! racing update may lose both lanes of a cell, never tear one.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::kernels;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -15,29 +20,54 @@ use rand::{Rng, SeedableRng};
 pub struct EmbeddingMatrix {
     rows: usize,
     dim: usize,
-    data: Vec<AtomicU32>,
+    /// `dim.div_ceil(2)` cells per row, row-major.
+    data: Vec<AtomicU64>,
+}
+
+#[inline]
+fn unpack(bits: u64) -> [f32; 2] {
+    [0, 32].map(|shift| f32::from_bits((bits >> shift) as u32))
+}
+
+#[inline]
+fn pack(lo: f32, hi: f32) -> u64 {
+    u64::from(lo.to_bits()) | u64::from(hi.to_bits()) << 32
 }
 
 impl EmbeddingMatrix {
     /// Creates a zero-initialized matrix.
     pub fn zeros(rows: usize, dim: usize) -> Self {
         assert!(dim > 0, "dimension must be positive");
-        let data = (0..rows * dim)
-            .map(|_| AtomicU32::new(0f32.to_bits()))
-            .collect();
-        EmbeddingMatrix { rows, dim, data }
+        let mut m = EmbeddingMatrix {
+            rows: 0,
+            dim,
+            data: Vec::new(),
+        };
+        m.grow_zeros(rows);
+        m
     }
 
     /// Creates a matrix initialized uniformly in `(-0.5/dim, 0.5/dim)`, the
     /// word2vec input-matrix initialization.
     pub fn uniform(rows: usize, dim: usize, seed: u64) -> Self {
-        assert!(dim > 0, "dimension must be positive");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let scale = 0.5 / dim as f32;
-        let data = (0..rows * dim)
-            .map(|_| AtomicU32::new(rng.gen_range(-scale..scale).to_bits()))
-            .collect();
-        EmbeddingMatrix { rows, dim, data }
+        let mut m = Self::zeros(0, dim);
+        m.grow_uniform(rows, seed);
+        m
+    }
+
+    /// Appends rows up to `new_rows`, drawing their values row by row in
+    /// column order.
+    fn grow_with(&mut self, new_rows: usize, mut value: impl FnMut() -> f32) {
+        let cells = self.dim.div_ceil(2);
+        self.data.reserve((new_rows - self.rows) * cells);
+        for _ in self.rows..new_rows {
+            for k in 0..cells {
+                let lo = value();
+                let hi = if 2 * k + 1 < self.dim { value() } else { 0.0 };
+                self.data.push(AtomicU64::new(pack(lo, hi)));
+            }
+        }
+        self.rows = new_rows;
     }
 
     /// Number of rows (nodes).
@@ -50,49 +80,55 @@ impl EmbeddingMatrix {
         self.dim
     }
 
-    /// Reads one cell.
     #[inline]
-    pub fn get(&self, row: usize, j: usize) -> f32 {
-        debug_assert!(row < self.rows && j < self.dim);
-        f32::from_bits(self.data[row * self.dim + j].load(Ordering::Relaxed))
-    }
-
-    /// Writes one cell.
-    #[inline]
-    pub fn set(&self, row: usize, j: usize, value: f32) {
-        debug_assert!(row < self.rows && j < self.dim);
-        self.data[row * self.dim + j].store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Adds `delta` to one cell (read-modify-write, last writer wins —
-    /// the Hogwild contract).
-    #[inline]
-    pub fn add(&self, row: usize, j: usize, delta: f32) {
-        let idx = row * self.dim + j;
-        let cell = &self.data[idx];
-        let current = f32::from_bits(cell.load(Ordering::Relaxed));
-        cell.store((current + delta).to_bits(), Ordering::Relaxed);
+    fn cells(&self, row: usize) -> &[AtomicU64] {
+        let cells = self.dim.div_ceil(2);
+        &self.data[row * cells..(row + 1) * cells]
     }
 
     /// Copies row `row` into `buf` (length `dim`).
     #[inline]
     pub fn read_row(&self, row: usize, buf: &mut [f32]) {
         debug_assert_eq!(buf.len(), self.dim);
-        let base = row * self.dim;
-        for (j, b) in buf.iter_mut().enumerate() {
-            *b = f32::from_bits(self.data[base + j].load(Ordering::Relaxed));
+        let cells = self.cells(row);
+        let mut pairs = buf.chunks_exact_mut(2);
+        for (pair, cell) in (&mut pairs).zip(cells) {
+            pair.copy_from_slice(&unpack(cell.load(Ordering::Relaxed)));
+        }
+        if let [last] = pairs.into_remainder() {
+            *last = unpack(cells[cells.len() - 1].load(Ordering::Relaxed))[0];
         }
     }
 
-    /// Adds the vector `delta` (length `dim`) onto row `row`.
+    /// Adds the vector `delta` (length `dim`) onto row `row`
+    /// (read-modify-write per cell, last writer wins — the Hogwild contract).
     #[inline]
     pub fn add_row(&self, row: usize, delta: &[f32]) {
         debug_assert_eq!(delta.len(), self.dim);
-        let base = row * self.dim;
-        for (j, &d) in delta.iter().enumerate() {
-            let cell = &self.data[base + j];
-            let current = f32::from_bits(cell.load(Ordering::Relaxed));
-            cell.store((current + d).to_bits(), Ordering::Relaxed);
+        let cells = self.cells(row);
+        let mut pairs = delta.chunks_exact(2);
+        for (d, cell) in (&mut pairs).zip(cells) {
+            let sum = kernels::add_f32_pairs(cell.load(Ordering::Relaxed), pack(d[0], d[1]));
+            cell.store(sum, Ordering::Relaxed);
+        }
+        if let [d] = pairs.remainder() {
+            let cell = &cells[cells.len() - 1];
+            cell.store(
+                kernels::add_f32_pairs(cell.load(Ordering::Relaxed), pack(*d, 0.0)),
+                Ordering::Relaxed,
+            );
+        }
+    }
+
+    /// Overwrites row `row` with `values` (length `dim`).
+    #[inline]
+    pub fn write_row(&self, row: usize, values: &[f32]) {
+        debug_assert_eq!(values.len(), self.dim);
+        for (v, cell) in values.chunks(2).zip(self.cells(row)) {
+            cell.store(
+                pack(v[0], v.get(1).copied().unwrap_or(0.0)),
+                Ordering::Relaxed,
+            );
         }
     }
 
@@ -102,13 +138,9 @@ impl EmbeddingMatrix {
     /// (unreachable) parameters until a full rebuild. Requires `&mut self`, so
     /// growth cannot race concurrent Hogwild writers by construction.
     pub fn grow_zeros(&mut self, new_rows: usize) {
-        if new_rows <= self.rows {
-            return;
+        if new_rows > self.rows {
+            self.grow_with(new_rows, || 0.0);
         }
-        self.data.extend(
-            (self.rows * self.dim..new_rows * self.dim).map(|_| AtomicU32::new(0f32.to_bits())),
-        );
-        self.rows = new_rows;
     }
 
     /// Grows the matrix to `new_rows`, initializing the added rows uniformly
@@ -117,34 +149,20 @@ impl EmbeddingMatrix {
     /// The fill is seeded per call so arrivals are deterministic given the
     /// stream; shrinking is a no-op as in [`EmbeddingMatrix::grow_zeros`].
     pub fn grow_uniform(&mut self, new_rows: usize, seed: u64) {
-        if new_rows <= self.rows {
-            return;
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let scale = 0.5 / self.dim as f32;
-        self.data.extend(
-            (self.rows * self.dim..new_rows * self.dim)
-                .map(|_| AtomicU32::new(rng.gen_range(-scale..scale).to_bits())),
-        );
-        self.rows = new_rows;
-    }
-
-    /// Overwrites row `row` with `values` (length `dim`).
-    #[inline]
-    pub fn write_row(&self, row: usize, values: &[f32]) {
-        debug_assert_eq!(values.len(), self.dim);
-        let base = row * self.dim;
-        for (j, &v) in values.iter().enumerate() {
-            self.data[base + j].store(v.to_bits(), Ordering::Relaxed);
+        if new_rows > self.rows {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let scale = 0.5 / self.dim as f32;
+            self.grow_with(new_rows, || rng.gen_range(-scale..scale));
         }
     }
 
     /// Extracts the whole matrix as a flat row-major `Vec<f32>`.
     pub fn to_flat(&self) -> Vec<f32> {
-        self.data
-            .iter()
-            .map(|c| f32::from_bits(c.load(Ordering::Relaxed)))
-            .collect()
+        let mut flat = vec![0.0; self.rows * self.dim];
+        for (row, buf) in flat.chunks_exact_mut(self.dim).enumerate() {
+            self.read_row(row, buf);
+        }
+        flat
     }
 }
 
@@ -157,11 +175,64 @@ mod tests {
         let m = EmbeddingMatrix::zeros(3, 4);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.dim(), 4);
-        assert_eq!(m.get(2, 3), 0.0);
-        m.set(1, 2, 1.5);
-        assert_eq!(m.get(1, 2), 1.5);
-        m.add(1, 2, 0.5);
-        assert_eq!(m.get(1, 2), 2.0);
+        let mut buf = vec![1.0; 4];
+        m.read_row(2, &mut buf);
+        assert_eq!(buf[3], 0.0);
+        m.write_row(1, &[0.0, 0.0, 1.5, 0.0]);
+        m.read_row(1, &mut buf);
+        assert_eq!(buf[2], 1.5);
+        m.add_row(1, &[0.0, 0.0, 0.5, 0.0]);
+        m.read_row(1, &mut buf);
+        assert_eq!(buf[2], 2.0);
+    }
+
+    /// Odd widths end in a padding lane that no row operation may leak or
+    /// mix into a neighbouring row.
+    #[test]
+    fn odd_dims_round_trip() {
+        for dim in [1usize, 3, 19] {
+            let mut m = EmbeddingMatrix::zeros(2, dim);
+            let row = |r: usize| (0..dim).map(|j| (r * 100 + j) as f32).collect::<Vec<_>>();
+            m.write_row(0, &row(0));
+            m.write_row(1, &row(1));
+            m.add_row(1, &vec![0.5; dim]);
+            let mut buf = vec![0.0; dim];
+            m.read_row(0, &mut buf);
+            assert_eq!(buf, row(0), "dim {dim}");
+            m.read_row(1, &mut buf);
+            let want: Vec<f32> = row(1).iter().map(|x| x + 0.5).collect();
+            assert_eq!(buf, want, "dim {dim}");
+
+            m.grow_zeros(3);
+            m.grow_uniform(4, 9);
+            m.add_row(3, &vec![1.0; dim]);
+            let flat = m.to_flat();
+            assert_eq!(flat.len(), 4 * dim);
+            assert_eq!(&flat[..dim], row(0).as_slice());
+            assert_eq!(&flat[dim..2 * dim], want.as_slice());
+            assert!(flat[2 * dim..3 * dim].iter().all(|&x| x == 0.0));
+            let scale = 0.5 / dim as f32;
+            assert!(flat[3 * dim..].iter().all(|&x| (x - 1.0).abs() <= scale));
+        }
+    }
+
+    /// Two lanes per cell change neither which values `uniform` and
+    /// `grow_uniform` draw nor where they land: row after row, column order.
+    #[test]
+    fn uniform_draws_in_row_major_order() {
+        for dim in [1usize, 3, 4, 19] {
+            let scale = 0.5 / dim as f32;
+            let draws = |seed: u64, n: usize| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                (0..n)
+                    .map(|_| rng.gen_range(-scale..scale))
+                    .collect::<Vec<f32>>()
+            };
+            let mut m = EmbeddingMatrix::uniform(5, dim, 3);
+            assert_eq!(m.to_flat(), draws(3, 5 * dim), "dim {dim}");
+            m.grow_uniform(8, 4);
+            assert_eq!(m.to_flat()[5 * dim..], draws(4, 3 * dim), "dim {dim}");
+        }
     }
 
     #[test]

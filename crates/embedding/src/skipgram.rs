@@ -16,6 +16,12 @@
 //! the same arithmetic as the per-pair loop fed the same negatives (a test
 //! pins that to 1e-5).
 //!
+//! One input vector's step against the window's `1 + negative` samples is
+//! one call of [`kernels::sgns_window`]: all dots in one pass over the input
+//! row, then all updates in one more, with the input gradient held in a
+//! register. A negative drawn twice starts a new run of that kernel, so the
+//! step is bit-identical to one `dot` and one update per sample.
+//!
 //! Applying the updates sequentially to the local copies matters. The
 //! textbook minibatch form — all `m · (1 + negative)` gradients from the
 //! stale gather, summed, then applied — is as fast but takes a step `m`
@@ -128,27 +134,26 @@ impl WindowScratch {
     pub fn update(&mut self, alpha: f32, sigmoid: &SigmoidTable, monitor: bool) -> f32 {
         self.d_in.fill(0.0);
         let mut loss = 0.0f32;
-        for (i, &slot) in self.samples.iter().enumerate() {
-            let row = slot * self.dim..(slot + 1) * self.dim;
-            let out = &mut self.out[row.clone()];
-            let pred = sigmoid.sigmoid(kernels::dot(&self.inp, out));
-            // The first sample is the positive one.
-            let (label, likelihood) = if i == 0 {
-                (1.0, pred)
-            } else {
-                (0.0, 1.0 - pred)
-            };
-            if monitor {
-                loss -= ln_safe(likelihood);
-            }
-            kernels::sgns_update(
-                (label - pred) * alpha,
-                &self.inp,
-                out,
-                &mut self.d_in,
-                &mut self.d_out[row],
-            );
-        }
+        kernels::sgns_window(
+            &self.inp,
+            &mut self.out,
+            &mut self.d_in,
+            &mut self.d_out,
+            &self.samples,
+            |i, score| {
+                let pred = sigmoid.sigmoid(score);
+                // The first sample is the positive one.
+                let (label, likelihood) = if i == 0 {
+                    (1.0, pred)
+                } else {
+                    (0.0, 1.0 - pred)
+                };
+                if monitor {
+                    loss -= ln_safe(likelihood);
+                }
+                (label - pred) * alpha
+            },
+        );
         loss
     }
 
@@ -282,18 +287,28 @@ mod tests {
     /// The window kernel on one thread is per-pair SGD: same rows, same
     /// values, for windows with repeated context words, negatives that hit a
     /// context word, and a negative drawn twice. A summed-minibatch kernel
-    /// (every gradient from the stale gather) fails this by ~alpha.
+    /// (every gradient from the stale gather) fails this by ~alpha. Dim 19
+    /// runs the SIMD bodies and their scalar tails, 64 and 128 the bodies
+    /// alone.
     #[test]
     fn window_kernel_matches_the_per_pair_oracle() {
-        let (nodes, dim, alpha) = (12usize, 19usize, 0.2f32);
+        for dim in [19, 64, 128] {
+            window_kernel_matches_the_per_pair_oracle_at(dim);
+        }
+    }
+
+    fn window_kernel_matches_the_per_pair_oracle_at(dim: usize) {
+        let (nodes, alpha) = (12usize, 0.2f32);
         let sigmoid = SigmoidTable::default();
+        // Scores of order 1 at every width, so the sigmoid is off its
+        // linear middle.
+        let scale = 30.0 * (dim as f32 / 19.0).powf(0.75);
         let seeded = || {
             let input = EmbeddingMatrix::uniform(nodes, dim, 3);
             let output = EmbeddingMatrix::uniform(nodes, dim, 4);
-            // Scores of order 1, so the sigmoid is off its linear middle.
             for m in [&input, &output] {
                 for r in 0..nodes {
-                    let scaled: Vec<f32> = row(m, r as u32).iter().map(|x| x * 30.0).collect();
+                    let scaled: Vec<f32> = row(m, r as u32).iter().map(|x| x * scale).collect();
                     m.write_row(r, &scaled);
                 }
             }
@@ -341,14 +356,17 @@ mod tests {
         ] {
             for r in 0..nodes as u32 {
                 for ((g, w), b) in row(got, r).iter().zip(row(want, r)).zip(row(before, r)) {
-                    assert!((g - w).abs() < 1e-5, "row {r}: kernel {g} vs oracle {w}");
+                    assert!(
+                        (g - w).abs() < 1e-5,
+                        "dim {dim}, row {r}: kernel {g} vs oracle {w}"
+                    );
                     moved += usize::from((w - b).abs() > 1e-3);
                 }
             }
         }
         assert!(
             moved > 100,
-            "the oracle barely moved anything: {moved} cells"
+            "dim {dim}: the oracle barely moved anything: {moved} cells"
         );
     }
 

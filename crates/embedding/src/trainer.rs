@@ -128,13 +128,13 @@ pub(crate) fn run_sgd_pass(
     let num_threads = cfg.num_threads.max(1).min(walks.len().max(1));
     let chunk = walks.len().div_ceil(num_threads.max(1)).max(1);
 
-    let (tokens, pairs, final_loss, final_tokens) = crossbeam::thread::scope(|scope| {
+    let (tokens, pairs, final_loss, final_tokens) = std::thread::scope(|scope| {
         let workers: Vec<_> = walks
             .chunks(chunk)
             .enumerate()
             .map(|(tid, shard)| {
                 let progress = &progress;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rng = SmallRng::seed_from_u64(
                         cfg.seed ^ (tid as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15),
                     );
@@ -204,8 +204,7 @@ pub(crate) fn run_sgd_pass(
             .fold((0u64, 0u64, 0.0f64, 0u64), |a, b| {
                 (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)
             })
-    })
-    .expect("training scope panicked");
+    });
 
     TrainStats {
         tokens_processed: tokens,

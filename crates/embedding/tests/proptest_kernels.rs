@@ -1,5 +1,5 @@
 //! Property-based equivalence layer for the query-plane kernels and the
-//! trainer's fused SGNS update.
+//! trainer's SGNS window kernel.
 //!
 //! Fast-but-wrong kernels would silently corrupt every recall number the
 //! benches report, so this suite pins the dispatched implementations to the
@@ -14,8 +14,8 @@
 //! ```
 //!
 //! Two layers of property: (1) the f32/int8 kernels against the scalar
-//! reference with a forward-error summation bound (the fused SGNS update
-//! lane by lane, within one rounding), and (2) the incremental HNSW graft
+//! reference with a forward-error summation bound (the SGNS window kernel
+//! within one rounding per sample and lane), and (2) the incremental HNSW graft
 //! against a from-scratch rebuild (recall parity within 0.02) across ≥ 5
 //! epochs of drift and node churn.
 
@@ -41,6 +41,10 @@ fn random_unit_flat(n: usize, dim: usize, rng: &mut SmallRng) -> Vec<f32> {
     }
     flat
 }
+
+/// A window kernel: [`kernels::sgns_window`] or its scalar reference.
+type Window =
+    fn(&[f32], &mut [f32], &mut [f32], &mut [f32], &[usize], &mut dyn FnMut(usize, f32) -> f32);
 
 /// recall@k of `got` against the brute-force `most_similar` ground truth,
 /// averaged over a sample of query nodes.
@@ -98,56 +102,88 @@ proptest! {
         );
     }
 
-    /// Property 1c: the dispatched fused SGNS update agrees with the scalar
-    /// reference lane by lane on arbitrary dims, gradient scales and slice
-    /// alignments of all four rows. Each lane is one multiply-add, so a
-    /// backend may differ from the reference only by FMA's single rounding.
+    /// Property 1c: the dispatched SGNS window kernel agrees with the scalar
+    /// reference on arbitrary dims, slice alignments and windows of one
+    /// positive and 1–20 negatives, with a slot drawn twice in every window.
+    /// Each sample's gradient is fixed up front, so no score difference
+    /// feeds the rows. Every intermediate value is bounded by
+    /// `B = scale·(1 + G)²` (`G = Σ|g|`), and a backend may differ from the
+    /// reference by one rounding of at most `B` per sample (FMA against a
+    /// multiply then an add), carried on by at most `1 + G`. A score may
+    /// differ by the summation bound plus the drift of the row it reads.
     #[test]
-    fn dispatched_sgns_update_matches_scalar_reference(
+    fn dispatched_sgns_window_matches_scalar_reference(
         dim in 0usize..300,
         offsets in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
-        g in -2.0f32..2.0,
+        negatives in 1usize..21,
         scale in 0.01f32..100.0,
         seed in 0u64..10_000,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut buf = |offset: usize| -> Vec<f32> {
-            (0..dim + offset).map(|_| rng.gen_range(-1.0f32..1.0) * scale).collect()
+        let distinct = rng.gen_range(1..=negatives);
+        let mut samples: Vec<usize> = std::iter::once(0)
+            .chain((0..negatives).map(|_| rng.gen_range(0..=distinct)))
+            .collect();
+        let last = samples.len() - 1;
+        samples[last] = samples[rng.gen_range(0..last)];
+        let rows = samples.iter().max().unwrap() + 1;
+        let gradients: Vec<f32> = samples
+            .iter()
+            .map(|_| rng.gen_range(-0.1f32..0.1))
+            .collect();
+
+        let mut buf = |len: usize, offset: usize| -> Vec<f32> {
+            (0..len + offset).map(|_| rng.gen_range(-1.0f32..1.0) * scale).collect()
         };
-        let inp = buf(offsets.0);
-        let (out, d_in, d_out) = (buf(offsets.1), buf(offsets.2), buf(offsets.3));
+        let inp = buf(dim, offsets.0);
+        let out = buf(rows * dim, offsets.1);
+        let (d_in, d_out) = (buf(dim, offsets.2), buf(rows * dim, offsets.3));
         let inp = &inp[offsets.0..];
 
-        let (mut got_out, mut got_d_in, mut got_d_out) = (out.clone(), d_in.clone(), d_out.clone());
-        kernels::sgns_update(
-            g,
-            inp,
-            &mut got_out[offsets.1..],
-            &mut got_d_in[offsets.2..],
-            &mut got_d_out[offsets.3..],
-        );
-        let (mut want_out, mut want_d_in, mut want_d_out) = (out.clone(), d_in, d_out);
-        kernels::reference::sgns_update(
-            g,
-            inp,
-            &mut want_out[offsets.1..],
-            &mut want_d_in[offsets.2..],
-            &mut want_d_out[offsets.3..],
-        );
+        let run = |window: Window| {
+            let (mut out, mut d_in, mut d_out) = (out.clone(), d_in.clone(), d_out.clone());
+            let mut scores = Vec::new();
+            window(
+                inp,
+                &mut out[offsets.1..],
+                &mut d_in[offsets.2..],
+                &mut d_out[offsets.3..],
+                &samples,
+                &mut |i, score| {
+                    scores.push(score);
+                    gradients[i]
+                },
+            );
+            (out, d_in, d_out, scores)
+        };
+        let got = run(|i, o, di, d, s, g| kernels::sgns_window(i, o, di, d, s, g));
+        let want = run(|i, o, di, d, s, g| kernels::reference::sgns_window(i, o, di, d, s, g));
 
-        // |a + g·b| ≤ scale · (1 + |g|); one rounding of that at most.
-        let tol = 2.0 * f32::EPSILON * scale * (1.0 + g.abs());
+        let total_g: f32 = gradients.iter().map(|g| g.abs()).sum();
+        let bound = scale * (1.0 + total_g).powi(2);
+        let row_tol = 2.0 * samples.len() as f32 * f32::EPSILON * bound * (1.0 + total_g);
         for (name, got, want) in [
-            ("out", &got_out, &want_out),
-            ("d_in", &got_d_in, &want_d_in),
-            ("d_out", &got_d_out, &want_d_out),
+            ("out", &got.0, &want.0),
+            ("d_in", &got.1, &want.1),
+            ("d_out", &got.2, &want.2),
         ] {
             for (j, (x, y)) in got.iter().zip(want).enumerate() {
-                prop_assert!((x - y).abs() <= tol, "{name}[{j}] dim={dim}: {x} vs {y} (tol {tol})");
+                prop_assert!(
+                    (x - y).abs() <= row_tol,
+                    "{name}[{j}] dim={dim}: {x} vs {y} (tol {row_tol})"
+                );
             }
         }
+        let inp_abs: f32 = inp.iter().map(|x| x.abs()).sum();
+        let score_tol = inp_abs * (dim as f32 * f32::EPSILON * bound + row_tol) + f32::MIN_POSITIVE;
+        for (i, (x, y)) in got.3.iter().zip(&want.3).enumerate() {
+            prop_assert!(
+                (x - y).abs() <= score_tol,
+                "score {i} dim={dim}: {x} vs {y} (tol {score_tol})"
+            );
+        }
         // The lanes before each offset are not the kernel's to touch.
-        prop_assert_eq!(&got_out[..offsets.1], &out[..offsets.1]);
+        prop_assert_eq!(&got.0[..offsets.1], &out[..offsets.1]);
     }
 
     /// Property 1b: the int8 dot kernel is *exact* — integer accumulation has
