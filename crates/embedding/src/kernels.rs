@@ -98,23 +98,12 @@ pub mod reference {
         for (i, &slot) in samples.iter().enumerate() {
             let row = slot * dim..(slot + 1) * dim;
             let g = gradient(i, dot(inp, &out[row.clone()]));
-            update(g, inp, &mut out[row.clone()], d_in, &mut d_out[row]);
-        }
-    }
-
-    /// One sample's update, lane by lane; also the SIMD kernels' tail.
-    #[inline]
-    pub(super) fn update(
-        g: f32,
-        inp: &[f32],
-        out: &mut [f32],
-        d_in: &mut [f32],
-        d_out: &mut [f32],
-    ) {
-        for (((&x, o), di), d_o) in inp.iter().zip(out).zip(d_in).zip(d_out) {
-            *di += g * *o;
-            *o += g * x;
-            *d_o += g * x;
+            let lanes = inp.iter().zip(&mut out[row.clone()]).zip(&mut *d_in);
+            for (((&x, o), di), d_o) in lanes.zip(&mut d_out[row]) {
+                *di += g * *o;
+                *o += g * x;
+                *d_o += g * x;
+            }
         }
     }
 
@@ -367,10 +356,11 @@ mod x86 {
             .unwrap_or(limit)
     }
 
-    /// Defines a window kernel (see [`super::sgns_window`]) at one width. Per
-    /// run: one accumulator per sample over one load of each input chunk,
-    /// advanced by `$dot` as that width's `dot` is; then the updates with the
-    /// chunk's `d_in` in a register, each sample's by `$update`.
+    /// Defines a window kernel (see [`super::sgns_window`]) at one width. A run
+    /// of `N` distinct slots goes through one body, `run::<N>`: its rows
+    /// resolved once, one accumulator per sample over one load of each input
+    /// chunk, advanced by `$dot` as that width's `dot` is; then the updates
+    /// with the chunk's `d_in` in a register, each sample's by `$update`.
     macro_rules! window_kernel {
         (
             $(#[$doc:meta])* $name:ident, $feature:literal, $lanes:literal,
@@ -394,36 +384,61 @@ mod x86 {
                 mut gradient: impl FnMut(usize, f32) -> f32,
             ) {
                 let dim = inp.len();
-                let body = dim / $lanes * $lanes;
+                let (ip, dip) = (inp.as_ptr(), d_in.as_mut_ptr());
+                let (op, dop) = (out.as_mut_ptr(), d_out.as_mut_ptr());
                 let mut start = 0;
                 while start < samples.len() {
-                    let run = &samples[start..run_end(samples, start)];
-                    // Derived per run: the scalar tail below reborrows the slices.
-                    let (ip, op) = (inp.as_ptr(), out.as_mut_ptr());
-                    let (dip, dop) = (d_in.as_mut_ptr(), d_out.as_mut_ptr());
-                    let mut acc = [$zero(); RUN];
+                    let slots = &samples[start..run_end(samples, start)];
+                    let f = &mut |j: usize, score: f32| gradient(start + j, score);
+                    match slots.len() {
+                        1 => run::<1>(ip, dip, op, dop, dim, slots, f),
+                        2 => run::<2>(ip, dip, op, dop, dim, slots, f),
+                        3 => run::<3>(ip, dip, op, dop, dim, slots, f),
+                        4 => run::<4>(ip, dip, op, dop, dim, slots, f),
+                        5 => run::<5>(ip, dip, op, dop, dim, slots, f),
+                        6 => run::<6>(ip, dip, op, dop, dim, slots, f),
+                        7 => run::<7>(ip, dip, op, dop, dim, slots, f),
+                        _ => run::<RUN>(ip, dip, op, dop, dim, slots, f),
+                    }
+                    start += slots.len();
+                }
+
+                /// # Safety
+                /// As the kernel's, with `N == slots.len()` distinct slots.
+                #[target_feature(enable = $feature)]
+                unsafe fn run<const N: usize>(
+                    ip: *const f32,
+                    dip: *mut f32,
+                    op: *mut f32,
+                    dop: *mut f32,
+                    dim: usize,
+                    slots: &[usize],
+                    gradient: &mut impl FnMut(usize, f32) -> f32,
+                ) {
+                    let body = dim / $lanes * $lanes;
+                    let rows: [usize; N] = std::array::from_fn(|j| slots[j] * dim);
+                    let mut acc = [$zero(); N];
                     for at in (0..body).step_by($lanes) {
                         let $x = $load(ip.add(at));
-                        for ($acc, &slot) in acc.iter_mut().zip(run) {
-                            let $o = $load(op.add(slot * dim + at));
+                        for ($acc, row) in acc.iter_mut().zip(rows) {
+                            let $o = $load(op.add(row + at));
                             *$acc = $dot;
                         }
                     }
-                    let mut g = [0.0f32; RUN];
-                    for (j, &slot) in run.iter().enumerate() {
+                    let mut g = [0.0f32; N];
+                    for j in 0..N {
                         let mut score = $hsum(acc[j]);
                         for i in body..dim {
-                            score += *ip.add(i) * *op.add(slot * dim + i);
+                            score += *ip.add(i) * *op.add(rows[j] + i);
                         }
-                        g[j] = gradient(start + j, score);
+                        g[j] = gradient(j, score);
                     }
+                    let gv = g.map(|gj| $set1(gj));
                     for at in (0..body).step_by($lanes) {
                         let $vi = $load(ip.add(at));
                         let mut $vdi = $load(dip.add(at));
-                        for (&gj, &slot) in g.iter().zip(run) {
-                            let $g = $set1(gj);
-                            let row = slot * dim + at;
-                            let (o, d) = (op.add(row), dop.add(row));
+                        for (&$g, row) in gv.iter().zip(rows) {
+                            let (o, d) = (op.add(row + at), dop.add(row + at));
                             let ($vo, $vd) = ($load(o), $load(d));
                             let (new_di, new_o, new_d) = $update;
                             $vdi = new_di;
@@ -432,15 +447,14 @@ mod x86 {
                         }
                         $store(dip.add(at), $vdi);
                     }
-                    for (&gj, &slot) in g.iter().zip(run) {
-                        if body < dim {
-                            let row = slot * dim + body..(slot + 1) * dim;
-                            let (inp, d_in) = (&inp[body..], &mut d_in[body..]);
-                            let (o, d) = (&mut out[row.clone()], &mut d_out[row]);
-                            super::reference::update(gj, inp, o, d_in, d);
+                    for (&gj, row) in g.iter().zip(rows) {
+                        for i in body..dim {
+                            let (x, o, d) = (*ip.add(i), op.add(row + i), dop.add(row + i));
+                            *dip.add(i) += gj * *o;
+                            *o += gj * x;
+                            *d += gj * x;
                         }
                     }
-                    start += run.len();
                 }
             }
         };
@@ -585,10 +599,12 @@ pub fn sgns_window(
     gradient: impl FnMut(usize, f32) -> f32,
 ) {
     let dim = inp.len();
+    let last_row_fits = samples.iter().max().is_none_or(|&slot| {
+        let (start, room) = (slot.checked_mul(dim), out.len().checked_sub(dim));
+        start.zip(room).is_some_and(|(start, room)| start <= room)
+    });
     assert!(
-        d_in.len() == dim
-            && out.len() == d_out.len()
-            && (dim == 0 || samples.iter().all(|&slot| slot < out.len() / dim)),
+        d_in.len() == dim && out.len() == d_out.len() && last_row_fits,
         "sgns_window rows out of bounds"
     );
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
@@ -800,6 +816,66 @@ mod tests {
             assert_eq!(bits(&got_out), bits(&out), "out, dim {dim}");
             assert_eq!(bits(&got_d_in), bits(&d_in), "d_in, dim {dim}");
             assert_eq!(bits(&got_d_out), bits(&d_out), "d_out, dim {dim}");
+        }
+    }
+
+    /// The SSE2 backends, called directly so that every x86_64 host runs them
+    /// whichever backend the dispatcher picks: `dot_sse2` and
+    /// `squared_norm_sse2` within the summation bound of the reference, and
+    /// the SSE2 window kernel bit for bit per-sample `dot_sse2` then the
+    /// scalar update, as [`sgns_window`] promises.
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    #[test]
+    fn sse2_backends_match_the_reference() {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        let dot2 = |a: &[f32], b: &[f32]| unsafe { x86::dot_sse2(a, b) };
+        for dim in (0usize..40).chain([63, 64, 65, 127, 128, 129]) {
+            let a = pseudo_vec(dim, 7 + dim as u32);
+            let b = pseudo_vec(dim, 1000 + dim as u32);
+            let tol = sum_tolerance(a.iter().zip(&b).map(|(x, y)| x * y), dim);
+            let (got, want) = (dot2(&a, &b), reference::dot(&a, &b));
+            assert!((got - want).abs() <= tol, "dot, dim {dim}: {got} vs {want}");
+            let tol = sum_tolerance(a.iter().map(|x| x * x), dim);
+            // SAFETY: as above.
+            let got = unsafe { x86::squared_norm_sse2(&a) };
+            let want = reference::squared_norm(&a);
+            assert!(
+                (got - want).abs() <= tol,
+                "norm, dim {dim}: {got} vs {want}"
+            );
+        }
+
+        let samples = [0usize, 1, 2, 1, 3, 3, 0, 4, 5, 6, 7, 8, 9, 2, 9];
+        let slots = 10;
+        let gradient = |i: usize, score: f32| (0.5 - score) * (0.1 + 0.01 * i as f32);
+        for dim in 1usize..=40 {
+            let seed = dim as u32;
+            let inp = pseudo_vec(dim, 3 + seed);
+            let (mut out, mut d_in, mut d_out) = (
+                pseudo_vec(slots * dim, 30 + seed),
+                pseudo_vec(dim, 300 + seed),
+                pseudo_vec(slots * dim, 3000 + seed),
+            );
+            let (mut want_out, mut want_d_in, mut want_d_out) =
+                (out.clone(), d_in.clone(), d_out.clone());
+            // SAFETY: SSE2 is baseline, and every slot's row lies inside
+            // `out` and `d_out`.
+            unsafe {
+                x86::sgns_window_sse2(&inp, &mut out, &mut d_in, &mut d_out, &samples, gradient)
+            };
+            for (i, &slot) in samples.iter().enumerate() {
+                let row = slot * dim..(slot + 1) * dim;
+                let g = gradient(i, dot2(&inp, &want_out[row.clone()]));
+                for (j, &x) in inp.iter().enumerate() {
+                    let (o, d) = (&mut want_out[row.start + j], &mut want_d_out[row.start + j]);
+                    want_d_in[j] += g * *o;
+                    (*o, *d) = (*o + g * x, *d + g * x);
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want_out), "out, dim {dim}");
+            assert_eq!(bits(&d_in), bits(&want_d_in), "d_in, dim {dim}");
+            assert_eq!(bits(&d_out), bits(&want_d_out), "d_out, dim {dim}");
         }
     }
 

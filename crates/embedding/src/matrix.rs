@@ -9,6 +9,12 @@
 //! atomic operations of a row read or write; an odd-width row ends with one
 //! padding lane that stays zero. Hogwild's unit is therefore a lane pair: a
 //! racing update may lose both lanes of a cell, never tear one.
+//!
+//! The trainer keeps a walk's input rows in private copies and writes each
+//! back once ([`EmbeddingMatrix::write_back_row`]), adding its delta to what
+//! other threads wrote meanwhile: a racing update lands up to one walk late
+//! and the copy never drops it (as in `add_row`, a write between one cell's
+//! load and store can still be lost).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -117,6 +123,23 @@ impl EmbeddingMatrix {
                 kernels::add_f32_pairs(cell.load(Ordering::Relaxed), pack(*d, 0.0)),
                 Ordering::Relaxed,
             );
+        }
+    }
+
+    /// Ends a private copy of row `row`: `read` is the row as
+    /// [`read_row`](Self::read_row) gave it when the copy began, `local` what
+    /// the copy became. A cell that still holds `read`'s bits takes
+    /// `local`'s; one that another writer changed meanwhile takes
+    /// `cur + (local − read)`, so that writer's update stays.
+    #[inline]
+    pub fn write_back_row(&self, row: usize, read: &[f32], local: &[f32]) {
+        debug_assert!(read.len() == self.dim && local.len() == self.dim);
+        let pair = |v: &[f32]| pack(v[0], v.get(1).copied().unwrap_or(0.0));
+        for ((r, l), cell) in read.chunks(2).zip(local.chunks(2)).zip(self.cells(row)) {
+            let (cur, was, now) = (cell.load(Ordering::Relaxed), pair(r), pair(l));
+            let ([c0, c1], [r0, r1], [l0, l1]) = (unpack(cur), unpack(was), unpack(now));
+            let merged = || pack(c0 + (l0 - r0), c1 + (l1 - r1));
+            cell.store(if cur == was { now } else { merged() }, Ordering::Relaxed);
         }
     }
 
@@ -232,6 +255,66 @@ mod tests {
             assert_eq!(m.to_flat(), draws(3, 5 * dim), "dim {dim}");
             m.grow_uniform(8, 4);
             assert_eq!(m.to_flat()[5 * dim..], draws(4, 3 * dim), "dim {dim}");
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A row nobody else wrote since the read takes the local copy's bits,
+    /// not `cur + (local - read)`, which rounds differently in some lane.
+    #[test]
+    fn write_back_of_an_untouched_row_stores_the_local_bits() {
+        for dim in [1usize, 3, 4, 19] {
+            let m = EmbeddingMatrix::zeros(3, dim);
+            // `local - read` loses `local` entirely, so `read + (local - read)`
+            // is 0 in every lane.
+            let read: Vec<f32> = (0..dim).map(|j| 1.0 + j as f32 * 0.37).collect();
+            let local: Vec<f32> = (0..dim).map(|j| 1e-9 * (j + 1) as f32).collect();
+            m.write_row(1, &read);
+            m.write_back_row(1, &read, &local);
+            let mut buf = vec![0.0; dim];
+            m.read_row(1, &mut buf);
+            assert_eq!(bits(&buf), bits(&local), "dim {dim}");
+            // Neighbouring rows, and an odd row's padding lane, stay zero.
+            let flat = m.to_flat();
+            assert!(flat[..dim]
+                .iter()
+                .chain(&flat[2 * dim..])
+                .all(|&x| x == 0.0));
+        }
+    }
+
+    /// A cell another writer changed since the read ends at
+    /// `cur + (local - read)`, so that writer's update stays; the cells it
+    /// did not change still take the local bits.
+    #[test]
+    fn write_back_keeps_what_another_writer_added() {
+        for dim in [1usize, 3, 4, 19] {
+            let m = EmbeddingMatrix::zeros(2, dim);
+            let read: Vec<f32> = (0..dim).map(|j| 1.5 - j as f32 * 0.21).collect();
+            let local: Vec<f32> = read.iter().map(|x| x * 0.5 - 0.03).collect();
+            m.write_row(0, &read);
+            // The other writer moves the first cell (columns 0 and 1) only.
+            let mut other = vec![0.0; dim];
+            other[..dim.min(2)].fill(0.75);
+            m.add_row(0, &other);
+            let mut cur = vec![0.0; dim];
+            m.read_row(0, &mut cur);
+            m.write_back_row(0, &read, &local);
+            let mut got = vec![0.0; dim];
+            m.read_row(0, &mut got);
+            let want: Vec<f32> = (0..dim)
+                .map(|j| {
+                    if j < 2 {
+                        cur[j] + (local[j] - read[j])
+                    } else {
+                        local[j]
+                    }
+                })
+                .collect();
+            assert_eq!(bits(&got), bits(&want), "dim {dim}");
         }
     }
 

@@ -10,11 +10,18 @@
 //! once into per-thread scratch ([`WindowScratch`]), every context word's
 //! input row is trained against those *local* copies one after the other —
 //! each context sees the output rows as the previous context left them,
-//! exactly as per-pair SGD would — and each touched row is added back to the
-//! shared matrices once. That is `m + 1 + negative` shared-row writes per
+//! exactly as per-pair SGD would — and each touched output row is added back
+//! to the shared matrix once. That is `1 + negative` shared-row writes per
 //! token instead of `m · (2 + negative)`, no allocation, and with one thread
 //! the same arithmetic as the per-pair loop fed the same negatives (a test
 //! pins that to 1e-5).
+//!
+//! Input rows are **walk-resident**: each distinct node of a walk gets a
+//! slot, read once when the walk starts, that every pair trains in place (as
+//! [`EmbeddingMatrix::add_row`] would add) and that is written back once at
+//! the walk's end ([`EmbeddingMatrix::write_back_row`]). On one thread that
+//! is the per-pair row path bit for bit; across threads, another thread's
+//! update lands up to one walk late and is never lost.
 //!
 //! One input vector's step against the window's `1 + negative` samples is
 //! one call of [`kernels::sgns_window`]: all dots in one pass over the input
@@ -36,50 +43,96 @@ use crate::matrix::EmbeddingMatrix;
 use crate::negative::UnigramTable;
 use crate::sigmoid::SigmoidTable;
 
-/// Per-thread scratch of the window kernel, sized once for a
-/// `(dim, negative)` pair and reused for every window a thread trains.
-///
-/// One window is [`gather_targets`](Self::gather_targets), then for every
-/// input vector: fill [`input_mut`](Self::input_mut),
-/// [`update`](Self::update), apply [`input_gradient`](Self::input_gradient);
-/// then [`scatter_targets`](Self::scatter_targets).
+/// Per-thread scratch of a walk's training, sized once for a
+/// `(dim, negative)` pair (and, with [`reserve_walk`](Self::reserve_walk),
+/// for the longest walk) and reused for every walk a thread trains.
 pub struct WindowScratch {
     dim: usize,
     negative: usize,
+    /// Distinct nodes of the walk, and the slot of each walk position.
+    walk_nodes: Vec<u32>,
+    walk_slots: Vec<usize>,
+    /// Per slot, its input row as read when the walk began, then as the
+    /// walk's steps moved it (`2 * slot * dim ..`).
+    walk_rows: Vec<f32>,
     /// Distinct output rows of the window; slot 0 is the positive target.
     targets: Vec<u32>,
     /// Slot of each of the `1 + negative` samples, the positive one first. A
     /// negative drawn twice shares one slot, so its second update sees the
     /// first, as it would on the shared matrix.
     samples: Vec<usize>,
-    /// Local copies of the target rows (`slot * dim ..`), moved by `update`.
+    /// Local copies of the target rows (`slot * dim ..`), moved by each step.
     out: Vec<f32>,
-    /// What `update` has added to each local copy since the gather.
+    /// What the steps have added to each local copy since the gather.
     d_out: Vec<f32>,
-    inp: Vec<f32>,
     d_in: Vec<f32>,
+}
+
+/// The slot of `node` in `slots`, appended if it has none yet.
+fn slot_of(slots: &mut Vec<u32>, node: u32) -> usize {
+    slots.iter().position(|&n| n == node).unwrap_or_else(|| {
+        slots.push(node);
+        slots.len() - 1
+    })
 }
 
 impl WindowScratch {
     /// Allocates scratch for `dim`-wide rows and `negative` negatives per
-    /// window. Nothing else in the kernel allocates.
+    /// window.
     pub fn new(dim: usize, negative: usize) -> Self {
         let slots = negative + 1;
         WindowScratch {
             dim,
             negative,
+            walk_nodes: Vec::new(),
+            walk_slots: Vec::new(),
+            walk_rows: Vec::new(),
             targets: Vec::with_capacity(slots),
             samples: Vec::with_capacity(slots),
             out: vec![0.0; slots * dim],
             d_out: vec![0.0; slots * dim],
-            inp: vec![0.0; dim],
             d_in: vec![0.0; dim],
+        }
+    }
+
+    /// Makes room for walks of up to `len` positions, so that training them
+    /// allocates nothing.
+    pub fn reserve_walk(&mut self, len: usize) {
+        self.walk_nodes.reserve(len);
+        self.walk_slots.reserve(len);
+        let cells = (2 * len * self.dim).max(self.walk_rows.len());
+        self.walk_rows.resize(cells, 0.0);
+    }
+
+    /// Starts a walk: reads each distinct node's input row into its slot.
+    fn begin_walk(&mut self, input: &EmbeddingMatrix, walk: &[u32]) {
+        self.walk_nodes.clear();
+        self.walk_slots.clear();
+        self.reserve_walk(walk.len());
+        for &node in walk {
+            let slot = slot_of(&mut self.walk_nodes, node);
+            self.walk_slots.push(slot);
+        }
+        let slots = self.walk_rows.chunks_exact_mut(2 * self.dim);
+        for (&node, rows) in self.walk_nodes.iter().zip(slots) {
+            let (read, local) = rows.split_at_mut(self.dim);
+            input.read_row(node as usize, read);
+            local.copy_from_slice(read);
+        }
+    }
+
+    /// Ends a walk: writes each slot back onto `input`.
+    fn end_walk(&self, input: &EmbeddingMatrix) {
+        let slots = self.walk_rows.chunks_exact(2 * self.dim);
+        for (&node, rows) in self.walk_nodes.iter().zip(slots) {
+            let (read, local) = rows.split_at(self.dim);
+            input.write_back_row(node as usize, read, local);
         }
     }
 
     /// Starts a window: draws the negatives for `positive` from `table` and
     /// copies the target rows of `output` into the scratch.
-    pub fn gather_targets<R: Rng>(
+    fn gather_targets<R: Rng>(
         &mut self,
         output: &EmbeddingMatrix,
         positive: u32,
@@ -101,13 +154,7 @@ impl WindowScratch {
         self.samples.clear();
         self.samples.push(0);
         for target in negatives {
-            let slot = match self.targets.iter().position(|&t| t == target) {
-                Some(slot) => slot,
-                None => {
-                    self.targets.push(target);
-                    self.targets.len() - 1
-                }
-            };
+            let slot = slot_of(&mut self.targets, target);
             self.samples.push(slot);
         }
         let used = self.targets.len() * self.dim;
@@ -121,21 +168,17 @@ impl WindowScratch {
         self.d_out[..used].fill(0.0);
     }
 
-    /// The input vector the next [`update`](Self::update) trains.
-    pub fn input_mut(&mut self) -> &mut [f32] {
-        &mut self.inp
-    }
-
-    /// One SGNS step of the current input vector against every sample of the
-    /// window: the local target copies move, the input gradient is left in
-    /// [`input_gradient`](Self::input_gradient) (the input itself is not
-    /// moved, as in word2vec.c). Returns the negative log-likelihood of the
-    /// step when `monitor` is set (`1 + negative` logarithms), else 0.
-    pub fn update(&mut self, alpha: f32, sigmoid: &SigmoidTable, monitor: bool) -> f32 {
+    /// One SGNS step of walk position `pos`'s input row against every sample
+    /// of the window: the local target copies move, then the input gradient
+    /// (left in `d_in`) is added onto the row, as in word2vec.c. Returns the
+    /// step's negative log-likelihood if `monitor` is set, else 0.
+    fn step(&mut self, pos: usize, alpha: f32, sigmoid: &SigmoidTable, monitor: bool) -> f32 {
+        let local = (2 * self.walk_slots[pos] + 1) * self.dim;
+        let inp = &mut self.walk_rows[local..local + self.dim];
         self.d_in.fill(0.0);
         let mut loss = 0.0f32;
         kernels::sgns_window(
-            &self.inp,
+            inp,
             &mut self.out,
             &mut self.d_in,
             &mut self.d_out,
@@ -154,18 +197,16 @@ impl WindowScratch {
                 (label - pred) * alpha
             },
         );
+        // The rounding of `EmbeddingMatrix::add_row`.
+        for (x, d) in inp.iter_mut().zip(&self.d_in) {
+            *x += d;
+        }
         loss
-    }
-
-    /// The gradient step the last [`update`](Self::update) computed for its
-    /// input vector.
-    pub fn input_gradient(&self) -> &[f32] {
-        &self.d_in
     }
 
     /// Ends a window: adds what the window's updates moved each target row
     /// by onto `output`, one write per distinct row.
-    pub fn scatter_targets(&self, output: &EmbeddingMatrix) {
+    fn scatter_targets(&self, output: &EmbeddingMatrix) {
         for (&target, delta) in self.targets.iter().zip(self.d_out.chunks_exact(self.dim)) {
             output.add_row(target as usize, delta);
         }
@@ -193,6 +234,7 @@ pub fn train_walk<R: Rng>(
 ) -> (u64, f32) {
     let mut pairs = 0u64;
     let mut loss = 0.0f32;
+    scratch.begin_walk(input, walk);
     for (pos, &center) in walk.iter().enumerate() {
         let (lo, hi) = dynamic_window(pos, walk.len(), window, rng);
         if hi - lo < 2 {
@@ -200,14 +242,12 @@ pub fn train_walk<R: Rng>(
         }
         scratch.gather_targets(output, center, table, rng);
         for (i, ctx_pos) in (lo..hi).filter(|&p| p != pos).enumerate() {
-            let context = walk[ctx_pos] as usize;
-            input.read_row(context, scratch.input_mut());
-            loss += scratch.update(alpha, sigmoid, i == 0);
-            input.add_row(context, scratch.input_gradient());
+            loss += scratch.step(ctx_pos, alpha, sigmoid, i == 0);
         }
         scratch.scatter_targets(output);
         pairs += (hi - lo - 1) as u64;
     }
+    scratch.end_walk(input);
     (pairs, loss)
 }
 
@@ -253,6 +293,235 @@ mod tests {
         let mut buf = vec![0.0; m.dim()];
         m.read_row(r as usize, &mut buf);
         buf
+    }
+
+    /// One input vector's step, for the oracles below: the vector sits in
+    /// walk slot 0 of the scratch.
+    impl WindowScratch {
+        fn input_mut(&mut self) -> &mut [f32] {
+            self.walk_slots.clear();
+            self.walk_slots.push(0);
+            self.reserve_walk(1);
+            &mut self.walk_rows[self.dim..2 * self.dim]
+        }
+
+        fn update(&mut self, alpha: f32, sigmoid: &SigmoidTable, monitor: bool) -> f32 {
+            self.step(0, alpha, sigmoid, monitor)
+        }
+
+        fn input_gradient(&self) -> &[f32] {
+            &self.d_in
+        }
+    }
+
+    /// `train_walk` as it was before input rows became walk-resident: every
+    /// pair reads its context's input row from `input` and adds its
+    /// gradient back at once.
+    #[allow(clippy::too_many_arguments)]
+    fn train_walk_per_pair_rows<R: Rng>(
+        input: &EmbeddingMatrix,
+        output: &EmbeddingMatrix,
+        walk: &[u32],
+        window: usize,
+        alpha: f32,
+        sigmoid: &SigmoidTable,
+        table: &UnigramTable,
+        scratch: &mut WindowScratch,
+        rng: &mut R,
+    ) -> (u64, f32) {
+        let mut pairs = 0u64;
+        let mut loss = 0.0f32;
+        for (pos, &center) in walk.iter().enumerate() {
+            let (lo, hi) = dynamic_window(pos, walk.len(), window, rng);
+            if hi - lo < 2 {
+                continue;
+            }
+            scratch.gather_targets(output, center, table, rng);
+            for (i, ctx_pos) in (lo..hi).filter(|&p| p != pos).enumerate() {
+                let context = walk[ctx_pos] as usize;
+                input.read_row(context, scratch.input_mut());
+                loss += scratch.update(alpha, sigmoid, i == 0);
+                input.add_row(context, scratch.input_gradient());
+            }
+            scratch.scatter_targets(output);
+            pairs += (hi - lo - 1) as u64;
+        }
+        (pairs, loss)
+    }
+
+    /// Input and output matrices whose scores are of order 1 at every
+    /// width, so the sigmoid is off its linear middle.
+    fn scaled_pair(nodes: usize, dim: usize) -> (EmbeddingMatrix, EmbeddingMatrix) {
+        let scale = 30.0 * (dim as f32 / 19.0).powf(0.75);
+        let (input, output) = (
+            EmbeddingMatrix::uniform(nodes, dim, 3),
+            EmbeddingMatrix::uniform(nodes, dim, 4),
+        );
+        for m in [&input, &output] {
+            for r in 0..nodes {
+                let scaled: Vec<f32> = row(m, r as u32).iter().map(|x| x * scale).collect();
+                m.write_row(r, &scaled);
+            }
+        }
+        (input, output)
+    }
+
+    fn bits(m: &EmbeddingMatrix) -> Vec<u32> {
+        m.to_flat().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// On one thread, walk-resident input rows are the per-pair row path bit
+    /// for bit: same pairs, same loss, same bits in every input and output
+    /// row. The walks revisit nodes, so later positions must see the slot
+    /// that earlier ones moved. With 5 nodes every window draws a negative
+    /// twice (5 draws from the 4 nodes that are not the center); with 40 most
+    /// windows are one run of distinct slots.
+    #[test]
+    fn walk_resident_rows_match_the_per_pair_row_path_bitwise() {
+        let sigmoid = SigmoidTable::default();
+        for dim in [19, 64, 128] {
+            for nodes in [5usize, 40] {
+                let vocab = Vocabulary::from_counts(vec![10; nodes]);
+                let table = UnigramTable::with_params(&vocab, 10_000, 0.75);
+                let mut rng = SmallRng::seed_from_u64(dim as u64);
+                let walks: Vec<Vec<u32>> = (0..12)
+                    .map(|_| (0..25).map(|_| rng.gen_range(0..nodes as u32)).collect())
+                    .collect();
+                let (input, output) = scaled_pair(nodes, dim);
+                let (want_input, want_output) = scaled_pair(nodes, dim);
+                let before = bits(&input);
+                let (mut got_rng, mut want_rng) =
+                    (SmallRng::seed_from_u64(9), SmallRng::seed_from_u64(9));
+                let mut scratch = WindowScratch::new(dim, 5);
+                let mut oracle_scratch = WindowScratch::new(dim, 5);
+                for walk in &walks {
+                    let got = train_walk(
+                        &input,
+                        &output,
+                        walk,
+                        6,
+                        0.05,
+                        &sigmoid,
+                        &table,
+                        &mut scratch,
+                        &mut got_rng,
+                    );
+                    let want = train_walk_per_pair_rows(
+                        &want_input,
+                        &want_output,
+                        walk,
+                        6,
+                        0.05,
+                        &sigmoid,
+                        &table,
+                        &mut oracle_scratch,
+                        &mut want_rng,
+                    );
+                    assert_eq!(got.0, want.0, "dim {dim}, {nodes} nodes: pairs");
+                    assert_eq!(got.1.to_bits(), want.1.to_bits(), "dim {dim}: loss");
+                }
+                assert_eq!(
+                    bits(&input),
+                    bits(&want_input),
+                    "dim {dim}, {nodes} nodes: input"
+                );
+                assert_eq!(
+                    bits(&output),
+                    bits(&want_output),
+                    "dim {dim}, {nodes} nodes: output"
+                );
+                assert_ne!(bits(&input), before, "dim {dim}: nothing trained");
+            }
+        }
+    }
+
+    /// Two threads train walks through the same 8 nodes at once, and each
+    /// input row ends within 10 % (in L1) of its start plus the deltas each
+    /// thread's walks make alone. Every score is saturated (inputs 2, outputs
+    /// -30, so `σ = 0`): each positive sample's gradient is exactly `alpha`,
+    /// each negative's 0, and an input row moves by `-30·alpha` per step
+    /// whatever the other thread does. A walk that wrote its rows back
+    /// blindly would drop what the other thread added during it (15–36 % of
+    /// a row's delta when that was tried); Hogwild's load–store window may
+    /// drop a little.
+    #[test]
+    fn concurrent_walks_keep_both_threads_updates() {
+        let (nodes, dim, alpha) = (8usize, 16, 1e-5f32);
+        let sigmoid = SigmoidTable::default();
+        let vocab = Vocabulary::from_counts(vec![10; nodes]);
+        let table = UnigramTable::with_params(&vocab, 10_000, 0.75);
+        let start = || {
+            let (input, output) = (
+                EmbeddingMatrix::zeros(nodes, dim),
+                EmbeddingMatrix::zeros(nodes, dim),
+            );
+            for r in 0..nodes {
+                input.write_row(r, &vec![2.0; dim]);
+                output.write_row(r, &vec![-30.0; dim]);
+            }
+            (input, output)
+        };
+        let walks = |seed: u64| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..100)
+                .map(|_| (0..20).map(|_| rng.gen_range(0..nodes as u32)).collect())
+                .collect::<Vec<Vec<u32>>>()
+        };
+        let thread_walks = [walks(1), walks(2)];
+        let train = |input: &EmbeddingMatrix, output: &EmbeddingMatrix, t: usize| {
+            let mut rng = SmallRng::seed_from_u64(10 + t as u64);
+            let mut scratch = WindowScratch::new(dim, 5);
+            scratch.reserve_walk(20);
+            for walk in &thread_walks[t] {
+                train_walk(
+                    input,
+                    output,
+                    walk,
+                    5,
+                    alpha,
+                    &sigmoid,
+                    &table,
+                    &mut scratch,
+                    &mut rng,
+                );
+            }
+        };
+        let origin = start().0.to_flat();
+        let alone: Vec<Vec<f32>> = (0..2)
+            .map(|t| {
+                let (input, output) = start();
+                train(&input, &output, t);
+                let flat = input.to_flat();
+                flat.iter().zip(&origin).map(|(x, o)| x - o).collect()
+            })
+            .collect();
+        let (input, output) = start();
+        // Both threads start training together.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (input, output, train, barrier) = (&input, &output, &train, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    train(input, output, t)
+                });
+            }
+        });
+        let both = input.to_flat();
+        for r in 0..nodes {
+            let cells = r * dim..(r + 1) * dim;
+            let (mut miss, mut size) = (0.0f32, 0.0f32);
+            for c in cells {
+                let want = origin[c] + alone[0][c] + alone[1][c];
+                miss += (both[c] - want).abs();
+                size += alone[0][c].abs() + alone[1][c].abs();
+            }
+            assert!(size > 0.0, "row {r}: nothing trained");
+            assert!(
+                miss <= 0.1 * size,
+                "row {r}: off by {miss} against deltas of {size}"
+            );
+        }
     }
 
     /// The sequential oracle: one textbook SGNS update of `input[word]`

@@ -141,6 +141,7 @@ pub(crate) fn run_sgd_pass(
                     // Everything a thread allocates, it allocates here.
                     let mut scratch = WindowScratch::new(cfg.dim, cfg.negative);
                     let longest = shard.iter().map(Vec::len).max().unwrap_or(0);
+                    scratch.reserve_walk(longest);
                     let mut sentence: Vec<u32> = Vec::with_capacity(longest);
                     let (mut tokens, mut pairs) = (0u64, 0u64);
                     let (mut final_loss, mut final_tokens) = (0.0f64, 0u64);

@@ -110,10 +110,10 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
     });
     let mut report = IngestReport::default();
 
-    let queue_stats = crossbeam::thread::scope(|scope| {
+    let queue_stats = std::thread::scope(|scope| {
         let (tx, rx) = batch_queue(config.queue_capacity, metrics);
         let batch_size = config.batch_size.max(1);
-        let reader = scope.spawn(move |_| {
+        let reader = scope.spawn(move || {
             let mut tx = tx;
             for chunk in mutations.chunks(batch_size) {
                 if !tx.send(UpdateBatch::from_mutations(chunk.to_vec())) {
@@ -145,8 +145,7 @@ pub fn run_durable_pipeline<M: RandomWalkModel + ?Sized>(
             on_batch(graph, manager, &r, false);
         }
         reader.join().expect("reader thread panicked")
-    })
-    .expect("pipeline scope panicked");
+    });
     report.queue = queue_stats;
 
     // Fold any leftover overlay into the CSR and surface what it touched.

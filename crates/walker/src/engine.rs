@@ -228,17 +228,16 @@ pub fn walk_batch<M: RandomWalkModel + ?Sized>(
     }
     let mut walks = vec![Vec::new(); tasks.len()];
     let chunk = tasks.len().div_ceil(threads.max(1)).max(1);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut parts = tasks.chunks(chunk).zip(walks.chunks_mut(chunk));
         let first = parts.next();
         for (tasks, out) in parts {
-            scope.spawn(move |_| walk_ring(graph, model, manager, tasks, length, out));
+            scope.spawn(move || walk_ring(graph, model, manager, tasks, length, out));
         }
         if let Some((tasks, out)) = first {
             walk_ring(graph, model, manager, tasks, length, out);
         }
-    })
-    .expect("walker thread panicked");
+    });
     walks
 }
 
