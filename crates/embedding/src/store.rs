@@ -104,6 +104,8 @@ pub struct EmbeddingSnapshot {
     /// rows (id == row forever) but are excluded from every query answer.
     /// `None` means the whole universe is live.
     live: Option<Vec<bool>>,
+    /// Number of live rows, counted once when the snapshot is assembled.
+    live_count: usize,
 }
 
 impl EmbeddingSnapshot {
@@ -146,6 +148,10 @@ impl EmbeddingSnapshot {
         let norms = (0..embeddings.num_nodes() as u32)
             .map(|v| kernels::l2_norm(embeddings.vector(v)))
             .collect();
+        let live_count = match &live {
+            Some(mask) => mask.iter().filter(|&&l| l).count(),
+            None => embeddings.num_nodes(),
+        };
         let mut snapshot = EmbeddingSnapshot {
             epoch,
             embeddings,
@@ -154,6 +160,7 @@ impl EmbeddingSnapshot {
             index_epoch,
             retired_since_index: 0,
             live,
+            live_count,
         };
         if index_epoch != epoch {
             if let Some(index) = &snapshot.ann {
@@ -195,10 +202,7 @@ impl EmbeddingSnapshot {
     /// Number of live nodes (== [`num_nodes`](Self::num_nodes) when no churn
     /// has retired anyone).
     pub fn live_count(&self) -> usize {
-        match &self.live {
-            Some(mask) => mask.iter().filter(|&&l| l).count(),
-            None => self.embeddings.num_nodes(),
-        }
+        self.live_count
     }
 
     /// The live mask, when this snapshot was published with one.
@@ -228,9 +232,10 @@ impl EmbeddingSnapshot {
     /// a `k` past the row count asks for every live row.
     ///
     /// Bounded selection keeps the k best seen so far in a min-heap, so a
-    /// query over n nodes costs O(n · dim + n log k) instead of a full sort.
-    /// `Sim` is the same ordered-score type the ANN path uses, so both paths
-    /// break score ties identically.
+    /// query over n nodes costs O(n · dim + n log k) instead of a full sort;
+    /// once the heap is full a row touches it only when it beats the heap's
+    /// minimum. `Sim` is the same ordered-score type the ANN path uses, so
+    /// both paths break score ties identically.
     pub fn top_k(&self, node: u32, k: usize) -> Vec<(u32, f32)> {
         use crate::ann::Sim;
         use std::cmp::Reverse;
@@ -243,7 +248,7 @@ impl EmbeddingSnapshot {
         // The query vector and its norm are loop-invariant — fetch them once.
         let va = self.embeddings.vector(node);
         let na = self.norms[node as usize];
-        let mut heap: BinaryHeap<Reverse<Sim>> = BinaryHeap::with_capacity(k + 1);
+        let mut heap: BinaryHeap<Reverse<Sim>> = BinaryHeap::with_capacity(k);
         for u in 0..self.embeddings.num_nodes() as u32 {
             if u == node || !self.is_live(u) {
                 continue;
@@ -254,9 +259,11 @@ impl EmbeddingSnapshot {
                 na,
                 self.norms[u as usize],
             );
-            heap.push(Reverse(Sim(s, u)));
-            if heap.len() > k {
-                heap.pop();
+            let hit = Sim(s, u);
+            if heap.len() < k {
+                heap.push(Reverse(hit));
+            } else if let Some(mut min) = heap.peek_mut().filter(|min| hit > min.0) {
+                *min = Reverse(hit);
             }
         }
         // Ascending order of `Reverse` is descending score — best first.
@@ -737,6 +744,71 @@ mod tests {
                     assert!((f.1 - b.1).abs() < 1e-6, "node {node} k {k}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn exact_scan_equals_a_full_sort_bit_for_bit() {
+        use crate::ann::Sim;
+        // Every random row appears twice, so every score is tied with
+        // another id; in the constant matrix every score is tied with all.
+        let rows = random_rows(60, 5);
+        let mut twins = rows.as_flat().to_vec();
+        twins.extend_from_slice(rows.as_flat());
+        let constant = [0.5f32, -1.0, 2.0, 0.25, 1.0, 0.0, -0.5, 3.0].repeat(120);
+        let n = 120;
+        let mut live = vec![true; n];
+        live[7] = false;
+        live[67] = false;
+        for (flat, mask) in [
+            (&twins, None),
+            (&twins, Some(live.clone())),
+            (&constant, None),
+            (&constant, Some(live)),
+        ] {
+            let snap = EmbeddingSnapshot::with_index(
+                1,
+                Embeddings::from_flat(8, flat.clone()),
+                None,
+                1,
+                mask,
+            );
+            for node in [0u32, 13, 60, 119] {
+                let mut oracle: Vec<Sim> = (0..n as u32)
+                    .filter(|&u| u != node && snap.is_live(u))
+                    .map(|u| Sim(snap.cosine(node, u).unwrap(), u))
+                    .collect();
+                oracle.sort_by(|a, b| b.cmp(a));
+                for k in [1, 10, n - 1, n + 5] {
+                    let want: Vec<(u32, u32)> = oracle
+                        .iter()
+                        .take(k)
+                        .map(|&Sim(s, u)| (u, s.to_bits()))
+                        .collect();
+                    let got: Vec<(u32, u32)> = snap
+                        .top_k(node, k)
+                        .into_iter()
+                        .map(|(u, s)| (u, s.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "node {node} k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_count_equals_the_mask_count() {
+        let store = EmbeddingStore::new();
+        store.publish(sample());
+        assert_eq!(store.snapshot().live_count(), 5);
+        for live in [
+            vec![true, false, true, true, false],
+            vec![false; 5],
+            vec![true; 5],
+        ] {
+            let want = live.iter().filter(|&&l| l).count();
+            store.publish_with_universe(sample(), Some(live));
+            assert_eq!(store.snapshot().live_count(), want);
         }
     }
 

@@ -9,10 +9,10 @@
 //! * [`serve`] binds a TCP address or Unix socket and answers the
 //!   length-prefixed binary protocol in [`proto`] — `vector`, `cosine`,
 //!   `top_k`, `top_k_batch`, `metrics`, `epoch`.
-//! * Concurrent `top_k` requests are **coalesced**: a batcher thread
-//!   drains everything queued, acquires one embedding snapshot per slab
-//!   and answers via `top_k_batch`, so snapshot acquisition is amortised
-//!   and every rider sees a consistent epoch.
+//! * **One snapshot per request, answered on its connection thread**: the
+//!   thread that read a request takes one embedding snapshot, checks the
+//!   request's ids against its universe and answers from it, so the answer
+//!   and the epoch it reports always belong together.
 //! * **Admission control** bounds data-plane concurrency
 //!   ([`ServerConfig::max_inflight`]); excess requests get a typed
 //!   `Overloaded` reply instead of unbounded queueing. `metrics` and

@@ -23,10 +23,6 @@ pub struct ServerMetrics {
     pub bad_requests: Arc<Counter>,
     /// Data-plane requests currently being answered.
     pub inflight: Arc<Gauge>,
-    /// Coalesced slabs executed by the batcher thread.
-    pub coalesced_slabs: Arc<Counter>,
-    /// Individual top-k queries absorbed into those slabs.
-    pub coalesced_queries: Arc<Counter>,
     vector_ns: Arc<Histogram>,
     cosine_ns: Arc<Histogram>,
     top_k_ns: Arc<Histogram>,
@@ -44,8 +40,6 @@ impl ServerMetrics {
             rejected_overload: registry.counter("server.rejected_overload"),
             bad_requests: registry.counter("server.bad_requests"),
             inflight: registry.gauge("server.inflight"),
-            coalesced_slabs: registry.counter("server.coalesced_slabs"),
-            coalesced_queries: registry.counter("server.coalesced_queries"),
             vector_ns: registry.histogram("server.vector_ns"),
             cosine_ns: registry.histogram("server.cosine_ns"),
             top_k_ns: registry.histogram("server.top_k_ns"),

@@ -415,7 +415,9 @@ impl Response {
     }
 }
 
-/// Writes one frame: `u32` length prefix followed by the payload.
+/// Writes one frame: `u32` length prefix followed by the payload, handed to
+/// `w` in one `write_all`, so a socket with `TCP_NODELAY` sends one segment
+/// for a small frame instead of two.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -426,8 +428,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -3,12 +3,14 @@
 //!
 //! Three design points carry the subsystem:
 //!
-//! * **Coalescing.** Concurrent `top_k` requests from different
-//!   connections land in one queue; a single batcher thread drains
-//!   whatever has accumulated, acquires **one** embedding snapshot for the
-//!   whole slab and answers it via `top_k_batch`. Under load the snapshot
-//!   acquisition (an epoch-pinned `Arc` swap plus ANN handle) is amortised
-//!   across every rider in the slab, and all riders observe the same epoch.
+//! * **One snapshot per request, answered on its connection thread.** Each
+//!   connection has its own thread, which decodes a request, takes one
+//!   embedding snapshot (an `Arc` clone under a read lock), checks the
+//!   request's ids against that snapshot's universe and answers from the
+//!   same snapshot. The response carries that snapshot's epoch, so a node
+//!   retired by a concurrent publish is refused as `RetiredNode`, never
+//!   answered from a newer universe as an empty row. No request waits on
+//!   another thread.
 //! * **Admission control.** Data-plane requests occupy one of
 //!   [`ServerConfig::max_inflight`] slots; when the slots are gone the
 //!   server answers a typed [`ErrorCode::Overloaded`] instead of queueing
@@ -18,17 +20,16 @@
 //!   [`ErrorCode::BadRequest`] reply (when the connection is still
 //!   writable) and close that connection only.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use uninet_core::{Engine, QueryMode};
+use uninet_core::{EmbeddingSnapshot, Engine};
 
 use crate::metrics::ServerMetrics;
 use crate::proto::{write_frame, ErrorCode, Request, Response};
@@ -79,93 +80,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued `top_k` waiting to ride a coalesced slab.
-struct PendingTopK {
-    node: u32,
-    k: u32,
-    mode: QueryMode,
-    reply: mpsc::Sender<(u64, Vec<(u32, f32)>)>,
-}
-
-struct CoalescerState {
-    queue: VecDeque<PendingTopK>,
-    stop: bool,
-}
-
-/// Funnel for concurrent `top_k` requests; drained in slabs by one batcher
-/// thread so each slab costs a single snapshot acquisition.
-struct Coalescer {
-    state: Mutex<CoalescerState>,
-    wake: Condvar,
-}
-
-impl Coalescer {
-    fn new() -> Self {
-        Coalescer {
-            state: Mutex::new(CoalescerState {
-                queue: VecDeque::new(),
-                stop: false,
-            }),
-            wake: Condvar::new(),
-        }
-    }
-
-    fn submit(&self, pending: PendingTopK) {
-        let mut state = self.state.lock().unwrap();
-        state.queue.push_back(pending);
-        drop(state);
-        self.wake.notify_one();
-    }
-
-    fn stop(&self) {
-        self.state.lock().unwrap().stop = true;
-        self.wake.notify_all();
-    }
-
-    /// Blocks until work or shutdown; returns the whole accumulated slab.
-    fn next_slab(&self) -> Option<Vec<PendingTopK>> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if !state.queue.is_empty() {
-                return Some(state.queue.drain(..).collect());
-            }
-            if state.stop {
-                return None;
-            }
-            state = self.wake.wait(state).unwrap();
-        }
-    }
-}
-
-fn run_batcher(engine: Engine, coalescer: Arc<Coalescer>, metrics: ServerMetrics) {
-    let store = engine.store();
-    while let Some(slab) = coalescer.next_slab() {
-        metrics.coalesced_slabs.inc();
-        metrics.coalesced_queries.add(slab.len() as u64);
-        // One snapshot for the whole slab: every rider gets the same epoch
-        // and the acquisition cost is paid once.
-        let snapshot = store.snapshot();
-        let epoch = snapshot.epoch();
-        // Group riders that share (k, mode) so each group is a single
-        // top_k_batch call over the snapshot.
-        let mut groups: Vec<((u32, QueryMode), Vec<usize>)> = Vec::new();
-        for (i, p) in slab.iter().enumerate() {
-            match groups.iter_mut().find(|(key, _)| *key == (p.k, p.mode)) {
-                Some((_, members)) => members.push(i),
-                None => groups.push(((p.k, p.mode), vec![i])),
-            }
-        }
-        for ((k, mode), members) in groups {
-            let nodes: Vec<u32> = members.iter().map(|&i| slab[i].node).collect();
-            let rows = snapshot.top_k_batch(&nodes, k as usize, mode);
-            for (&i, row) in members.iter().zip(rows) {
-                // A dropped receiver just means the connection died first.
-                let _ = slab[i].reply.send((epoch, row));
-            }
-        }
-    }
-}
-
 /// RAII data-plane admission slot.
 struct AdmissionGuard<'a> {
     inflight: &'a AtomicUsize,
@@ -194,7 +108,6 @@ impl Drop for AdmissionGuard<'_> {
 
 struct Shared {
     engine: Engine,
-    coalescer: Arc<Coalescer>,
     metrics: ServerMetrics,
     inflight: AtomicUsize,
     max_inflight: usize,
@@ -206,9 +119,9 @@ struct Shared {
 /// never contained is [`ErrorCode::UnknownNode`]; an id that arrived and was
 /// later retired is [`ErrorCode::RetiredNode`]. Either way the server never
 /// answers from the (stale) embedding row.
-fn check_universe(snapshot: &uninet_core::EmbeddingSnapshot, node: u32) -> Option<Response> {
+fn check_universe(snapshot: &EmbeddingSnapshot, node: u32) -> Result<(), Response> {
     if !snapshot.in_range(node) {
-        Some(Response::Error {
+        Err(Response::Error {
             code: ErrorCode::UnknownNode,
             message: format!(
                 "node {node} is outside the {}-row universe",
@@ -216,13 +129,53 @@ fn check_universe(snapshot: &uninet_core::EmbeddingSnapshot, node: u32) -> Optio
             ),
         })
     } else if !snapshot.is_live(node) {
-        Some(Response::Error {
+        Err(Response::Error {
             code: ErrorCode::RetiredNode,
             message: format!("node {node} was retired from the universe"),
         })
     } else {
-        None
+        Ok(())
     }
+}
+
+/// Answers a data-plane request from one snapshot: the universe check and
+/// the answer see the same universe, and the response carries its epoch.
+fn answer_from(snapshot: &EmbeddingSnapshot, request: &Request) -> Result<Response, Response> {
+    let epoch = snapshot.epoch();
+    Ok(match request {
+        Request::Vector { node } => {
+            check_universe(snapshot, *node)?;
+            Response::Vector {
+                epoch,
+                vector: Some(snapshot.embeddings().vector(*node).to_vec()),
+            }
+        }
+        Request::Cosine { a, b } => {
+            check_universe(snapshot, *a)?;
+            check_universe(snapshot, *b)?;
+            Response::Cosine {
+                epoch,
+                value: snapshot.cosine(*a, *b),
+            }
+        }
+        Request::TopK { node, k, mode } => {
+            check_universe(snapshot, *node)?;
+            Response::TopK {
+                epoch,
+                neighbors: snapshot.top_k_mode(*node, *k as usize, *mode),
+            }
+        }
+        Request::TopKBatch { nodes, k, mode } => {
+            for node in nodes {
+                check_universe(snapshot, *node)?;
+            }
+            Response::TopKBatch {
+                epoch,
+                rows: snapshot.top_k_batch(nodes, *k as usize, *mode),
+            }
+        }
+        Request::Metrics | Request::Epoch => unreachable!("control plane bypasses snapshots"),
+    })
 }
 
 fn answer(shared: &Shared, request: &Request) -> Response {
@@ -247,62 +200,7 @@ fn answer(shared: &Shared, request: &Request) -> Response {
                     ),
                 };
             };
-            match data_plane {
-                Request::Vector { node } => {
-                    let snapshot = store.snapshot();
-                    if let Some(err) = check_universe(&snapshot, *node) {
-                        return err;
-                    }
-                    Response::Vector {
-                        epoch: snapshot.epoch(),
-                        vector: Some(snapshot.embeddings().vector(*node).to_vec()),
-                    }
-                }
-                Request::Cosine { a, b } => {
-                    let snapshot = store.snapshot();
-                    for node in [*a, *b] {
-                        if let Some(err) = check_universe(&snapshot, node) {
-                            return err;
-                        }
-                    }
-                    Response::Cosine {
-                        epoch: snapshot.epoch(),
-                        value: snapshot.cosine(*a, *b),
-                    }
-                }
-                Request::TopK { node, k, mode } => {
-                    if let Some(err) = check_universe(&store.snapshot(), *node) {
-                        return err;
-                    }
-                    let (tx, rx) = mpsc::channel();
-                    shared.coalescer.submit(PendingTopK {
-                        node: *node,
-                        k: *k,
-                        mode: *mode,
-                        reply: tx,
-                    });
-                    match rx.recv() {
-                        Ok((epoch, neighbors)) => Response::TopK { epoch, neighbors },
-                        Err(_) => Response::Error {
-                            code: ErrorCode::Internal,
-                            message: "server shutting down".to_string(),
-                        },
-                    }
-                }
-                Request::TopKBatch { nodes, k, mode } => {
-                    let snapshot = store.snapshot();
-                    for node in nodes {
-                        if let Some(err) = check_universe(&snapshot, *node) {
-                            return err;
-                        }
-                    }
-                    Response::TopKBatch {
-                        epoch: snapshot.epoch(),
-                        rows: snapshot.top_k_batch(nodes, *k as usize, *mode),
-                    }
-                }
-                Request::Metrics | Request::Epoch => unreachable!("handled above"),
-            }
+            answer_from(&store.snapshot(), data_plane).unwrap_or_else(|refusal| refusal)
         }
     }
 }
@@ -460,13 +358,11 @@ fn run_accept_loop(
 }
 
 /// A running server. Dropping it (or calling [`ServerHandle::shutdown`])
-/// stops the accept loop, the batcher and every connection thread.
+/// stops the accept loop and every connection thread.
 pub struct ServerHandle {
     addr: ServeAddr,
     stop: Arc<AtomicBool>,
-    coalescer: Arc<Coalescer>,
     accept_thread: Option<JoinHandle<()>>,
-    batcher_thread: Option<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     unix_path: Option<PathBuf>,
 }
@@ -485,17 +381,11 @@ impl ServerHandle {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Release);
-        self.coalescer.stop();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
         let handles: Vec<_> = self.conn_threads.lock().unwrap().drain(..).collect();
         for t in handles {
-            let _ = t.join();
-        }
-        // Connection threads may still have queued top_k work; stop() made
-        // next_slab drain-then-exit, so join the batcher last.
-        if let Some(t) = self.batcher_thread.take() {
             let _ = t.join();
         }
         if let Some(path) = self.unix_path.take() {
@@ -534,25 +424,15 @@ pub fn serve(engine: &Engine, addr: &ServeAddr, config: ServerConfig) -> io::Res
         }
     };
 
-    let metrics = ServerMetrics::register(&engine.metrics_registry());
-    let coalescer = Arc::new(Coalescer::new());
     let stop = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(Shared {
         engine: engine.clone(),
-        coalescer: Arc::clone(&coalescer),
-        metrics: metrics.clone(),
+        metrics: ServerMetrics::register(&engine.metrics_registry()),
         inflight: AtomicUsize::new(0),
         max_inflight: config.max_inflight,
         stop: Arc::clone(&stop),
     });
 
-    let batcher_thread = {
-        let engine = engine.clone();
-        let coalescer = Arc::clone(&coalescer);
-        thread::Builder::new()
-            .name("uninet-serve-batch".to_string())
-            .spawn(move || run_batcher(engine, coalescer, metrics))?
-    };
     let conn_threads = Arc::new(Mutex::new(Vec::new()));
     let accept_thread = {
         let shared = Arc::clone(&shared);
@@ -565,9 +445,7 @@ pub fn serve(engine: &Engine, addr: &ServeAddr, config: ServerConfig) -> io::Res
     Ok(ServerHandle {
         addr: resolved,
         stop,
-        coalescer,
         accept_thread: Some(accept_thread),
-        batcher_thread: Some(batcher_thread),
         conn_threads,
         unix_path,
     })

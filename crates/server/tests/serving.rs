@@ -1,15 +1,20 @@
 //! End-to-end serving-plane tests: real sockets, concurrent clients,
-//! epochs advancing underneath them, and admission control under a tiny
-//! bound.
+//! epochs advancing underneath them, admission control under a tiny bound,
+//! and frames that arrive glued together or split apart.
 
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
+use std::time::Duration;
 
 use uninet_core::{Engine, GraphMutation, ModelSpec, QueryMode, StreamingConfig};
 use uninet_graph::generators::{rmat, RmatConfig};
-use uninet_server::{serve, Client, ClientError, ErrorCode, ServeAddr, ServerConfig};
+use uninet_server::proto::{read_frame, write_frame};
+use uninet_server::{
+    serve, Client, ClientError, ErrorCode, Request, Response, ServeAddr, ServerConfig,
+};
 
 fn test_engine() -> Engine {
     let graph = rmat(&RmatConfig {
@@ -44,6 +49,7 @@ fn concurrent_clients_observe_monotone_epochs_while_training_publishes() {
     .expect("bind");
     let addr = server.addr().to_string();
 
+    let epoch_before = engine.store().epoch();
     let max_seen = Arc::new(AtomicU64::new(0));
     let clients: Vec<_> = (0..4)
         .map(|c| {
@@ -60,7 +66,14 @@ fn concurrent_clients_observe_monotone_epochs_while_training_publishes() {
                         epoch >= last_epoch,
                         "epochs must be monotone per client: {epoch} < {last_epoch}"
                     );
-                    assert!(neighbors.len() <= 5);
+                    // Each answer comes from an epoch the store published:
+                    // the one serving when the clients started, or one of
+                    // the two republishes below.
+                    assert!(
+                        (epoch_before..=epoch_before + 2).contains(&epoch),
+                        "epoch {epoch} was never published"
+                    );
+                    assert_eq!(neighbors.len(), 5, "no top_k answer is short or empty");
                     for &(n, _) in &neighbors {
                         assert_ne!(n, node, "a node is not its own neighbor");
                     }
@@ -76,7 +89,6 @@ fn concurrent_clients_observe_monotone_epochs_while_training_publishes() {
 
     // Publish fresh epochs while the clients hammer the data plane; every
     // answer must come from some complete epoch, never a torn one.
-    let epoch_before = engine.store().epoch();
     for _ in 0..2 {
         engine.train().expect("republish");
     }
@@ -92,11 +104,209 @@ fn concurrent_clients_observe_monotone_epochs_while_training_publishes() {
     let top_k = metrics.histogram("server.top_k_ns").expect("histogram");
     assert!(top_k.count() >= 4 * 30, "per-endpoint latency recorded");
     assert!(metrics.counter("server.requests").unwrap_or(0) >= 4 * 60);
-    assert!(
-        metrics.counter("server.coalesced_queries").unwrap_or(0) >= 4 * 30,
-        "every top_k rides a coalesced slab"
+    assert!(max_seen.load(Ordering::Relaxed) >= epoch_before);
+}
+
+#[test]
+fn top_k_on_nodes_being_retired_is_an_answer_or_a_refusal_never_empty() {
+    // The universe check and the answer come from one snapshot. Were they
+    // taken from two, a publish between them that retires the query node
+    // would turn a RetiredNode refusal into an empty answer.
+    const N: u32 = 150;
+    const DOOMED: std::ops::Range<u32> = 20..40;
+    let engine = Engine::builder()
+        .graph(rmat(&RmatConfig {
+            num_nodes: N as usize,
+            num_edges: 1000,
+            weighted: true,
+            seed: 7,
+            ..Default::default()
+        }))
+        .model(ModelSpec::DeepWalk)
+        .num_walks(1)
+        .walk_length(8)
+        .dim(16)
+        .threads(2)
+        .seed(7)
+        .streaming(StreamingConfig {
+            allow_churn: true,
+            incremental_train: true,
+            batch_size: 1,
+            ..Default::default()
+        })
+        .build()
+        .expect("valid configuration");
+    engine.train().expect("initial training");
+    let server = serve(
+        &engine,
+        &ServeAddr::parse("127.0.0.1:0"),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let addr = server.addr().to_string();
+
+    let done = Arc::new(AtomicBool::new(false));
+    let (ready, started) = mpsc::channel();
+    let clients: Vec<_> = (0..4u32)
+        .map(|c| {
+            let (addr, done, ready) = (addr.clone(), Arc::clone(&done), ready.clone());
+            thread::spawn(move || {
+                let mut client = Client::connect(addr.as_str()).expect("connect");
+                // True for an answer, false for a RetiredNode refusal.
+                let mut ask = |i: u32| {
+                    let node = DOOMED.start + i % DOOMED.len() as u32;
+                    let mode = [QueryMode::Exact, QueryMode::Ann][i as usize % 2];
+                    match client.top_k(node, 5, mode) {
+                        Ok((epoch, neighbors)) => {
+                            assert!(
+                                !neighbors.is_empty(),
+                                "top_k({node}) at epoch {epoch} answered empty"
+                            );
+                            true
+                        }
+                        Err(e) => {
+                            assert!(e.is_retired_node(), "top_k({node}): {e}");
+                            false
+                        }
+                    }
+                };
+                assert!(ask(c), "nothing is retired before the stream");
+                ready.send(()).expect("the test waits for every client");
+                let mut i = c;
+                while !done.load(Ordering::Acquire) {
+                    i += 4;
+                    ask(i);
+                }
+                assert!(!ask(i + 4), "every doomed node is retired after it");
+            })
+        })
+        .collect();
+
+    // One retirement per batch, so the universe shrinks one publish at a
+    // time while the clients query exactly the ids being retired.
+    let retire: Vec<_> = DOOMED
+        .map(|node| GraphMutation::RemoveNode { node })
+        .collect();
+    for _ in 0..4 {
+        started
+            .recv_timeout(Duration::from_secs(60))
+            .expect("every client answers before the stream");
+    }
+    let outcome = engine
+        .stream(retire)
+        .unwrap()
+        .join()
+        .expect("retire stream");
+    assert_eq!(outcome.report.retirements, DOOMED.len());
+    assert!(outcome.report.snapshots_published >= 2);
+    done.store(true, Ordering::Release);
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    server.shutdown();
+}
+
+/// Sends `bytes` on a raw connection in `chunks`, pausing between them, and
+/// returns the `count` responses read back in order.
+fn exchange_raw(addr: &str, chunks: &[&[u8]], count: usize) -> Vec<Response> {
+    let mut raw = TcpStream::connect(addr).expect("connect raw");
+    raw.set_nodelay(true).expect("nodelay");
+    for chunk in chunks {
+        raw.write_all(chunk).expect("send");
+        thread::sleep(Duration::from_millis(5));
+    }
+    (0..count)
+        .map(|_| {
+            let payload = read_frame(&mut raw).expect("read").expect("a response");
+            Response::decode(&payload).expect("decodes")
+        })
+        .collect()
+}
+
+fn framed(request: &Request) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &request.encode()).expect("in memory");
+    bytes
+}
+
+#[test]
+fn two_frames_in_one_write_get_two_answers_in_order() {
+    let engine = test_engine();
+    let server = serve(
+        &engine,
+        &ServeAddr::parse("127.0.0.1:0"),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let snapshot = engine.snapshot();
+    let mut glued = framed(&Request::TopK {
+        node: 3,
+        k: 4,
+        mode: QueryMode::Exact,
+    });
+    glued.extend(framed(&Request::Vector { node: 9 }));
+    let answers = exchange_raw(&server.addr().to_string(), &[&glued], 2);
+    assert_eq!(
+        answers,
+        vec![
+            Response::TopK {
+                epoch: snapshot.epoch(),
+                neighbors: snapshot.top_k(3, 4),
+            },
+            Response::Vector {
+                epoch: snapshot.epoch(),
+                vector: Some(snapshot.embeddings().vector(9).to_vec()),
+            },
+        ]
     );
-    assert!(metrics.counter("server.coalesced_slabs").unwrap_or(0) > 0);
+    server.shutdown();
+}
+
+#[test]
+fn a_frame_written_one_byte_at_a_time_is_answered() {
+    let engine = test_engine();
+    let server = serve(
+        &engine,
+        &ServeAddr::parse("127.0.0.1:0"),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let snapshot = engine.snapshot();
+    let bytes = framed(&Request::Cosine { a: 0, b: 1 });
+    let chunks: Vec<&[u8]> = bytes.chunks(1).collect();
+    let answers = exchange_raw(&server.addr().to_string(), &chunks, 1);
+    assert_eq!(
+        answers,
+        vec![Response::Cosine {
+            epoch: snapshot.epoch(),
+            value: snapshot.cosine(0, 1),
+        }]
+    );
+    server.shutdown();
+}
+
+/// A `Write` that records the size of every `write` call.
+struct CountingWrite(Arc<Mutex<Vec<usize>>>);
+
+impl Write for CountingWrite {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(buf.len());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn write_frame_hands_the_prefix_and_payload_over_in_one_write() {
+    let writes = Arc::new(Mutex::new(Vec::new()));
+    let mut w = CountingWrite(Arc::clone(&writes));
+    for payload in [&b""[..], b"x", &[7u8; 300]] {
+        write_frame(&mut w, payload).expect("in memory");
+    }
+    assert_eq!(*writes.lock().unwrap(), vec![4, 5, 304]);
 }
 
 #[test]
@@ -147,6 +357,12 @@ fn quantized_serving_is_wire_transparent() {
                 "{mode:?} hit {u}: wire score {s} vs exact {want}"
             );
         }
+        // The wire answers from the same snapshot as an in-process call,
+        // bit for bit, one node or a batch.
+        assert_eq!(neighbors, snapshot.top_k_mode(3, 5, mode), "{mode:?}");
+        let nodes = [3, 0, 77];
+        let (_, rows) = client.top_k_batch(&nodes, 5, mode).expect("batch");
+        assert_eq!(rows, snapshot.top_k_batch(&nodes, 5, mode), "{mode:?}");
     }
     // Cosine frames never touch the codes: still exact f32.
     let (_, cos) = client.cosine(0, 1).expect("cosine");
@@ -503,7 +719,6 @@ trait BadOpcode {
 
 impl<S: std::io::Read + std::io::Write> BadOpcode for Client<S> {
     fn epoch_with_opcode_99(&mut self) -> Result<u64, ClientError> {
-        use uninet_server::proto::{read_frame, write_frame, Response};
         let stream = self.stream_mut();
         write_frame(stream, &[99u8])?;
         let payload =
