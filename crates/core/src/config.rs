@@ -57,11 +57,6 @@ impl ModelSpec {
         }
     }
 
-    /// Whether the model requires node-type information.
-    pub fn needs_heterogeneous_graph(&self) -> bool {
-        matches!(self, ModelSpec::MetaPath2Vec { .. })
-    }
-
     /// Checks the spec's own hyper-parameters, without a graph.
     ///
     /// A metapath with fewer than two node types cannot describe a
@@ -178,8 +173,6 @@ mod tests {
                 "fairwalk"
             ]
         );
-        assert!(suite[2].needs_heterogeneous_graph());
-        assert!(!suite[0].needs_heterogeneous_graph());
     }
 
     #[test]

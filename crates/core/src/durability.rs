@@ -111,7 +111,7 @@ impl RecoverySummary {
 /// The per-session durability writer: owns the WAL handle and cuts
 /// snapshots. Created by [`Engine::stream`](crate::Engine::stream) before
 /// the session thread spawns (so open errors surface synchronously) and
-/// driven from the consumer thread inside `run_streaming_session`.
+/// driven from the consumer thread of the streaming session.
 pub(crate) struct SessionPersist {
     wal: WalWriter,
     dir: PathBuf,
@@ -202,7 +202,7 @@ impl SessionPersist {
         embeddings: Option<Embeddings>,
         epoch: u64,
         live: Option<Vec<bool>>,
-        serving: Option<&EmbeddingStore>,
+        serving: &EmbeddingStore,
     ) {
         if self.degraded {
             return;
@@ -211,17 +211,16 @@ impl SessionPersist {
             self.degrade(e);
             return;
         }
-        let served = serving.map(|store| store.snapshot());
-        let index = served
-            .as_deref()
-            .zip(embeddings.as_ref())
-            .filter(|(served, embeddings)| {
+        let served = serving.snapshot();
+        let index = embeddings
+            .as_ref()
+            .filter(|embeddings| {
                 served.epoch() == epoch
                     && served.index_epoch() == epoch
                     && served.embeddings().dim() == embeddings.dim()
                     && served.embeddings().as_flat() == embeddings.as_flat()
             })
-            .and_then(|(served, _)| served.ann())
+            .and(served.ann())
             .map(|index| index.export_graph());
         let snap = Snapshot {
             wal_seq: self.wal.last_seq(),
@@ -249,7 +248,7 @@ impl SessionPersist {
         embeddings: &Embeddings,
         epoch: u64,
         live: Option<Vec<bool>>,
-        serving: Option<&EmbeddingStore>,
+        serving: &EmbeddingStore,
     ) -> DurabilityReport {
         self.write_state(
             graph.clone(),
@@ -290,11 +289,12 @@ mod tests {
         let dir = tmp_dir("final-snap");
         let opts = PersistOptions::new(&dir);
         let mut p = SessionPersist::begin(&opts, true, SamplerState::default()).unwrap();
-        p.write_state(tiny_graph(), None, 0, None, None);
+        let store = EmbeddingStore::new();
+        p.write_state(tiny_graph(), None, 0, None, &store);
         p.log_batch(&one_batch());
         p.log_batch(&one_batch());
         let emb = Embeddings::from_flat(2, vec![0.5; 24]);
-        let report = p.finish(&tiny_graph(), &emb, 3, None, None);
+        let report = p.finish(&tiny_graph(), &emb, 3, None, &store);
         assert_eq!(report.batches_logged, 2);
         assert_eq!(report.last_wal_seq, 2);
         assert_eq!(report.snapshots_written, 2, "initial + final");
@@ -323,7 +323,7 @@ mod tests {
         assert!(!p.snapshot_due());
         p.log_batch(&one_batch());
         assert!(p.snapshot_due());
-        p.write_state(tiny_graph(), None, 1, None, None);
+        p.write_state(tiny_graph(), None, 1, None, &EmbeddingStore::new());
         assert!(!p.snapshot_due(), "writing a snapshot resets the cadence");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -337,13 +337,14 @@ mod tests {
         // Replace the WAL directory out from under the writer: the open file
         // handle keeps appends working, but snapshot writes must fail.
         std::fs::remove_dir_all(&dir).unwrap();
-        p.write_state(tiny_graph(), None, 1, None, None);
+        let store = EmbeddingStore::new();
+        p.write_state(tiny_graph(), None, 1, None, &store);
         let report = p.finish(
             &tiny_graph(),
             &Embeddings::from_flat(1, vec![0.0; 12]),
             1,
             None,
-            None,
+            &store,
         );
         assert!(report.wal_error.is_some(), "degradation must be reported");
         assert_eq!(report.snapshots_written, 0);

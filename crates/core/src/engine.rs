@@ -62,14 +62,14 @@ use crate::durability::{PersistOptions, RecoverySummary, SessionPersist};
 use crate::error::UniNetError;
 use crate::metrics::EngineMetrics;
 use crate::pipeline::{self, PipelineResult};
-use crate::streaming::{run_streaming_session, StreamingConfig, StreamingReport};
+use crate::streaming::{SessionEnv, StreamSession, StreamingConfig, StreamingReport};
 
 /// Where the engine's graph comes from.
 enum GraphSource {
     /// An already-constructed graph.
     InMemory(Graph),
     /// An edge-list file loaded at build time.
-    EdgeList(PathBuf, EdgeListOptions),
+    EdgeList(PathBuf),
 }
 
 /// Typed, validating builder for [`Engine`].
@@ -131,20 +131,7 @@ impl EngineBuilder {
     /// Loads the graph from an edge-list file at build time
     /// (`src dst [weight] [edge_type]` per line).
     pub fn graph_from_edge_list(mut self, path: impl Into<PathBuf>) -> Self {
-        self.source = Some(GraphSource::EdgeList(
-            path.into(),
-            EdgeListOptions::default(),
-        ));
-        self
-    }
-
-    /// Loads the graph from an edge-list file with explicit parse options.
-    pub fn graph_from_edge_list_with(
-        mut self,
-        path: impl Into<PathBuf>,
-        options: EdgeListOptions,
-    ) -> Self {
-        self.source = Some(GraphSource::EdgeList(path.into(), options));
+        self.source = Some(GraphSource::EdgeList(path.into()));
         self
     }
 
@@ -350,7 +337,9 @@ impl EngineBuilder {
                 )
             })? {
                 GraphSource::InMemory(g) => g,
-                GraphSource::EdgeList(path, options) => read_edge_list_file(&path, options)?,
+                GraphSource::EdgeList(path) => {
+                    read_edge_list_file(&path, EdgeListOptions::default())?
+                }
             }
         };
 
@@ -656,7 +645,7 @@ pub struct StreamOutcome {
 /// [`StreamOutcome`]; the engine's graph is updated to the post-stream
 /// compacted graph and becomes available to `train`/`stream` again.
 pub struct StreamHandle {
-    thread: JoinHandle<(PipelineResult, StreamingReport, u64)>,
+    thread: JoinHandle<StreamOutcome>,
     store: Arc<EmbeddingStore>,
 }
 
@@ -677,15 +666,7 @@ impl StreamHandle {
         // The epoch comes from the session's own last publish, not from the
         // store, so a train() racing in right after the session cannot leak
         // its epoch into this outcome.
-        let (result, report, epoch) = self
-            .thread
-            .join()
-            .map_err(|_| UniNetError::StreamPanicked)?;
-        Ok(StreamOutcome {
-            result,
-            report,
-            epoch,
-        })
+        self.thread.join().map_err(|_| UniNetError::StreamPanicked)
     }
 }
 
@@ -747,12 +728,6 @@ impl Engine {
     /// The model spec the engine runs.
     pub fn spec(&self) -> &ModelSpec {
         &self.inner.spec
-    }
-
-    /// The durability options the engine was built with (`None` when the
-    /// engine runs without a WAL).
-    pub fn persist_options(&self) -> Option<&PersistOptions> {
-        self.inner.persist.as_ref()
     }
 
     /// What [`EngineBuilder::recover`] rebuilt, when this engine was born
@@ -900,7 +875,7 @@ impl Engine {
                     Some(embeddings),
                     epoch,
                     core.live.clone(),
-                    Some(&self.inner.store),
+                    &self.inner.store,
                 ),
                 Err(e) => eprintln!("warning: post-train durability snapshot failed: {e}"),
             }
@@ -960,29 +935,26 @@ impl Engine {
             // Catch the unwind, mark the engine poisoned (later exclusive
             // calls get `EnginePoisoned` instead of a misleading busy error),
             // and re-raise so `join` reports `StreamPanicked`.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_streaming_session(
-                    &inner.config,
-                    &inner.streaming,
-                    &inner.spec,
-                    core.graph,
-                    core.live,
-                    &mutations,
-                    Some(&inner.store),
-                    persist,
-                    &inner.ingest_metrics,
-                    &inner.engine_metrics,
-                )
+            let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let env = SessionEnv {
+                    cfg: &inner.config,
+                    streaming: &inner.streaming,
+                    spec: &inner.spec,
+                    store: &inner.store,
+                    ingest_metrics: &inner.ingest_metrics,
+                    engine_metrics: &inner.engine_metrics,
+                };
+                StreamSession::run(env, core.graph, core.live, &mutations, persist)
             }));
             let mut state = inner.core.lock().expect("engine core lock poisoned");
-            match outcome {
-                Ok((result, report, final_graph, final_live, epoch)) => {
+            match end {
+                Ok(end) => {
                     *state = CoreState::Idle(EngineCore {
-                        graph: final_graph,
-                        live: final_live,
+                        graph: end.graph,
+                        live: end.live,
                     });
                     drop(state);
-                    (result, report, epoch)
+                    end.outcome
                 }
                 Err(payload) => {
                     *state = CoreState::Poisoned;

@@ -30,17 +30,6 @@ impl Table {
         self
     }
 
-    /// Convenience for rows of `&str`.
-    pub fn add_str_row(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.add_row(&owned)
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -82,18 +71,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as tab-separated values (no title).
-    pub fn render_tsv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join("\t"));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Writes the markdown rendering to a file.
     pub fn write_markdown<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
         std::fs::write(path, self.render_markdown())
@@ -120,22 +97,20 @@ mod tests {
 
     fn sample_table() -> Table {
         let mut t = Table::new("Demo", &["name", "value"]);
-        t.add_str_row(&["alpha", "1"]);
+        t.add_row(&["alpha".to_string(), "1".to_string()]);
         t.add_row(&["beta".to_string(), "2".to_string(), "extra".to_string()]);
-        t.add_str_row(&["gamma"]);
+        t.add_row(&["gamma".to_string()]);
         t
     }
 
     #[test]
     fn rows_are_normalized_to_header_width() {
-        let t = sample_table();
-        assert_eq!(t.num_rows(), 3);
-        let tsv = t.render_tsv();
-        let lines: Vec<&str> = tsv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "name\tvalue");
-        assert_eq!(lines[2], "beta\t2");
-        assert_eq!(lines[3], "gamma\t");
+        let md = sample_table().render_markdown();
+        let lines: Vec<&str> = md.lines().skip(2).collect();
+        assert_eq!(lines.len(), 5, "header, separator, three rows");
+        assert_eq!(lines[0], "| name  | value |");
+        assert_eq!(lines[3], "| beta  | 2     |");
+        assert_eq!(lines[4], "| gamma |       |");
     }
 
     #[test]

@@ -4,31 +4,33 @@
 //!
 //! This is the dynamic-workload counterpart of [`crate::Engine::train`]: the
 //! graph lives in a [`DynamicGraph`] and the update stream flows through the
-//! `uninet-ingest` pipeline — a reader thread feeding a bounded queue
-//! (back-pressure), overlay application and sampler maintenance on the
-//! session thread, then per-batch walk refresh through the walk engine's
-//! `walk_batch` on the session's threads. Embeddings are either retrained
-//! from scratch on the refreshed corpus (the original behaviour) or, with
-//! [`StreamingConfig::incremental_train`], updated online by SGD passes over
-//! only the regenerated walks.
+//! `uninet-ingest` pipeline (a reader thread feeding a bounded queue, then
+//! overlay application and sampler maintenance on the session thread).
+//! Embeddings are either retrained from scratch on the refreshed corpus at
+//! the end or, with [`StreamingConfig::incremental_train`], updated online by
+//! SGD passes over only the regenerated walks.
 //!
-//! When the session runs under an [`crate::Engine`], every trained embedding
-//! version is published to the engine's [`EmbeddingStore`], so concurrent
-//! readers serve `top_k`/`cosine` queries from a consistent epoch while
-//! ingestion continues.
+//! A session is one `StreamSession` with a method per phase: `start`, then
+//! per applied batch `persist_due`, `apply_churn`, `refresh`, `cold_start`
+//! and `publish`, and `finish` once the stream is drained. Every trained
+//! version is published to the engine's [`EmbeddingStore`], so readers are
+//! served from a consistent epoch while ingestion continues.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-use uninet_dyngraph::{DynamicGraph, GraphMutation, RefreshStats, UpdateBatch, WalkRefresher};
+use uninet_dyngraph::{
+    BatchReport, DynamicGraph, GraphMutation, RefreshStats, UpdateBatch, WalkRefresher,
+};
 use uninet_embedding::{AnnConfig, EmbeddingStore, OnlineWord2Vec, TrainStats, Word2VecTrainer};
 use uninet_graph::{Graph, NodeId};
-use uninet_ingest::{run_durable_pipeline, IngestConfig, IngestMetrics, QueueStats};
+use uninet_ingest::{run_durable_pipeline, IngestConfig, IngestMetrics, IngestReport, QueueStats};
 use uninet_metrics::PhaseTiming;
-use uninet_walker::{MaintenanceStats, SamplerManager, WalkEngine};
+use uninet_walker::{MaintenanceStats, RandomWalkModel, SamplerManager, WalkCorpus, WalkEngine};
 
 use crate::config::{ModelSpec, UniNetConfig};
 use crate::durability::{DurabilityReport, SessionPersist};
+use crate::engine::StreamOutcome;
 use crate::metrics::EngineMetrics;
 use crate::pipeline::PipelineResult;
 
@@ -162,419 +164,409 @@ fn merge_train_stats(total: &mut TrainStats, pass: &TrainStats) {
     total.pairs_processed += pass.pairs_processed;
 }
 
-/// Runs the full dynamic pipeline: initial walk corpus over `graph`,
-/// ingestion of `mutations` (bounded intake queue, in-order application and
-/// maintenance, parallel walk refresh), final compaction, then embedding
-/// training — full retrain on the refreshed corpus, or incremental updates
-/// when `streaming.incremental_train` is set.
-///
-/// Consumes the graph (it becomes the mutable base of the [`DynamicGraph`])
-/// and returns the post-stream compacted graph alongside the results, so a
-/// long-lived engine can keep its graph current.
-///
-/// When `store` is set, trained embedding versions are published to it. With
-/// incremental training that is the initial online model and then one version
-/// per batch that trained or changed the universe, so the last batch's
-/// publish already is the end-of-stream state; a full retrain publishes once,
-/// at end-of-stream. The returned epoch is that of this session's last
-/// publish (0 when `store` is `None`). The spec must already have passed
-/// [`ModelSpec::validate`] — the engine builder guarantees this.
-///
-/// With ANN serving, a batch published while later batches wait in the
-/// intake queue keeps the serving index instead of building one (at most
-/// `streaming.queue_capacity` batches old); the batch that finds the queue
-/// empty builds, so the session never returns with its index behind. What
-/// that means for readers is the freshness contract in the
-/// `uninet_embedding::store` module docs.
-///
-/// Queue/apply/maintenance/refresh telemetry records into `ingest_metrics`
-/// and incremental-pass latency into `engine_metrics` — live, from the
-/// session thread, so readers can watch back-pressure while it happens. Pass
-/// detached handles when nothing observes them.
-///
-/// With `persist` set, the session is durable: a snapshot of the pre-stream
-/// state is cut at session start, every applied batch is WAL-logged before
-/// its effects become observable, periodic snapshots follow the configured
-/// batch cadence, and the final compacted graph + embeddings are snapshotted
-/// at end-of-stream. Persistence errors degrade (reported in
-/// [`StreamingReport::durability`]) — they never abort the session.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_streaming_session(
-    cfg: &UniNetConfig,
-    streaming: &StreamingConfig,
-    spec: &ModelSpec,
-    graph: Graph,
-    live: Option<Vec<bool>>,
-    mutations: &[GraphMutation],
-    store: Option<&EmbeddingStore>,
-    persist: Option<SessionPersist>,
-    ingest_metrics: &IngestMetrics,
-    engine_metrics: &EngineMetrics,
-) -> (
-    PipelineResult,
-    StreamingReport,
-    Graph,
-    Option<Vec<bool>>,
-    u64,
-) {
-    let model = spec
-        .instantiate(&graph)
-        .expect("model spec is validated before a streaming session starts");
-    let model = model.as_ref();
+/// Copies the walks `ids` names out of the corpus, for a training pass.
+fn walks_of(corpus: &WalkCorpus, ids: &[u32]) -> Vec<Vec<NodeId>> {
+    ids.iter()
+        .map(|&id| corpus.walk(id as usize).to_vec())
+        .collect()
+}
 
-    // Initial corpus over a caller-owned manager so sampler state (M-H
-    // chains in particular) survives into the update phase.
-    let t0 = Instant::now();
-    let mut manager = SamplerManager::new(
-        &graph,
-        model,
-        cfg.walk.sampler,
-        cfg.walk.memory_budget_bytes,
-    );
-    let init = t0.elapsed();
-    let engine = WalkEngine::new(cfg.walk);
-    let start_nodes: Vec<NodeId> = graph.non_isolated_nodes().collect();
-    let (mut corpus, walk_timing) =
-        engine.generate_with_manager(&graph, model, &manager, &start_nodes);
+/// What a session reads and records into but does not own. The spec must
+/// already have passed [`ModelSpec::validate`] (the engine builder's job).
+#[derive(Clone, Copy)]
+pub(crate) struct SessionEnv<'a> {
+    pub(crate) cfg: &'a UniNetConfig,
+    pub(crate) streaming: &'a StreamingConfig,
+    pub(crate) spec: &'a ModelSpec,
+    pub(crate) store: &'a EmbeddingStore,
+    pub(crate) ingest_metrics: &'a IngestMetrics,
+    pub(crate) engine_metrics: &'a EngineMetrics,
+}
 
-    let num_nodes = graph.num_nodes();
-    let trainer = Word2VecTrainer::new(cfg.embedding);
-    let mut learn = Duration::ZERO;
-    let mut train_stats = TrainStats::default();
-    let mut report = StreamingReport::default();
-    let mut last_epoch = 0u64;
+/// A finished session: its outcome, and the compacted post-stream graph and
+/// universe mask the engine goes on with.
+pub(crate) struct SessionEnd {
+    pub(crate) outcome: StreamOutcome,
+    pub(crate) graph: Graph,
+    pub(crate) live: Option<Vec<bool>>,
+}
 
-    // Incremental mode trains the base model up front so refresh rounds
-    // can apply corrective passes as the stream is ingested — and so the
-    // serving store has fresh vectors from the very first batch.
-    let mut online: Option<OnlineWord2Vec> = if streaming.incremental_train {
-        let t = Instant::now();
-        let (session, stats) = trainer.train_online(corpus.walks(), num_nodes);
-        learn += t.elapsed();
-        train_stats = stats;
-        if let Some(store) = store {
-            last_epoch = store.publish_with_universe(session.embeddings(), live.clone());
-            report.snapshots_published += 1;
-        }
-        Some(session)
-    } else {
-        None
-    };
+/// The state one streaming session carries from batch to batch.
+pub(crate) struct StreamSession<'a> {
+    env: SessionEnv<'a>,
+    model: &'a dyn RandomWalkModel,
+    trainer: Word2VecTrainer,
+    corpus: WalkCorpus,
+    refresher: WalkRefresher,
+    /// The online model; `None` when training waits for end-of-stream.
+    online: Option<OnlineWord2Vec>,
+    /// Arrivals waiting for connectivity before their walks are seeded.
+    pending: Vec<NodeId>,
+    report: StreamingReport,
+    train_stats: TrainStats,
+    /// `Ti`, `Tw` and `Tl`, the last summing every training pass.
+    timing: PhaseTiming,
+    /// The epoch of this session's last publish.
+    last_epoch: u64,
+}
 
-    // Durable sessions snapshot the pre-stream state first, so a crash at
-    // any later point always has a base to replay the WAL onto. Shared
-    // between the WAL hook and the on_batch callback below — both run on the
-    // pipeline's consumer thread, never nested, so the RefCell cannot panic.
-    let mut persist = persist;
-    if let Some(p) = persist.as_mut() {
-        let initial = online.as_ref().map(|s| s.embeddings());
-        p.write_state(graph.clone(), initial, last_epoch, live.clone(), store);
-    }
-    let persist = RefCell::new(persist);
-
-    let mut dyn_graph = match live {
-        Some(mask) => DynamicGraph::with_universe(graph, streaming.symmetric, mask),
-        None => DynamicGraph::new(graph, streaming.symmetric),
-    };
-    let mut refresher = WalkRefresher::new(&corpus, num_nodes, cfg.walk.walk_length, cfg.walk.seed);
-    // Arrivals waiting for connectivity before their walks are seeded.
-    let mut pending_seed: Vec<NodeId> = Vec::new();
-
-    let ingest_cfg = IngestConfig {
-        batch_size: streaming.batch_size,
-        queue_capacity: streaming.queue_capacity,
-        compaction_threshold: streaming.compaction_threshold,
-        ..IngestConfig::default()
-    };
-
-    {
-        let refresher = &mut refresher;
-        let corpus = &mut corpus;
-        let report = &mut report;
-        let pending_seed = &mut pending_seed;
-        let trainer = &trainer;
-        let last_epoch = &mut last_epoch;
-        let online = &mut online;
-        let learn = &mut learn;
-        let train_stats = &mut train_stats;
-        let persist = &persist;
+impl<'a> StreamSession<'a> {
+    /// Runs the dynamic pipeline: initial walk corpus over `graph`, ingestion
+    /// of `mutations` (bounded intake queue, in-order application and
+    /// maintenance, walk refresh), final compaction, then embedding training:
+    /// online passes per batch with `streaming.incremental_train`, else one
+    /// full retrain on the refreshed corpus. Every trained version is
+    /// published to `env.store`; the outcome's epoch is this session's last.
+    ///
+    /// With `persist` set the session is durable: the pre-stream state is
+    /// snapshotted at start, every batch is WAL-logged before its effects are
+    /// observable, periodic snapshots follow the batch cadence and the final
+    /// state is snapshotted at the end. Persistence errors degrade (see
+    /// [`StreamingReport::durability`]); they never abort the session.
+    pub(crate) fn run(
+        env: SessionEnv<'_>,
+        graph: Graph,
+        live: Option<Vec<bool>>,
+        mutations: &[GraphMutation],
+        mut persist: Option<SessionPersist>,
+    ) -> SessionEnd {
+        let (streaming, ingest_metrics) = (env.streaming, env.ingest_metrics);
+        let model = env
+            .spec
+            .instantiate(&graph)
+            .expect("model spec is validated before a streaming session starts");
+        let (mut session, mut manager) =
+            StreamSession::start(env, model.as_ref(), &graph, live.clone(), persist.as_mut());
+        let mut dyn_graph = match live {
+            Some(mask) => DynamicGraph::with_universe(graph, streaming.symmetric, mask),
+            None => DynamicGraph::new(graph, streaming.symmetric),
+        };
+        let ingest_cfg = IngestConfig {
+            batch_size: streaming.batch_size,
+            queue_capacity: streaming.queue_capacity,
+            compaction_threshold: streaming.compaction_threshold,
+            ..IngestConfig::default()
+        };
+        // Shared between the WAL hook and the batch callback, which both run
+        // on the pipeline's consumer thread, never nested: no borrow panics.
+        let persist = RefCell::new(persist);
         let mut wal_hook = |batch: &UpdateBatch| {
             if let Some(p) = persist.borrow_mut().as_mut() {
                 p.log_batch(batch);
             }
         };
-        let wal: Option<&mut dyn FnMut(&UpdateBatch)> = if persist.borrow().is_some() {
-            Some(&mut wal_hook)
-        } else {
-            None
-        };
-        let ingest_report = run_durable_pipeline(
+        let wal = persist
+            .borrow()
+            .is_some()
+            .then_some(&mut wal_hook as &mut dyn FnMut(&UpdateBatch));
+        let ingest = run_durable_pipeline(
             &ingest_cfg,
             ingest_metrics,
             &mut dyn_graph,
             &mut manager,
-            model,
+            model.as_ref(),
             mutations,
             wal,
             |dg, mgr, r, _| {
-                // Periodic snapshot cadence, counted in WAL-logged batches.
-                // Runs before the refresh early-outs: durability must not
-                // depend on whether a batch touched any walks.
-                {
-                    let mut p = persist.borrow_mut();
-                    if let Some(p) = p.as_mut() {
-                        if p.snapshot_due() {
-                            let emb = online.as_ref().map(|s| s.embeddings());
-                            p.write_state(
-                                dg.materialize(),
-                                emb,
-                                *last_epoch,
-                                universe_mask(dg.live_mask()),
-                                store,
-                            );
-                        }
-                    }
+                if let Some(p) = persist.borrow_mut().as_mut() {
+                    session.persist_due(p, dg);
                 }
-                // Whether this batch leaves the store serving something out of
-                // date — the universe changed (a retiree must stop being
-                // served whether or not any walk passed through it) or, set
-                // below, a pass moved the model. Decides the one publish at
-                // the end of the callback.
-                let mut stale = !r.arrivals.is_empty() || !r.retirements.is_empty();
-                // Open-world churn: grow every per-node plane to the new
-                // capacity, evict retirees from the walk corpus (so no stale
-                // trajectory can resurrect them), and queue arrivals for a
-                // cold start once they gain connectivity.
-                if !r.arrivals.is_empty() || !r.retirements.is_empty() {
-                    let capacity = dg.num_nodes();
-                    report.arrivals += r.arrivals.len();
-                    report.retirements += r.retirements.len();
-                    refresher.grow(capacity);
-                    if !r.retirements.is_empty() {
-                        let evicted = refresher.evict_walks(corpus, &r.retirements);
-                        ingest_metrics.refresh_dirty_walks.add(evicted.len() as u64);
-                        pending_seed.retain(|v| !r.retirements.contains(v));
-                    }
-                    if let Some(session) = online.as_mut() {
-                        session.grow(capacity, cfg.walk.seed);
-                    }
-                    pending_seed.extend(r.arrivals.iter().copied());
-                }
-
-                // Every batch (and the end-of-stream flush) refreshes the
-                // walks through what it touched, so the corpus tracks the graph.
-                let mut touched = r.weight_touched.clone();
-                touched.extend_from_slice(&r.topology_touched);
-                touched.sort_unstable();
-                touched.dedup();
-                if !touched.is_empty() {
-                    let outcome = refresher.refresh_parallel(
-                        corpus,
-                        dg.base(),
-                        model,
-                        mgr,
-                        &touched,
-                        cfg.walk.num_threads,
-                    );
-                    ingest_metrics
-                        .refresh_round_ns
-                        .record_duration(outcome.elapsed);
-                    ingest_metrics
-                        .refresh_dirty_walks
-                        .add(outcome.refreshed_ids.len() as u64);
-                    report.refresh.merge(&outcome.stats);
-                    report.refresh_time += outcome.elapsed;
-
-                    if let Some(session) = online.as_mut() {
-                        if !outcome.refreshed_ids.is_empty() {
-                            let regenerated: Vec<Vec<NodeId>> = outcome
-                                .refreshed_ids
-                                .iter()
-                                .map(|&id| corpus.walk(id as usize).to_vec())
-                                .collect();
-                            let t = Instant::now();
-                            let stats = trainer.train_incremental(session, &regenerated);
-                            let pass = t.elapsed();
-                            engine_metrics.incremental_pass_ns.record_duration(pass);
-                            *learn += pass;
-                            merge_train_stats(train_stats, &stats);
-                            report.incremental_walks_trained += regenerated.len();
-                            report.incremental_passes += 1;
-                            stale = true;
-                        }
-                    }
-                }
-
-                // Cold start: an arrival is seeded once the compacted base
-                // graph shows connectivity for it (a node-op batch forces
-                // compaction, so an arrival wired up in the same batch is
-                // ready immediately; one wired up later waits for the next
-                // compaction to surface its edges in the base).
-                if !pending_seed.is_empty() {
-                    let ready: Vec<NodeId> = pending_seed
-                        .iter()
-                        .copied()
-                        .filter(|&v| {
-                            dg.is_live(v)
-                                && (v as usize) < dg.base().num_nodes()
-                                && dg.base().degree(v) > 0
-                        })
-                        .collect();
-                    if !ready.is_empty() {
-                        pending_seed.retain(|v| !ready.contains(v));
-                        report.cold_starts += ready.len();
-                        if let Some(session) = online.as_mut() {
-                            // Neighbour-average initialization: start an
-                            // arrival at the centroid of its live neighbours
-                            // instead of random noise, so its first served
-                            // vector is already in the right region.
-                            for &v in &ready {
-                                let mut avg = vec![0.0f32; session.dim()];
-                                let mut cnt = 0usize;
-                                for &u in dg.base().neighbors(v) {
-                                    if !dg.is_live(u) || u == v {
-                                        continue;
-                                    }
-                                    for (a, b) in avg.iter_mut().zip(session.input_row(u)) {
-                                        *a += b;
-                                    }
-                                    cnt += 1;
-                                }
-                                if cnt > 0 {
-                                    let inv = 1.0 / cnt as f32;
-                                    for a in avg.iter_mut() {
-                                        *a *= inv;
-                                    }
-                                    session.set_input_row(v, &avg);
-                                }
-                            }
-                        }
-                        let new_ids = refresher.seed_walks(
-                            corpus,
-                            dg.base(),
-                            model,
-                            mgr,
-                            &ready,
-                            cfg.walk.num_walks,
-                        );
-                        if let Some(session) = online.as_mut() {
-                            if !new_ids.is_empty() && streaming.cold_start_burn_in > 0 {
-                                let walks: Vec<Vec<NodeId>> = new_ids
-                                    .iter()
-                                    .map(|&id| corpus.walk(id as usize).to_vec())
-                                    .collect();
-                                let t = Instant::now();
-                                for _ in 0..streaming.cold_start_burn_in {
-                                    let stats = trainer.train_burn_in(
-                                        session,
-                                        &walks,
-                                        streaming.cold_start_boost,
-                                    );
-                                    merge_train_stats(train_stats, &stats);
-                                }
-                                let burn = t.elapsed();
-                                engine_metrics.cold_start_burn_in_ns.record_duration(burn);
-                                *learn += burn;
-                                report.incremental_passes += streaming.cold_start_burn_in;
-                                report.incremental_walks_trained +=
-                                    walks.len() * streaming.cold_start_burn_in;
-                                stale = true;
-                            }
-                        }
-                    }
-                }
-
-                // One publish per batch, after everything that trains: the
-                // adapted vectors reach concurrent readers while the stream
-                // is still being ingested, and a batch that both refreshed
-                // and cold-started costs one matrix copy, one index build
-                // and one epoch, not two. While batches wait behind this one
-                // the next batch replaces this epoch soon, so it keeps the
-                // serving index (at most `queue_capacity` batches old); a
-                // batch that finds the queue empty builds a fresh index for
-                // its epoch even if it trained nothing, so the stream never
-                // ends behind.
-                if let (Some(store), Some(session)) = (store, online.as_ref()) {
-                    let served = store.snapshot();
-                    let lag = served.epoch() - served.index_epoch();
-                    if stale || (lag > 0 && r.queued_behind == 0) {
-                        let live = universe_mask(dg.live_mask());
-                        let defer = r.queued_behind > 0 && lag < streaming.queue_capacity as u64;
-                        *last_epoch = if defer {
-                            store.publish_keeping_index(session.embeddings(), live)
-                        } else {
-                            store.publish_with_universe(session.embeddings(), live)
-                        };
-                        report.snapshots_published += 1;
-                    }
-                }
+                let churned = session.apply_churn(dg, r);
+                let refreshed = session.refresh(dg, mgr, r);
+                let seeded = session.cold_start(dg, mgr);
+                session.publish(dg, r, churned || refreshed || seeded);
             },
         );
-        report.batches = ingest_report.batches;
-        report.weight_mutations = ingest_report.weight_mutations;
-        report.topology_mutations = ingest_report.topology_mutations;
-        report.rejected_mutations = ingest_report.rejected_mutations;
-        report.compactions = ingest_report.compactions;
-        report.maintenance = ingest_report.maintenance;
-        report.apply_time = ingest_report.apply_time;
-        report.maintain_time = ingest_report.maintain_time;
-        report.queue = ingest_report.queue;
+        session.finish(ingest, dyn_graph, persist.into_inner())
     }
-    report.finalize();
 
-    // Final embeddings: online session snapshot, or full retrain on the
-    // refreshed corpus. Incremental sessions already published their last
-    // pass from the batch callback; the full-retrain path publishes here.
-    // The universe the final embeddings are served under: churned sessions
-    // carry their mask into every publish and snapshot from here on.
-    let final_live = universe_mask(dyn_graph.live_mask());
-    let final_capacity = dyn_graph.num_nodes();
-    let embeddings = match online {
-        Some(session) => session.embeddings(),
-        None => {
-            let t = Instant::now();
-            let (embeddings, stats) = trainer.train(corpus.walks(), final_capacity);
-            learn += t.elapsed();
-            train_stats = stats;
-            if let Some(store) = store {
-                last_epoch = store.publish_with_universe(embeddings.clone(), final_live.clone());
-                report.snapshots_published += 1;
-            }
-            embeddings
-        }
-    };
-
-    let final_graph = dyn_graph.into_base();
-    if let Some(p) = persist.into_inner() {
-        report.durability = Some(p.finish(
-            &final_graph,
-            &embeddings,
-            last_epoch,
-            final_live.clone(),
-            store,
-        ));
-    }
-    let timing = PhaseTiming {
-        init,
-        walk: walk_timing.walk,
-        learn,
-    };
-    // A streaming session is one training round for the engine plane: the
-    // same Ti/Tw/Tl split batch training records, with learn covering every
-    // online/incremental/retrain pass of the session.
-    engine_metrics.record_round(&timing);
-    (
-        PipelineResult {
-            embeddings,
+    /// Builds the initial corpus over a caller-owned manager, so sampler
+    /// state (M-H chains in particular) survives into the update phase.
+    /// Online training then trains and publishes the base model, so the
+    /// store serves fresh vectors from the first batch. A durable session
+    /// snapshots this state: a crash at any later point replays onto it.
+    fn start(
+        env: SessionEnv<'a>,
+        model: &'a dyn RandomWalkModel,
+        graph: &Graph,
+        live: Option<Vec<bool>>,
+        persist: Option<&mut SessionPersist>,
+    ) -> (Self, SamplerManager) {
+        let walk = env.cfg.walk;
+        let t0 = Instant::now();
+        let manager = SamplerManager::new(graph, model, walk.sampler, walk.memory_budget_bytes);
+        let init = t0.elapsed();
+        let start_nodes: Vec<NodeId> = graph.non_isolated_nodes().collect();
+        let (corpus, walk_timing) =
+            WalkEngine::new(walk).generate_with_manager(graph, model, &manager, &start_nodes);
+        let num_nodes = graph.num_nodes();
+        let mut session = StreamSession {
+            trainer: Word2VecTrainer::new(env.cfg.embedding),
+            refresher: WalkRefresher::new(&corpus, num_nodes, walk.walk_length, walk.seed),
             corpus,
-            timing,
-            train_stats,
-        },
-        report,
-        final_graph,
-        final_live,
-        last_epoch,
-    )
+            online: None,
+            pending: Vec::new(),
+            report: StreamingReport::default(),
+            train_stats: TrainStats::default(),
+            timing: PhaseTiming {
+                init,
+                walk: walk_timing.walk,
+                learn: Duration::ZERO,
+            },
+            last_epoch: 0,
+            env,
+            model,
+        };
+        if env.streaming.incremental_train {
+            let t = Instant::now();
+            let (online, stats) = session
+                .trainer
+                .train_online(session.corpus.walks(), num_nodes);
+            session.timing.learn += t.elapsed();
+            session.train_stats = stats;
+            session.last_epoch = env
+                .store
+                .publish_with_universe(online.embeddings(), live.clone());
+            session.report.snapshots_published += 1;
+            session.online = Some(online);
+        }
+        if let Some(p) = persist {
+            session.snapshot(p, graph.clone(), live);
+        }
+        (session, manager)
+    }
+
+    /// Cuts a durable snapshot of `graph` under `live`, with the online
+    /// model's vectors (none while training waits for end-of-stream).
+    fn snapshot(&self, persist: &mut SessionPersist, graph: Graph, live: Option<Vec<bool>>) {
+        let embeddings = self.online.as_ref().map(|s| s.embeddings());
+        persist.write_state(graph, embeddings, self.last_epoch, live, self.env.store);
+    }
+
+    /// The periodic snapshot, counted in WAL-logged batches. It runs first,
+    /// so durability does not depend on whether a batch touched any walks.
+    fn persist_due(&self, persist: &mut SessionPersist, dg: &DynamicGraph) {
+        if persist.snapshot_due() {
+            self.snapshot(persist, dg.materialize(), universe_mask(dg.live_mask()));
+        }
+    }
+
+    /// Open-world churn: grows every per-node plane to the new capacity,
+    /// evicts retirees' walks (so no stale trajectory can resurrect them) and
+    /// queues arrivals for a cold start. Returns whether the universe
+    /// changed: a retiree must leave the store whether or not a walk passed
+    /// through it.
+    fn apply_churn(&mut self, dg: &DynamicGraph, r: &BatchReport) -> bool {
+        if r.arrivals.is_empty() && r.retirements.is_empty() {
+            return false;
+        }
+        let capacity = dg.num_nodes();
+        self.report.arrivals += r.arrivals.len();
+        self.report.retirements += r.retirements.len();
+        self.refresher.grow(capacity);
+        if !r.retirements.is_empty() {
+            let evicted = self.refresher.evict_walks(&mut self.corpus, &r.retirements);
+            let dirty = &self.env.ingest_metrics.refresh_dirty_walks;
+            dirty.add(evicted.len() as u64);
+            self.pending.retain(|v| !r.retirements.contains(v));
+        }
+        if let Some(online) = self.online.as_mut() {
+            online.grow(capacity, self.env.cfg.walk.seed);
+        }
+        self.pending.extend(r.arrivals.iter().copied());
+        true
+    }
+
+    /// Regenerates the walks through every node the batch (or the
+    /// end-of-stream flush) touched, so the corpus tracks the graph, then
+    /// runs one online pass over them. Returns whether the model moved.
+    fn refresh(&mut self, dg: &DynamicGraph, mgr: &SamplerManager, r: &BatchReport) -> bool {
+        let mut touched = [r.weight_touched.as_slice(), &r.topology_touched].concat();
+        touched.sort_unstable();
+        touched.dedup();
+        if touched.is_empty() {
+            return false;
+        }
+        let threads = self.env.cfg.walk.num_threads;
+        let outcome = self.refresher.refresh_parallel(
+            &mut self.corpus,
+            dg.base(),
+            self.model,
+            mgr,
+            &touched,
+            threads,
+        );
+        let (ids, ingest) = (&outcome.refreshed_ids, self.env.ingest_metrics);
+        ingest.refresh_round_ns.record_duration(outcome.elapsed);
+        ingest.refresh_dirty_walks.add(ids.len() as u64);
+        self.report.refresh.merge(&outcome.stats);
+        self.report.refresh_time += outcome.elapsed;
+
+        let Some(online) = self.online.as_mut().filter(|_| !ids.is_empty()) else {
+            return false;
+        };
+        let regenerated = walks_of(&self.corpus, ids);
+        let t = Instant::now();
+        let stats = self.trainer.train_incremental(online, &regenerated);
+        let (pass, engine) = (t.elapsed(), self.env.engine_metrics);
+        engine.incremental_pass_ns.record_duration(pass);
+        self.timing.learn += pass;
+        merge_train_stats(&mut self.train_stats, &stats);
+        self.report.incremental_walks_trained += regenerated.len();
+        self.report.incremental_passes += 1;
+        true
+    }
+
+    /// Seeds walks for each pending arrival the compacted base graph shows
+    /// connectivity for (a node-op batch forces compaction, so an arrival
+    /// wired up in its own batch is ready at once). Online, each starts at the
+    /// centroid of its live neighbours, and boosted burn-in passes run over
+    /// its fresh walks. Returns whether the model moved.
+    fn cold_start(&mut self, dg: &DynamicGraph, mgr: &SamplerManager) -> bool {
+        let base = dg.base();
+        let ready: Vec<NodeId> = self
+            .pending
+            .iter()
+            .copied()
+            .filter(|&v| dg.is_live(v) && (v as usize) < base.num_nodes() && base.degree(v) > 0)
+            .collect();
+        if ready.is_empty() {
+            return false;
+        }
+        self.pending.retain(|v| !ready.contains(v));
+        self.report.cold_starts += ready.len();
+        let (walk, streaming) = (self.env.cfg.walk, self.env.streaming);
+        let new_ids = self.refresher.seed_walks(
+            &mut self.corpus,
+            base,
+            self.model,
+            mgr,
+            &ready,
+            walk.num_walks,
+        );
+        let Some(online) = self.online.as_mut() else {
+            return false;
+        };
+        for &v in &ready {
+            let mut avg = vec![0.0f32; online.dim()];
+            let mut cnt = 0usize;
+            for &u in base.neighbors(v) {
+                if u != v && dg.is_live(u) {
+                    avg.iter_mut()
+                        .zip(online.input_row(u))
+                        .for_each(|(a, b)| *a += b);
+                    cnt += 1;
+                }
+            }
+            if cnt > 0 {
+                let inv = 1.0 / cnt as f32;
+                avg.iter_mut().for_each(|a| *a *= inv);
+                online.set_input_row(v, &avg);
+            }
+        }
+        let (burn_in, boost) = (streaming.cold_start_burn_in, streaming.cold_start_boost);
+        if new_ids.is_empty() || burn_in == 0 {
+            return false;
+        }
+        let walks = walks_of(&self.corpus, &new_ids);
+        let t = Instant::now();
+        for _ in 0..burn_in {
+            let stats = self.trainer.train_burn_in(online, &walks, boost);
+            merge_train_stats(&mut self.train_stats, &stats);
+        }
+        let (burn, engine) = (t.elapsed(), self.env.engine_metrics);
+        engine.cold_start_burn_in_ns.record_duration(burn);
+        self.timing.learn += burn;
+        self.report.incremental_passes += burn_in;
+        self.report.incremental_walks_trained += walks.len() * burn_in;
+        true
+    }
+
+    /// One publish per batch, after everything that trains, so a batch that
+    /// both refreshed and cold-started costs one matrix copy, one index build
+    /// and one epoch. While batches wait behind this one, it keeps the
+    /// serving index (at most `queue_capacity` batches old); a batch that
+    /// finds the queue empty builds a fresh index for its epoch even if it
+    /// trained nothing, so the stream never ends behind.
+    fn publish(&mut self, dg: &DynamicGraph, r: &BatchReport, stale: bool) {
+        let Some(online) = self.online.as_ref() else {
+            return;
+        };
+        let store = self.env.store;
+        let served = store.snapshot();
+        let lag = served.epoch() - served.index_epoch();
+        if !stale && (lag == 0 || r.queued_behind > 0) {
+            return;
+        }
+        let live = universe_mask(dg.live_mask());
+        let defer = r.queued_behind > 0 && lag < self.env.streaming.queue_capacity as u64;
+        self.last_epoch = if defer {
+            store.publish_keeping_index(online.embeddings(), live)
+        } else {
+            store.publish_with_universe(online.embeddings(), live)
+        };
+        self.report.snapshots_published += 1;
+    }
+
+    /// Folds the ingest accounting into the report, trains and publishes the
+    /// full retrain (online sessions published their last state per batch),
+    /// cuts the final snapshot and records the session as one training round
+    /// for the engine plane.
+    fn finish(
+        mut self,
+        ingest: IngestReport,
+        dyn_graph: DynamicGraph,
+        persist: Option<SessionPersist>,
+    ) -> SessionEnd {
+        let report = &mut self.report;
+        report.batches = ingest.batches;
+        report.weight_mutations = ingest.weight_mutations;
+        report.topology_mutations = ingest.topology_mutations;
+        report.rejected_mutations = ingest.rejected_mutations;
+        report.compactions = ingest.compactions;
+        report.maintenance = ingest.maintenance;
+        report.apply_time = ingest.apply_time;
+        report.maintain_time = ingest.maintain_time;
+        report.queue = ingest.queue;
+        report.finalize();
+
+        let (store, live) = (self.env.store, universe_mask(dyn_graph.live_mask()));
+        let embeddings = match self.online {
+            Some(online) => online.embeddings(),
+            None => {
+                let t = Instant::now();
+                let (embeddings, stats) = self
+                    .trainer
+                    .train(self.corpus.walks(), dyn_graph.num_nodes());
+                self.timing.learn += t.elapsed();
+                self.train_stats = stats;
+                self.last_epoch = store.publish_with_universe(embeddings.clone(), live.clone());
+                self.report.snapshots_published += 1;
+                embeddings
+            }
+        };
+        let (graph, epoch) = (dyn_graph.into_base(), self.last_epoch);
+        self.report.durability =
+            persist.map(|p| p.finish(&graph, &embeddings, epoch, live.clone(), store));
+        self.env.engine_metrics.record_round(&self.timing);
+        let result = PipelineResult {
+            embeddings,
+            corpus: self.corpus,
+            timing: self.timing,
+            train_stats: self.train_stats,
+        };
+        let report = self.report;
+        let outcome = StreamOutcome {
+            result,
+            report,
+            epoch,
+        };
+        SessionEnd {
+            outcome,
+            graph,
+            live,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -623,6 +615,25 @@ mod tests {
         out
     }
 
+    fn run(
+        cfg: &UniNetConfig,
+        streaming: &StreamingConfig,
+        spec: &ModelSpec,
+        graph: Graph,
+        mutations: &[GraphMutation],
+        store: &EmbeddingStore,
+    ) -> SessionEnd {
+        let env = SessionEnv {
+            cfg,
+            streaming,
+            spec,
+            store,
+            ingest_metrics: &IngestMetrics::detached(),
+            engine_metrics: &EngineMetrics::detached(),
+        };
+        StreamSession::run(env, graph, None, mutations, None)
+    }
+
     fn session(
         cfg: &UniNetConfig,
         streaming: &StreamingConfig,
@@ -630,19 +641,15 @@ mod tests {
         graph: Graph,
         mutations: &[GraphMutation],
     ) -> (PipelineResult, StreamingReport) {
-        let (result, report, _, _, _) = run_streaming_session(
+        let end = run(
             cfg,
             streaming,
             spec,
             graph,
-            None,
             mutations,
-            None,
-            None,
-            &IngestMetrics::detached(),
-            &EngineMetrics::detached(),
+            &EmbeddingStore::new(),
         );
-        (result, report)
+        (end.outcome.result, end.outcome.report)
     }
 
     #[test]
@@ -810,24 +817,21 @@ mod tests {
             ..Default::default()
         };
         let store = EmbeddingStore::new();
-        let (result, report, final_graph, final_live, _) = run_streaming_session(
+        let end = run(
             &cfg,
             &streaming,
             &ModelSpec::DeepWalk,
             graph,
-            None,
             &mutations,
-            Some(&store),
-            None,
-            &IngestMetrics::detached(),
-            &EngineMetrics::detached(),
+            &store,
         );
+        let (result, report) = (end.outcome.result, end.outcome.report);
         assert_eq!(report.arrivals, 3);
         assert_eq!(report.retirements, 1);
         assert_eq!(report.cold_starts, 3, "every wired arrival cold-started");
-        assert_eq!(final_graph.num_nodes(), n as usize + 3);
+        assert_eq!(end.graph.num_nodes(), n as usize + 3);
         assert_eq!(result.embeddings.num_nodes(), n as usize + 3);
-        let live = final_live.expect("churned session yields a mask");
+        let live = end.live.expect("churned session yields a mask");
         assert!(!live[5] && live[n as usize] && live[n as usize + 2]);
 
         // The serving plane reflects the final universe: retirees are
@@ -867,18 +871,15 @@ mod tests {
             ..Default::default()
         };
         let store = EmbeddingStore::new();
-        let (_, report, _, final_live, last_epoch) = run_streaming_session(
+        let end = run(
             &cfg,
             &streaming,
             &ModelSpec::DeepWalk,
             graph,
-            None,
             &mutations,
-            Some(&store),
-            None,
-            &IngestMetrics::detached(),
-            &EngineMetrics::detached(),
+            &store,
         );
+        let (report, last_epoch) = (end.outcome.report, end.outcome.epoch);
         assert_eq!((report.arrivals, report.retirements), (1, 1));
         assert_eq!(report.incremental_passes, 0, "nothing trained");
         assert_eq!(
@@ -889,7 +890,7 @@ mod tests {
         let snap = store.snapshot();
         assert!(snap.in_range(n) && !snap.is_live(n));
         assert_eq!(store.vector(n), None, "retired id must not be served");
-        assert_eq!(snap.live_mask(), final_live.as_deref());
+        assert_eq!(snap.live_mask(), end.live.as_deref());
     }
 
     #[test]
@@ -908,18 +909,15 @@ mod tests {
             ..Default::default()
         };
         let store = EmbeddingStore::new();
-        let (_, report, final_graph, _, last_epoch) = run_streaming_session(
+        let end = run(
             &cfg,
             &streaming,
             &ModelSpec::DeepWalk,
             graph,
-            None,
             &mutations,
-            Some(&store),
-            None,
-            &IngestMetrics::detached(),
-            &EngineMetrics::detached(),
+            &store,
         );
+        let (report, last_epoch) = (end.outcome.report, end.outcome.epoch);
         assert_eq!(last_epoch, store.epoch());
         // The initial online model, then at most one version per batch and
         // one for the end-of-stream flush; the final state is identical to
@@ -933,7 +931,7 @@ mod tests {
         assert!(report.snapshots_published <= 2 + report.batches);
         assert_eq!(store.epoch(), report.snapshots_published as u64);
         assert_eq!(store.num_nodes(), n);
-        assert_eq!(final_graph.num_nodes(), n);
+        assert_eq!(end.graph.num_nodes(), n);
     }
 
     #[test]
@@ -965,18 +963,15 @@ mod tests {
             ..Default::default()
         };
         let store = EmbeddingStore::new();
-        let (_, report, _, _, last_epoch) = run_streaming_session(
+        let end = run(
             &cfg,
             &streaming,
             &ModelSpec::DeepWalk,
             graph,
-            None,
             &mutations,
-            Some(&store),
-            None,
-            &IngestMetrics::detached(),
-            &EngineMetrics::detached(),
+            &store,
         );
+        let (report, last_epoch) = (end.outcome.report, end.outcome.epoch);
         assert!(report.cold_starts > 0, "no arrival cold-started");
         assert!(
             report.incremental_passes > 1 + report.batches,
@@ -1004,27 +999,25 @@ mod tests {
         cfg.walk.num_threads = 1;
         cfg.embedding.num_threads = 1;
         cfg.embedding.epochs = 1;
-        let run = |queue_capacity: usize, store: Option<&EmbeddingStore>| {
+        let stream = |queue_capacity: usize, store: &EmbeddingStore| {
             let streaming = StreamingConfig {
                 batch_size: 10,
                 queue_capacity,
                 incremental_train: true,
                 ..Default::default()
             };
-            run_streaming_session(
+            run(
                 &cfg,
                 &streaming,
                 &ModelSpec::DeepWalk,
                 graph.clone(),
-                None,
                 &mutations,
                 store,
-                None,
-                &IngestMetrics::detached(),
-                &EngineMetrics::detached(),
             )
+            .outcome
         };
-        let (unserved, ..) = run(8, None);
+        // A store without an index: no publish ever defers or builds.
+        let unserved = stream(8, &EmbeddingStore::new()).result;
         for queue_capacity in [8, 2] {
             let store = EmbeddingStore::with_ann(AnnConfig {
                 m: 6,
@@ -1032,7 +1025,7 @@ mod tests {
                 ..AnnConfig::default()
             });
             let done = std::sync::atomic::AtomicBool::new(false);
-            let (result, report, _, _, last_epoch, max_lag) = std::thread::scope(|scope| {
+            let (outcome, max_lag) = std::thread::scope(|scope| {
                 // Every snapshot a reader can see mid-stream.
                 let watcher = scope.spawn(|| {
                     let mut max_lag = 0;
@@ -1043,11 +1036,11 @@ mod tests {
                     }
                     max_lag
                 });
-                let (result, report, graph, live, epoch) = run(queue_capacity, Some(&store));
+                let outcome = stream(queue_capacity, &store);
                 done.store(true, std::sync::atomic::Ordering::Relaxed);
-                let max_lag = watcher.join().unwrap();
-                (result, report, graph, live, epoch, max_lag)
+                (outcome, watcher.join().unwrap())
             });
+            let (result, report, last_epoch) = (outcome.result, outcome.report, outcome.epoch);
             assert!(
                 report.batches > queue_capacity,
                 "{} batches",

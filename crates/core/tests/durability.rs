@@ -294,6 +294,48 @@ fn restart_answers_ann_queries_exactly_as_before() {
 }
 
 #[test]
+fn one_thread_sessions_with_one_seed_write_identical_files() {
+    let session = |tag: &str| {
+        let dir = wal_dir(tag);
+        let engine = ann_builder(4)
+            .threads(1)
+            .graph(test_graph())
+            .wal(&dir)
+            .build()
+            .expect("valid durable configuration");
+        let outcome = engine
+            .stream_blocking(churn_stream(&test_graph()))
+            .expect("stream");
+        (dir, outcome.result.embeddings)
+    };
+    let files = |dir: &PathBuf| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("wal dir")
+            .map(|entry| entry.expect("entry").file_name().into_string().unwrap())
+            .filter(|name| name == "wal.log" || name.ends_with(".snap"))
+            .collect();
+        names.sort();
+        names
+    };
+    let (a, embeddings_a) = session("same-seed-a");
+    let (b, embeddings_b) = session("same-seed-b");
+    let names = files(&a);
+    assert!(names.contains(&"wal.log".to_string()), "{names:?}");
+    assert!(
+        names.iter().filter(|name| name.ends_with(".snap")).count() > 2,
+        "base, periodic and final snapshots: {names:?}"
+    );
+    assert_eq!(names, files(&b));
+    for name in &names {
+        let (bytes_a, bytes_b) = (std::fs::read(a.join(name)), std::fs::read(b.join(name)));
+        assert!(bytes_a.unwrap() == bytes_b.unwrap(), "{name} differs");
+    }
+    assert_eq!(embeddings_a.as_flat(), embeddings_b.as_flat());
+    let _ = std::fs::remove_dir_all(&a);
+    let _ = std::fs::remove_dir_all(&b);
+}
+
+#[test]
 fn an_index_built_on_one_thread_restores_on_two() {
     let dir = wal_dir("ann-threads");
     let writer = ann_builder(4)

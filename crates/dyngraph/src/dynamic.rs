@@ -162,11 +162,6 @@ impl DynamicGraph {
         &self.base
     }
 
-    /// Whether mutations are mirrored onto the reverse edge.
-    pub fn is_symmetric(&self) -> bool {
-        self.symmetric
-    }
-
     /// Capacity of the id space (live + retired + vacant ids). Grows when an
     /// `AddNode` declares an id past the current end; never shrinks.
     pub fn num_nodes(&self) -> usize {

@@ -147,12 +147,6 @@ impl UpdateBatch {
     pub fn is_weight_only(&self) -> bool {
         self.mutations.iter().all(GraphMutation::is_weight_only)
     }
-
-    /// True when the batch contains any node arrival/retirement (those
-    /// batches take the serial application path and force compaction).
-    pub fn has_node_ops(&self) -> bool {
-        self.mutations.iter().any(GraphMutation::is_node_op)
-    }
 }
 
 #[cfg(test)]
@@ -240,9 +234,7 @@ mod tests {
 
         let mut b = UpdateBatch::new();
         b.add_edge(0, 1, 1.0);
-        assert!(!b.has_node_ops());
         b.add_node(5).remove_node(2);
-        assert!(b.has_node_ops());
         assert_eq!(b.mutations()[1], GraphMutation::AddNode { node: 5 });
         assert_eq!(b.mutations()[2], GraphMutation::RemoveNode { node: 2 });
     }

@@ -39,7 +39,7 @@
 //!   the exact scan uses — and results carry the same cosine scores.
 //! * **int8 traversal, f32 re-score.** The index also carries int8 codes of
 //!   the normalized vectors' offsets from their mean row (one scale per row;
-//!   see [`crate::quant`] for why offsets). Queries walk the graph scoring
+//!   the `quant` module explains why offsets). Queries walk the graph scoring
 //!   candidates on the codes — a quarter of the bytes per visit — then
 //!   re-score every node of the final beam in f32, so reported similarities
 //!   are exact cosines. Construction scores in f32 throughout.

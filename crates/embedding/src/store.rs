@@ -83,6 +83,7 @@ use crate::ann::{AnnConfig, HnswIndex, QueryMode};
 use crate::kernels;
 use crate::telemetry::StoreTelemetry;
 use crate::Embeddings;
+use uninet_metrics::Counter;
 
 /// One immutable published version of the embeddings.
 #[derive(Debug)]
@@ -106,6 +107,10 @@ pub struct EmbeddingSnapshot {
     live: Option<Vec<bool>>,
     /// Number of live rows, counted once when the snapshot is assembled.
     live_count: usize,
+    /// The publishing store's `query.ann_fallbacks` counter (a detached one
+    /// until the snapshot is installed), so every ANN query answered from
+    /// this snapshot counts its fallback here, whoever holds the snapshot.
+    ann_fallbacks: Arc<Counter>,
 }
 
 impl EmbeddingSnapshot {
@@ -161,6 +166,7 @@ impl EmbeddingSnapshot {
             retired_since_index: 0,
             live,
             live_count,
+            ann_fallbacks: Arc::default(),
         };
         if index_epoch != epoch {
             if let Some(index) = &snapshot.ann {
@@ -290,36 +296,32 @@ impl EmbeddingSnapshot {
     /// Like [`top_k`](EmbeddingSnapshot::top_k), but with an explicit
     /// [`QueryMode`]. [`QueryMode::Ann`] routes through the HNSW index and
     /// falls back to the exact scan when the snapshot carries no index or the
-    /// graph search comes back short (possible on degenerate inputs). Like
-    /// [`top_k`](Self::top_k), it clamps `k` to the row count first, so no
-    /// request can size an allocation past the snapshot.
+    /// graph search comes back short (possible on degenerate inputs) or the
+    /// query node is one the index predates. Each such fallback bumps the
+    /// publishing store's `query.ann_fallbacks`; exact queries never count.
+    /// Like [`top_k`](Self::top_k), it clamps `k` to the row count first, so
+    /// no request can size an allocation past the snapshot.
     pub fn top_k_mode(&self, node: u32, k: usize, mode: QueryMode) -> Vec<(u32, f32)> {
-        self.top_k_mode_traced(node, k, mode).0
-    }
-
-    /// [`top_k_mode`](Self::top_k_mode), also reporting whether an ANN query
-    /// had to fall back to the exact scan (no index, a short graph search,
-    /// or a query node the index predates). Exact queries never count as
-    /// fallbacks.
-    fn top_k_mode_traced(&self, node: u32, k: usize, mode: QueryMode) -> (Vec<(u32, f32)>, bool) {
         let k = k.min(self.num_nodes());
-        match (mode, &self.ann) {
-            (QueryMode::Ann, Some(index)) if self.contains(node) && k > 0 => {
-                let hits = if self.index_epoch == self.epoch {
-                    index.search_node(node, k)
-                } else if index.is_indexed(node) {
-                    self.search_lagging(index, node, k)
-                } else {
-                    Vec::new()
-                };
-                if hits.len() < k.min(self.live_count().saturating_sub(1)) {
-                    (self.top_k(node, k), true)
-                } else {
-                    (hits, false)
-                }
-            }
-            (QueryMode::Ann, _) => (self.top_k(node, k), self.contains(node) && k > 0),
-            _ => (self.top_k(node, k), false),
+        if mode == QueryMode::Exact || !self.contains(node) || k == 0 {
+            return self.top_k(node, k);
+        }
+        let Some(index) = &self.ann else {
+            self.ann_fallbacks.inc();
+            return self.top_k(node, k);
+        };
+        let hits = if self.index_epoch == self.epoch {
+            index.search_node(node, k)
+        } else if index.is_indexed(node) {
+            self.search_lagging(index, node, k)
+        } else {
+            Vec::new()
+        };
+        if hits.len() < k.min(self.live_count().saturating_sub(1)) {
+            self.ann_fallbacks.inc();
+            self.top_k(node, k)
+        } else {
+            hits
         }
     }
 
@@ -519,7 +521,8 @@ impl EmbeddingStore {
 
     /// Swaps `snapshot` in (unless a higher epoch already serves) and
     /// updates the per-publish gauges.
-    fn install(&self, snapshot: EmbeddingSnapshot) {
+    fn install(&self, mut snapshot: EmbeddingSnapshot) {
+        snapshot.ann_fallbacks = Arc::clone(&self.telemetry.ann_fallbacks);
         let epoch = snapshot.epoch();
         self.telemetry.live_nodes.set(snapshot.live_count() as i64);
         self.telemetry
@@ -632,15 +635,12 @@ impl EmbeddingStore {
     /// fall back to the exact scan bumps `query.ann_fallbacks`.
     pub fn top_k_mode(&self, node: u32, k: usize, mode: QueryMode) -> Vec<(u32, f32)> {
         let t = Instant::now();
-        let (hits, fell_back) = self.snapshot().top_k_mode_traced(node, k, mode);
+        let hits = self.snapshot().top_k_mode(node, k, mode);
         match mode {
             QueryMode::Exact => &self.telemetry.query_exact_ns,
             QueryMode::Ann => &self.telemetry.query_ann_ns,
         }
         .record_duration(t.elapsed());
-        if fell_back {
-            self.telemetry.ann_fallbacks.inc();
-        }
         hits
     }
 
@@ -649,21 +649,9 @@ impl EmbeddingStore {
     /// is answered from the same epoch.
     pub fn top_k_batch(&self, nodes: &[u32], k: usize, mode: QueryMode) -> Vec<Vec<(u32, f32)>> {
         let t = Instant::now();
-        let snap = self.snapshot();
-        let mut fallbacks = 0u64;
-        let rows = nodes
-            .iter()
-            .map(|&node| {
-                let (row, fell_back) = snap.top_k_mode_traced(node, k, mode);
-                fallbacks += fell_back as u64;
-                row
-            })
-            .collect();
+        let rows = self.snapshot().top_k_batch(nodes, k, mode);
         self.telemetry.batch_size.record(nodes.len() as u64);
         self.telemetry.batch_total_ns.record_duration(t.elapsed());
-        if fallbacks > 0 {
-            self.telemetry.ann_fallbacks.add(fallbacks);
-        }
         rows
     }
 

@@ -483,6 +483,36 @@ fn a_zero_admission_bound_rejects_data_plane_but_not_control_plane() {
 }
 
 #[test]
+fn wire_ann_queries_without_an_index_count_their_fallbacks() {
+    fn fallbacks(client: &mut Client<TcpStream>) -> u64 {
+        let json = client.metrics_json().expect("metrics");
+        let (_, rest) = json
+            .split_once("\"ann_fallbacks\": ")
+            .unwrap_or_else(|| panic!("no query.ann_fallbacks in {json}"));
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().expect("a counter")
+    }
+    // `test_engine` builds no index, so every ANN query scans exactly.
+    let engine = test_engine();
+    let server = serve(
+        &engine,
+        &ServeAddr::parse("127.0.0.1:0"),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.addr().to_string().as_str()).expect("connect");
+    let before = fallbacks(&mut client);
+    let (_, hits) = client.top_k(0, 5, QueryMode::Ann).expect("answer");
+    assert_eq!(hits.len(), 5);
+    client
+        .top_k_batch(&[1, 2], 5, QueryMode::Ann)
+        .expect("answer");
+    client.top_k(3, 5, QueryMode::Exact).expect("answer");
+    assert_eq!(fallbacks(&mut client), before + 3, "one per wire ANN query");
+    server.shutdown();
+}
+
+#[test]
 fn unknown_nodes_and_malformed_frames_degrade_gracefully() {
     let engine = test_engine();
     let server = serve(

@@ -2,7 +2,7 @@
 //!
 //! Every walk is a task `(start, seed)` with its own RNG, so a walk does not
 //! depend on the thread that runs it. [`walk_batch`] splits the tasks across
-//! threads; each thread advances a ring of [`RING`] walks a step at a time
+//! threads; each thread advances a ring of `RING` (8) walks a step at a time
 //! and, between the phases of a step, prefetches what each walk's next
 //! phase reads, so the cache misses of different walks overlap. The
 //! per-state M-H chains are shared through the lock-free [`SamplerManager`].
