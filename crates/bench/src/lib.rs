@@ -15,16 +15,13 @@
 //!   smoke runs.
 //!
 //! Besides the scale knobs, the crate provides the synthetic dataset registry
-//! (stand-ins for the paper's datasets at any scale) and the [`Json`] emitter
-//! behind the machine-readable `results/BENCH_*.json` trend files.
+//! (stand-ins for the paper's datasets at any scale).
 //!
 //! ```
-//! use uninet_bench::{HarnessConfig, Json};
+//! use uninet_bench::HarnessConfig;
 //!
 //! let cfg = HarnessConfig::from_env();
 //! assert!(cfg.scale > 0.0);
-//! let blob = Json::Obj(vec![("answer", Json::Int(42))]);
-//! assert_eq!(blob.render(), "{\"answer\":42}");
 //! ```
 
 use std::path::PathBuf;
@@ -200,96 +197,6 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Minimal JSON value for machine-readable benchmark artifacts (the
-/// workspace vendors no serde; object key order is preserved so diffs across
-/// PRs stay stable).
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A float (rendered with enough precision for timings).
-    Num(f64),
-    /// An integer.
-    Int(u64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// An ordered array.
-    Arr(Vec<Json>),
-    /// An ordered object.
-    Obj(Vec<(&'static str, Json)>),
-    /// Pre-rendered JSON spliced in verbatim (e.g. a telemetry snapshot from
-    /// `MetricsSnapshot::to_json()`). The caller guarantees validity.
-    Raw(String),
-}
-
-impl Json {
-    /// Renders the value as compact JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Num(x) => {
-                if x.is_finite() {
-                    out.push_str(&format!("{x:.6}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Int(x) => out.push_str(&x.to_string()),
-            Json::Raw(s) => out.push_str(s),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str((*k).to_string()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Writes a machine-readable benchmark artifact under `results/<file>.json`.
-pub fn emit_json(file: &str, value: &Json) {
-    let path = results_dir().join(format!("{file}.json"));
-    match std::fs::write(&path, value.render() + "\n") {
-        Ok(()) => println!("written to {}\n", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
 /// Prints a table to stdout and writes it under `results/<file>.md`.
 pub fn emit(table: &Table, file: &str) {
     println!("{}", table.render_markdown());
@@ -320,15 +227,6 @@ mod tests {
         };
         assert_eq!(quick.num_walks(), 2);
         assert_eq!(quick.nodes(1000), 64);
-    }
-
-    #[test]
-    fn raw_json_is_spliced_verbatim() {
-        let blob = Json::Obj(vec![
-            ("n", Json::Int(3)),
-            ("telemetry", Json::Raw("{\"a\":{\"b\":1}}".to_string())),
-        ]);
-        assert_eq!(blob.render(), "{\"n\":3,\"telemetry\":{\"a\":{\"b\":1}}}");
     }
 
     #[test]

@@ -656,11 +656,6 @@ impl StreamHandle {
         Arc::clone(&self.store)
     }
 
-    /// Whether the session thread has finished.
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
-    }
-
     /// Waits for the session to finish and returns its outcome.
     pub fn join(self) -> Result<StreamOutcome, UniNetError> {
         // The epoch comes from the session's own last publish, not from the

@@ -30,11 +30,6 @@ impl Table {
         self
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Renders the table as GitHub-flavoured markdown.
     pub fn render_markdown(&self) -> String {
         let mut out = String::new();

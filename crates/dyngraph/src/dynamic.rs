@@ -81,17 +81,6 @@ fn mirror_of(m: GraphMutation) -> GraphMutation {
     }
 }
 
-/// Counters describing the state of the overlay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverlayStats {
-    /// Vertices with a non-empty delta log.
-    pub dirty_vertices: usize,
-    /// Total pending inserts across all vertices.
-    pub pending_inserts: usize,
-    /// Total pending deletes across all vertices.
-    pub pending_deletes: usize,
-}
-
 /// An updatable graph: immutable CSR base + delta overlay.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
@@ -204,21 +193,6 @@ impl DynamicGraph {
     /// Nodes whose adjacency changed since the last compaction.
     pub fn touched_since_compaction(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.touched_since_compaction.iter().copied()
-    }
-
-    /// Overlay size counters.
-    pub fn overlay_stats(&self) -> OverlayStats {
-        let mut s = OverlayStats {
-            dirty_vertices: 0,
-            pending_inserts: self.pending_inserts,
-            pending_deletes: self.pending_deletes,
-        };
-        for d in &self.overlay {
-            if !d.is_empty() {
-                s.dirty_vertices += 1;
-            }
-        }
-        s
     }
 
     /// Total pending overlay entries (inserts + deletes). O(1).
@@ -904,10 +878,6 @@ mod tests {
             weight: 1.0,
         });
         dg.apply(GraphMutation::RemoveEdge { src: 1, dst: 2 });
-        let s = dg.overlay_stats();
-        assert_eq!(s.dirty_vertices, 2);
-        assert_eq!(s.pending_inserts, 1);
-        assert_eq!(s.pending_deletes, 1);
         assert_eq!(dg.pending(), 2);
     }
 }

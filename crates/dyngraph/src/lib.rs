@@ -68,7 +68,7 @@ pub mod mutation;
 pub mod refresh;
 pub mod stream;
 
-pub use dynamic::{DynamicGraph, MutationEffect, OverlayStats};
+pub use dynamic::{DynamicGraph, MutationEffect};
 pub use maintain::{BatchReport, IncrementalMaintainer, MaintainerConfig};
 pub use mutation::{GraphMutation, UpdateBatch};
 pub use refresh::{RefreshStats, WalkRefresher};

@@ -63,7 +63,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 use crate::kernels;
 use crate::quant::{self, QuantizedMatrix};
@@ -445,7 +444,6 @@ pub struct HnswIndex {
     m: usize,
     ef_construction: usize,
     seed: u64,
-    build_time: Duration,
     incremental: Option<IncrementalStats>,
 }
 
@@ -477,13 +475,11 @@ impl HnswIndex {
                 "live mask length must equal the embedding row count"
             );
         }
-        let start = Instant::now();
         let mut index = Self::empty_shell(embeddings, config);
         let order: Vec<u32> = (0..embeddings.num_nodes() as u32)
             .filter(|&v| live.is_none_or(|mask| mask[v as usize]))
             .collect();
         index.construct(&order, config);
-        index.build_time = start.elapsed();
         index
     }
 
@@ -524,7 +520,6 @@ impl HnswIndex {
             );
         }
         let is_live = |v: usize| live.is_none_or(|m| m[v]);
-        let start = Instant::now();
         let n = embeddings.num_nodes();
         let n_old = prev.num_nodes;
         let mut index = Self::empty_shell(embeddings, config);
@@ -591,7 +586,6 @@ impl HnswIndex {
         let order: Vec<u32> = (0..n as u32).filter(|&v| fresh[v as usize]).collect();
         index.construct(&order, config);
         index.incremental = Some(stats);
-        index.build_time = start.elapsed();
         index
     }
 
@@ -614,7 +608,6 @@ impl HnswIndex {
             m: config.m,
             ef_construction: config.ef_construction,
             seed: config.seed,
-            build_time: Duration::ZERO,
             incremental: None,
         }
     }
@@ -685,7 +678,6 @@ impl HnswIndex {
         config: &AnnConfig,
     ) -> Result<Self, GraphImportError> {
         assert!(config.m >= 2, "HNSW needs m >= 2");
-        let start = Instant::now();
         let mut r = GraphReader { buf: bytes, pos: 0 };
         if r.take(4)? != GRAPH_MAGIC {
             r.pos = 0;
@@ -794,7 +786,6 @@ impl HnswIndex {
             index.entry = entry;
             index.top_level = top_level;
         }
-        index.build_time = start.elapsed();
         Ok(index)
     }
 
@@ -836,21 +827,10 @@ impl HnswIndex {
         self.num_nodes
     }
 
-    /// The index's top layer (0 for tiny graphs).
-    pub fn top_level(&self) -> usize {
-        self.top_level
-    }
-
     /// Reuse statistics when this index came from [`graft`](Self::graft)
     /// (and did not fall back to a full build); `None` for full builds.
     pub fn incremental_stats(&self) -> Option<IncrementalStats> {
         self.incremental
-    }
-
-    /// Wall-clock time the build took — the per-epoch (re)build cost a
-    /// publishing writer pays outside the store's write lock.
-    pub fn build_time(&self) -> Duration {
-        self.build_time
     }
 
     #[inline]
@@ -1691,12 +1671,9 @@ mod tests {
 
         // Entry and top level must name the top of the graph.
         corrupt(&patch(28, 80), "entry out of range");
-        corrupt(
-            &patch(32, index.top_level() as u32 + 1),
-            "top level too high",
-        );
+        corrupt(&patch(32, index.top_level as u32 + 1), "top level too high");
         let low = (0..80u32)
-            .find(|&v| index.neighbors[v as usize].len() <= index.top_level())
+            .find(|&v| index.neighbors[v as usize].len() <= index.top_level)
             .expect("some node is below the top layer");
         corrupt(&patch(28, low), "entry below the top layer");
 

@@ -62,11 +62,6 @@ impl Vocabulary {
         }
     }
 
-    /// Number of nodes that occur at least once.
-    pub fn num_seen(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// The word2vec sub-sampling keep-probability for node `v` with threshold
     /// `t` (`1e-3` typically): frequent tokens are randomly dropped to speed up
     /// training and improve rare-token representations.
@@ -121,7 +116,6 @@ mod tests {
         assert_eq!(v.count(1), 3);
         assert_eq!(v.count(4), 0);
         assert_eq!(v.total_tokens(), 6);
-        assert_eq!(v.num_seen(), 4);
         assert!((v.frequency(1) - 0.5).abs() < 1e-12);
     }
 

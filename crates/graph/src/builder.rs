@@ -103,11 +103,6 @@ impl GraphBuilder {
         &mut self.registry
     }
 
-    /// Number of edges currently buffered (before mirroring).
-    pub fn num_buffered_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Consumes the builder and produces the CSR graph.
     pub fn build(&mut self) -> Graph {
         let mut edges = std::mem::take(&mut self.edges);
@@ -321,7 +316,7 @@ mod tests {
     fn with_capacity_and_buffered_count() {
         let mut b = GraphBuilder::with_capacity(8);
         b.add_edge(0, 1, 1.0);
-        assert_eq!(b.num_buffered_edges(), 1);
+        assert_eq!(b.build().num_edges(), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::edge::EdgeRef;
 use crate::hetero::TypeRegistry;
 use crate::prefetch::prefetch;
-use crate::{EdgeIdx, NodeId};
+use crate::NodeId;
 
 /// An in-memory network stored in CSR format.
 ///
@@ -299,12 +299,6 @@ impl Graph {
         &self.offsets
     }
 
-    /// The global edge index of the `k`-th out-edge of `v`.
-    #[inline]
-    pub fn global_edge_index(&self, v: NodeId, k: usize) -> EdgeIdx {
-        self.offsets[v as usize] + k
-    }
-
     /// Memory footprint of the CSR arrays in bytes (ignores the registry).
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
@@ -377,18 +371,6 @@ impl Graph {
         }
     }
 
-    /// Overwrites the weight of edge `(u, dst)` in place, returning `false`
-    /// when the edge does not exist.
-    pub fn set_weight(&mut self, u: NodeId, dst: NodeId, weight: f32) -> bool {
-        match self.find_neighbor(u, dst) {
-            Some(k) => {
-                self.set_weight_at(u, k, weight);
-                true
-            }
-            None => false,
-        }
-    }
-
     // Accessors for the raw arrays, used by the binary snapshot writer.
     pub(crate) fn raw_neighbors(&self) -> &[NodeId] {
         &self.neighbors
@@ -456,7 +438,7 @@ mod tests {
                 assert_eq!(e.local_idx as usize, k);
                 assert_eq!(e.dst, g.neighbor_at(v, k));
                 assert_eq!(e.weight, g.weight_at(v, k));
-                assert_eq!(e.global_idx, g.global_edge_index(v, k));
+                assert_eq!(e.global_idx, g.offsets()[v as usize] + k);
             }
         }
     }

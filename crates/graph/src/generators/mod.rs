@@ -186,11 +186,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Whether the preset corresponds to one of the paper's billion-edge graphs.
-    pub fn is_billion_edge(&self) -> bool {
-        matches!(self, DatasetSpec::TwitterLike | DatasetSpec::WebUkLike)
-    }
-
     /// Generates a synthetic stand-in for this dataset.
     ///
     /// `scale` in (0, 1] shrinks the node count relative to the real dataset
@@ -286,8 +281,6 @@ mod tests {
         assert!(g.num_nodes() >= 64);
         assert!(g.num_edges() > g.num_nodes());
         assert_eq!(spec.num_node_types(), 1);
-        assert!(!spec.is_billion_edge());
-        assert!(DatasetSpec::TwitterLike.is_billion_edge());
     }
 
     #[test]

@@ -223,21 +223,6 @@ pub fn from_bytes(mut data: &[u8]) -> Result<Graph> {
     Ok(g)
 }
 
-/// Writes the binary snapshot of a graph to a file; errors carry the path.
-pub fn write_binary_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()> {
-    let path = path.as_ref();
-    let bytes = to_bytes(graph);
-    std::fs::write(path, &bytes).map_err(|e| GraphError::from(e).with_path(path))?;
-    Ok(())
-}
-
-/// Reads a binary snapshot of a graph from a file; errors carry the path.
-pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
-    let path = path.as_ref();
-    let data = std::fs::read(path).map_err(|e| GraphError::from(e).with_path(path))?;
-    from_bytes(&data).map_err(|e| e.with_path(path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,17 +303,5 @@ mod tests {
         let bytes = to_bytes(&g);
         // Truncate the body.
         assert!(from_bytes(&bytes[..bytes.len() / 2]).is_err());
-    }
-
-    #[test]
-    fn binary_file_roundtrip() {
-        let g = sample_graph();
-        let dir = std::env::temp_dir().join("uninet_graph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin");
-        write_binary_file(&g, &path).unwrap();
-        let g2 = read_binary_file(&path).unwrap();
-        assert_eq!(g2.num_edges(), g.num_edges());
-        std::fs::remove_file(path).ok();
     }
 }

@@ -64,14 +64,6 @@ impl GraphStats {
             weight_skew,
         }
     }
-
-    /// Renders one row of a Table-V-like markdown table.
-    pub fn to_table_row(&self, name: &str) -> String {
-        format!(
-            "| {} | {} | {} | {:.2} | {} |",
-            name, self.num_nodes, self.num_edges, self.mean_degree, self.num_node_types
-        )
-    }
 }
 
 /// Degree distribution histogram with logarithmic (powers-of-two) buckets.
@@ -101,22 +93,6 @@ impl DegreeHistogram {
             buckets[bucket] += 1;
         }
         DegreeHistogram { buckets }
-    }
-
-    /// Total number of nodes counted.
-    pub fn total(&self) -> usize {
-        self.buckets.iter().sum()
-    }
-
-    /// Gini-style skew indicator: fraction of nodes in the top bucket range
-    /// (degree >= 2^(max_bucket-2)). Larger means heavier tail.
-    pub fn tail_fraction(&self) -> f64 {
-        if self.buckets.is_empty() {
-            return 0.0;
-        }
-        let cut = self.buckets.len().saturating_sub(2);
-        let tail: usize = self.buckets[cut..].iter().sum();
-        tail as f64 / self.total().max(1) as f64
     }
 }
 
@@ -167,20 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn table_row_contains_counts() {
-        let g = star(4);
-        let s = GraphStats::compute(&g);
-        let row = s.to_table_row("Star4");
-        assert!(row.contains("Star4"));
-        assert!(row.contains("| 4 |"));
-    }
-
-    #[test]
     fn degree_histogram_sums_to_nodes() {
         let g = star(17);
         let h = DegreeHistogram::compute(&g);
-        assert_eq!(h.total(), 17);
-        assert!(h.tail_fraction() > 0.0);
+        assert_eq!(h.buckets.iter().sum::<usize>(), 17);
     }
 
     #[test]

@@ -80,17 +80,6 @@ impl DiscreteDistribution {
             .count()
     }
 
-    /// Index of an outcome with maximal weight.
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            if w > self.weights[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Exact inverse-CDF sampling (used as ground truth in tests).
     pub fn sample_exact<R: Rng>(&self, rng: &mut R) -> usize {
         let target: f64 = rng.gen_range(0.0..self.total);
@@ -177,7 +166,6 @@ mod tests {
         assert!((d.max_prob() - 0.375).abs() < 1e-12);
         assert!((d.min_prob() - 0.125).abs() < 1e-12);
         assert_eq!(d.num_max(), 1);
-        assert_eq!(d.argmax(), 2);
         let probs = d.probs();
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }

@@ -39,12 +39,6 @@ impl InitStrategy {
         InitStrategy::HighWeight { probe: usize::MAX }
     }
 
-    /// The paper's default burn-in length used in the experiments (100 after
-    /// parameter tuning, per Section V-D).
-    pub fn burn_in_default() -> Self {
-        InitStrategy::BurnIn { iterations: 100 }
-    }
-
     /// Short label used in benchmark tables ("Rand", "Weight", "Burn").
     pub fn label(&self) -> &'static str {
         match self {
@@ -133,8 +127,9 @@ mod tests {
     fn labels() {
         assert_eq!(InitStrategy::Random.label(), "Rand");
         assert_eq!(InitStrategy::high_weight_exact().label(), "Weight");
-        assert_eq!(InitStrategy::burn_in_default().label(), "Burn");
-        assert_eq!(InitStrategy::burn_in_default().burn_in_iterations(), 100);
+        let burn_in = InitStrategy::BurnIn { iterations: 100 };
+        assert_eq!(burn_in.label(), "Burn");
+        assert_eq!(burn_in.burn_in_iterations(), 100);
         assert_eq!(InitStrategy::Random.burn_in_iterations(), 0);
     }
 

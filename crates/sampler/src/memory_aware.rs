@@ -86,19 +86,6 @@ impl MemoryAwarePlan {
     pub fn budget_bytes(&self) -> usize {
         self.budget_bytes
     }
-
-    /// Fraction of states that received an alias table.
-    pub fn alias_fraction(&self) -> f64 {
-        if self.assignment.is_empty() {
-            return 0.0;
-        }
-        let alias = self
-            .assignment
-            .iter()
-            .filter(|k| **k == StateSamplerKind::Alias)
-            .count();
-        alias as f64 / self.assignment.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -109,8 +96,8 @@ mod tests {
     fn unlimited_budget_gives_all_alias() {
         let states: Vec<(usize, f64)> = (0..10).map(|i| (i + 2, 1.0)).collect();
         let plan = MemoryAwarePlan::plan(&states, usize::MAX);
-        assert!((plan.alias_fraction() - 1.0).abs() < 1e-12);
         assert_eq!(plan.len(), 10);
+        assert!((0..10).all(|i| plan.kind(i) == StateSamplerKind::Alias));
         assert!(!plan.is_empty());
     }
 
@@ -118,7 +105,7 @@ mod tests {
     fn zero_budget_gives_all_direct() {
         let states: Vec<(usize, f64)> = (0..10).map(|i| (i + 2, 1.0)).collect();
         let plan = MemoryAwarePlan::plan(&states, 0);
-        assert_eq!(plan.alias_fraction(), 0.0);
+        assert!((0..10).all(|i| plan.kind(i) == StateSamplerKind::Direct));
         assert_eq!(plan.bytes_used(), 0);
     }
 

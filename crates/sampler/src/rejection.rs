@@ -117,11 +117,6 @@ impl AcceptanceStats {
             self.accepted as f64 / self.attempts as f64
         }
     }
-
-    /// Number of completed draws.
-    pub fn num_draws(&self) -> u64 {
-        self.accepted
-    }
 }
 
 #[cfg(test)]

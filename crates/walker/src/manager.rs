@@ -295,17 +295,6 @@ impl SamplerManager {
         }
     }
 
-    /// Whether the alias-family backend holds a materialized table for
-    /// `state_index` (always `false` for stateless/M-H backends).
-    pub fn has_alias_table(&self, state_index: usize) -> bool {
-        match &self.backend {
-            Backend::Alias { tables } | Backend::MemoryAware { tables, .. } => {
-                tables[state_index].is_some()
-            }
-            _ => false,
-        }
-    }
-
     /// Incrementally absorbs weight-only updates on the nodes in `touched`.
     ///
     /// The graph's topology (degrees, neighbor sets, bucket layout) must be

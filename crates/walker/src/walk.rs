@@ -73,11 +73,6 @@ impl WalkCorpus {
         self.walks[i] = walk;
     }
 
-    /// Consumes the corpus and returns the walks.
-    pub fn into_walks(self) -> Vec<Vec<NodeId>> {
-        self.walks
-    }
-
     /// Per-node visit counts over the corpus (length = `num_nodes`).
     ///
     /// Useful both for verifying the stationary behaviour of samplers and for
@@ -139,7 +134,6 @@ mod tests {
         let borrowed: Vec<usize> = (&c).into_iter().map(|w| w.len()).collect();
         assert_eq!(borrowed, lens);
         assert_eq!(c.walks().len(), 2);
-        assert_eq!(c.into_walks().len(), 2);
     }
 
     #[test]
