@@ -33,7 +33,8 @@
 //! from different moments. It is the only derived state persisted: norms,
 //! normalized rows and int8 codes are an `O(n·d)` pass over the matrix and
 //! are recomputed, but the graph is `n` insertions of ~90 µs each — at
-//! n = 5 000 the difference between a 0.4 s and an 8 ms restart. The section
+//! n = 5 000 the difference between a 0.4 s and a 4 ms restart (the
+//! `stream_ingest` benchmark's median on 2 vCPUs). The section
 //! is optional in both directions: a snapshot without one, or with one the
 //! importer refuses, recovers by rebuilding; a section whose length prefix
 //! does not account for the rest of the body is dropped, not fatal.
@@ -207,27 +208,18 @@ fn decode_sampler(d: &mut Dec) -> Result<SamplerState, DecodeError> {
 fn encode_graph(e: &mut Enc, g: &Graph) {
     let n = g.num_nodes();
     e.usize(n);
-    for &off in g.offsets() {
-        e.usize(off);
+    e.usizes(g.offsets());
+    // The graph hands out its edge arrays one adjacency row at a time.
+    for v in 0..n as u32 {
+        e.u32s(g.neighbors(v));
     }
     for v in 0..n as u32 {
-        for &nb in g.neighbors(v) {
-            e.u32(nb);
-        }
-    }
-    for v in 0..n as u32 {
-        for &w in g.weights(v) {
-            e.f32(w);
-        }
+        e.f32s(g.weights(v));
     }
     e.usize(g.node_types().len());
-    for &t in g.node_types() {
-        e.u16(t);
-    }
+    e.u16s(g.node_types());
     e.usize(g.edge_types().len());
-    for &t in g.edge_types() {
-        e.u16(t);
-    }
+    e.u16s(g.edge_types());
     e.u16(g.num_node_types());
     e.u16(g.num_edge_types());
     let reg = g.type_registry();
@@ -245,11 +237,26 @@ fn decode_graph(d: &mut Dec) -> Result<Graph, DecodeError> {
     // Every count below is checked against the bytes that remain before
     // anything is allocated from it.
     let n = d.counted_len(8, "nodes")?;
+    // Offsets must not decrease (from_csr_parts asserts on inconsistent
+    // arrays, so reject here instead), checked in the pass that reads them.
+    let offsets_at = d.offset();
     let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(d.usize()?);
+    let mut prev = 0;
+    for b in d.section::<8>(n + 1, "offsets")? {
+        let off = u64::from_le_bytes(*b);
+        if off < prev {
+            return Err(DecodeError {
+                offset: offsets_at + 8 * offsets.len(),
+                reason: "offsets are not monotonically non-decreasing".to_string(),
+            });
+        }
+        offsets.push(usize::try_from(off).map_err(|_| DecodeError {
+            offset: offsets_at + 8 * offsets.len(),
+            reason: format!("offset {off} does not fit in usize"),
+        })?);
+        prev = off;
     }
-    let num_edges = *offsets.last().unwrap_or(&0);
+    let num_edges = offsets[n];
     // A neighbour id and a weight per edge.
     if num_edges > d.remaining() / 8 {
         return Err(DecodeError {
@@ -260,24 +267,8 @@ fn decode_graph(d: &mut Dec) -> Result<Graph, DecodeError> {
             ),
         });
     }
-    // Validate monotonicity before trusting the edge count: from_csr_parts
-    // asserts (panics) on inconsistent arrays, so reject here instead.
-    for w in offsets.windows(2) {
-        if w[1] < w[0] {
-            return Err(DecodeError {
-                offset: d.offset(),
-                reason: "offsets are not monotonically non-decreasing".to_string(),
-            });
-        }
-    }
-    let mut neighbors = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        neighbors.push(d.u32()?);
-    }
-    let mut weights = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        weights.push(d.f32()?);
-    }
+    let neighbors = d.u32s(num_edges, "neighbors")?;
+    let weights = d.f32s(num_edges, "weights")?;
     let nt_len = d.counted_len(2, "node types")?;
     if nt_len != 0 && nt_len != n {
         return Err(DecodeError {
@@ -285,10 +276,7 @@ fn decode_graph(d: &mut Dec) -> Result<Graph, DecodeError> {
             reason: format!("node_types length {nt_len} matches neither 0 nor {n}"),
         });
     }
-    let mut node_types = Vec::with_capacity(nt_len);
-    for _ in 0..nt_len {
-        node_types.push(d.u16()?);
-    }
+    let node_types = d.u16s(nt_len, "node types")?;
     let et_len = d.counted_len(2, "edge types")?;
     if et_len != 0 && et_len != num_edges {
         return Err(DecodeError {
@@ -296,10 +284,7 @@ fn decode_graph(d: &mut Dec) -> Result<Graph, DecodeError> {
             reason: format!("edge_types length {et_len} matches neither 0 nor {num_edges}"),
         });
     }
-    let mut edge_types = Vec::with_capacity(et_len);
-    for _ in 0..et_len {
-        edge_types.push(d.u16()?);
-    }
+    let edge_types = d.u16s(et_len, "edge types")?;
     let num_node_types = d.u16()?;
     let num_edge_types = d.u16()?;
     let mut registry = TypeRegistry::new();
@@ -356,9 +341,7 @@ fn encode_body(snap: &Snapshot, index: Option<&[u8]>) -> Vec<u8> {
     if let Some(emb) = &snap.embeddings {
         e.usize(emb.dim());
         e.usize(emb.num_nodes());
-        for &x in emb.as_flat() {
-            e.f32(x);
-        }
+        e.f32s(emb.as_flat());
     }
     if let Some(live) = &snap.live {
         assert_eq!(
@@ -367,9 +350,7 @@ fn encode_body(snap: &Snapshot, index: Option<&[u8]>) -> Vec<u8> {
             "live mask length must equal the graph's node count"
         );
         e.usize(live.len());
-        for &l in live {
-            e.u8(l as u8);
-        }
+        e.bools(live);
     }
     if let Some(bytes) = index {
         e.usize(bytes.len());
@@ -378,7 +359,9 @@ fn encode_body(snap: &Snapshot, index: Option<&[u8]>) -> Vec<u8> {
     e.into_bytes()
 }
 
-fn decode_body(body: &[u8]) -> Result<(Snapshot, Option<Vec<u8>>), DecodeError> {
+/// Decodes a body; the second value is where its index section starts, when
+/// it has one (the section runs to the end of the body).
+fn decode_body(body: &[u8]) -> Result<(Snapshot, Option<usize>), DecodeError> {
     let mut d = Dec::new(body);
     let wal_seq = d.u64()?;
     let epoch = d.u64()?;
@@ -398,11 +381,7 @@ fn decode_body(body: &[u8]) -> Result<(Snapshot, Option<Vec<u8>>), DecodeError> 
                     d.remaining()
                 ),
             })?;
-        let mut flat = Vec::with_capacity(total);
-        for _ in 0..total {
-            flat.push(d.f32()?);
-        }
-        Some(Embeddings::from_flat(dim, flat))
+        Some(Embeddings::from_flat(dim, d.f32s(total, "embedding")?))
     } else {
         None
     };
@@ -417,11 +396,7 @@ fn decode_body(body: &[u8]) -> Result<(Snapshot, Option<Vec<u8>>), DecodeError> 
                 ),
             });
         }
-        let mut mask = Vec::with_capacity(n);
-        for _ in 0..n {
-            mask.push(d.u8()? != 0);
-        }
-        Some(mask)
+        Some(d.bytes(n)?.iter().map(|&b| b != 0).collect())
     } else {
         None
     };
@@ -430,7 +405,7 @@ fn decode_body(body: &[u8]) -> Result<(Snapshot, Option<Vec<u8>>), DecodeError> 
     // dropped and the state in front of it stands.
     let index = if flags & 8 != 0 {
         match d.usize() {
-            Ok(len) if len == d.remaining() => Some(d.bytes(len)?.to_vec()),
+            Ok(len) if len == d.remaining() => Some(d.offset()),
             _ => None,
         }
     } else {
@@ -467,17 +442,17 @@ pub fn write_snapshot_with_index(
     index: Option<&[u8]>,
 ) -> Result<PathBuf, PersistError> {
     let body = encode_body(snap, index);
-    let mut out = Vec::with_capacity(body.len() + 20);
-    out.extend_from_slice(&SNAP_MAGIC);
-    out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    let mut header = [0u8; 20];
+    header[..4].copy_from_slice(&SNAP_MAGIC);
+    header[4..8].copy_from_slice(&SNAP_VERSION.to_le_bytes());
+    header[8..16].copy_from_slice(&(body.len() as u64).to_le_bytes());
+    header[16..].copy_from_slice(&crc32(&body).to_le_bytes());
 
     let final_path = dir.join(snapshot_file_name(snap.wal_seq));
     let tmp_path = dir.join(format!(".{}.tmp", snapshot_file_name(snap.wal_seq)));
     let mut f = std::fs::File::create(&tmp_path).map_err(|e| io_err(&tmp_path, e))?;
-    f.write_all(&out).map_err(|e| io_err(&tmp_path, e))?;
+    f.write_all(&header).map_err(|e| io_err(&tmp_path, e))?;
+    f.write_all(&body).map_err(|e| io_err(&tmp_path, e))?;
     f.sync_all().map_err(|e| io_err(&tmp_path, e))?;
     drop(f);
     std::fs::rename(&tmp_path, &final_path).map_err(|e| io_err(&final_path, e))?;
@@ -496,7 +471,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, PersistError> {
 /// Reads and validates one snapshot file; the second value is its index
 /// section, when it has one.
 fn read_snapshot_with_index(path: &Path) -> Result<(Snapshot, Option<Vec<u8>>), PersistError> {
-    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
+    let mut bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
     if bytes.len() < 20 {
         return Err(corrupt(path, 0, "file shorter than the snapshot header"));
     }
@@ -530,11 +505,18 @@ fn read_snapshot_with_index(path: &Path) -> Result<(Snapshot, Option<Vec<u8>>), 
     if crc32(body) != crc {
         return Err(corrupt(path, 16, "snapshot body fails its checksum"));
     }
-    let (snap, index) =
+    let (snap, index_at) =
         decode_body(body).map_err(|e| corrupt(path, 20 + e.offset as u64, e.reason))?;
     snap.graph
         .validate()
         .map_err(|e| corrupt(path, 20, format!("decoded graph fails validation: {e}")))?;
+    // The index section is the file's tail: move it to the front of the
+    // file's own buffer rather than copying it into a new one.
+    let index = index_at.map(|at| {
+        bytes.drain(..20 + at);
+        bytes.shrink_to_fit();
+        bytes
+    });
     Ok((snap, index))
 }
 
@@ -617,6 +599,59 @@ mod tests {
             )),
             live: None,
         }
+    }
+
+    /// A small state that reaches every section: a typed graph with type
+    /// names, embeddings, a live mask and (written beside it) an index.
+    fn golden_snapshot() -> Snapshot {
+        let mut b = GraphBuilder::new();
+        b.set_num_nodes(3);
+        let user = b.registry_mut().node_type_id("user");
+        let item = b.registry_mut().node_type_id("item");
+        let buys = b.registry_mut().edge_type_id("buys");
+        b.set_node_type(0, user);
+        b.set_node_type(1, item);
+        b.set_node_type(2, user);
+        b.add_typed_edge(0, 1, 1.5, buys);
+        b.add_typed_edge(1, 2, -0.25, buys);
+        b.add_typed_edge(2, 0, 3.0, buys);
+        Snapshot {
+            wal_seq: 5,
+            epoch: 2,
+            symmetric: true,
+            sampler: SamplerState {
+                kind: EdgeSamplerKind::MetropolisHastings(InitStrategy::HighWeight { probe: 9 }),
+                seed: 0xFEED,
+            },
+            graph: b.build(),
+            embeddings: Some(Embeddings::from_flat(
+                2,
+                vec![0.5, -1.0, 0.25, 2.0, -0.0, 1e-3],
+            )),
+            live: Some(vec![true, false, true]),
+        }
+    }
+
+    const GOLDEN_INDEX: &[u8] = b"UNHG index";
+
+    /// `golden_snapshot()` with `GOLDEN_INDEX`, as the element-at-a-time
+    /// writer with the byte-at-a-time CRC wrote it (commit 4e4941c).
+    const GOLDEN_FILE: &str = concat!(
+        "554e535003000000e400000000000000fa092973050000000000000002000000",
+        "000000000f05010900000000000000edfe000000000000030000000000000000",
+        "0000000000000001000000000000000200000000000000030000000000000001",
+        "00000002000000000000000000c03f000080be00004040030000000000000000",
+        "0001000000030000000000000000000000000002000100020004000000757365",
+        "72040000006974656d0100040000006275797302000000000000000300000000",
+        "0000000000003f000080bf0000803e00000040000000806f12833a0300000000",
+        "0000000100010a00000000000000554e484720696e646578",
+    );
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
     }
 
     fn assert_graph_eq(a: &Graph, b: &Graph) {
@@ -810,18 +845,82 @@ mod tests {
     }
 
     #[test]
+    fn the_writers_produce_the_pinned_bytes() {
+        let dir = tmp_dir("golden");
+        let snap = golden_snapshot();
+        let path = write_snapshot_with_index(&dir, &snap, Some(GOLDEN_INDEX)).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), unhex(GOLDEN_FILE));
+        let loaded = latest_valid_snapshot(&dir).unwrap().unwrap();
+        assert_eq!(loaded.index.as_deref(), Some(GOLDEN_INDEX));
+        let back = loaded.snapshot;
+        assert_eq!((back.wal_seq, back.epoch, back.symmetric), (5, 2, true));
+        assert_eq!(back.sampler, snap.sampler);
+        assert_graph_eq(&back.graph, &snap.graph);
+        assert_eq!(back.graph.type_registry().edge_type_name(0), Some("buys"));
+        let flat = |s: &Snapshot| -> Vec<u32> {
+            let emb = s.embeddings.as_ref().unwrap();
+            emb.as_flat().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(flat(&back), flat(&snap));
+        assert_eq!(back.live, snap.live);
+    }
+
+    #[test]
+    fn every_proper_prefix_of_a_body_is_a_decode_error() {
+        let file = unhex(GOLDEN_FILE);
+        let body = &file[20..];
+        // A prefix that keeps every section in front of the index decodes
+        // with the index dropped, as a section with a lying length does.
+        let index_at = body.len() - 8 - GOLDEN_INDEX.len();
+        for cut in 0..body.len() {
+            match decode_body(&body[..cut]) {
+                Err(_) => assert!(cut < index_at, "cut at {cut} of {}", body.len()),
+                Ok((snap, index)) => {
+                    assert!(cut >= index_at, "cut at {cut} decoded");
+                    assert_eq!((snap.live, index), (golden_snapshot().live, None));
+                }
+            }
+        }
+        let body = encode_body(&golden_snapshot(), None);
+        for cut in 0..body.len() {
+            assert!(decode_body(&body[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(decode_body(&body).is_ok());
+    }
+
+    #[test]
     fn counts_the_file_cannot_back_are_corrupt_not_allocations() {
         let dir = tmp_dir("lying-counts");
-        let snap = sample_snapshot(13);
-        let path = write_snapshot(&dir, &snap).unwrap();
+        let snap = golden_snapshot();
+        let path = write_snapshot_with_index(&dir, &snap, Some(GOLDEN_INDEX)).unwrap();
         let clean = std::fs::read(&path).unwrap();
+        let (n, edges) = (snap.graph.num_nodes(), snap.graph.num_edges());
         // Header, then wal_seq + epoch + flags, then the sampler: the graph's
-        // node count follows; the embedding section follows the graph.
+        // node count follows; the embedding section follows the graph and
+        // the live mask follows the embeddings.
         let mut e = Enc::new();
         encode_sampler(&mut e, &snap.sampler);
         let nodes_at = 20 + 17 + e.len();
+        let edges_at = nodes_at + 8 + 8 * n;
+        let node_types_at = edges_at + 8 + 8 * edges;
+        let edge_types_at = node_types_at + 8 + 2 * n;
         encode_graph(&mut e, &snap.graph);
         let dim_at = 20 + 17 + e.len();
+        let live_at = dim_at + 16 + 4 * 2 * n;
+        let at = |pos: usize| u64::from_le_bytes(clean[pos..pos + 8].try_into().unwrap());
+        assert_eq!(
+            [
+                nodes_at,
+                edges_at,
+                node_types_at,
+                edge_types_at,
+                dim_at,
+                live_at
+            ]
+            .map(at),
+            [3, 3, 3, 3, 2, 3],
+            "each count is where the layout puts it"
+        );
         let reseal_and_read = |at: usize, v: u64| {
             let mut bytes = clean.clone();
             bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
@@ -833,11 +932,20 @@ mod tests {
             ("node count", nodes_at, 1u64 << 40),
             ("node count", nodes_at, u64::MAX),
             ("first offset", nodes_at + 8, 1 << 40),
+            ("edge count", edges_at, 1 << 40),
+            ("edge count", edges_at, u64::MAX),
+            ("edge count", edges_at, (clean.len() - edges_at) as u64 / 8),
+            ("node types", node_types_at, 1 << 40),
+            ("node types", node_types_at, u64::MAX),
+            ("edge types", edge_types_at, 1 << 40),
+            ("edge types", edge_types_at, u64::MAX),
             ("dim", dim_at, 0),
             ("dim", dim_at, 1 << 40),
             ("dim", dim_at, u64::MAX),
             ("rows", dim_at + 8, 1 << 40),
             ("rows", dim_at + 8, u64::MAX / 2),
+            ("live mask", live_at, 1 << 40),
+            ("live mask", live_at, u64::MAX),
         ] {
             assert!(
                 matches!(reseal_and_read(at, v), Err(PersistError::Corrupt { .. })),

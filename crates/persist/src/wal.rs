@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 
 use uninet_dyngraph::{GraphMutation, UpdateBatch};
 
-use crate::codec::{crc32, Dec, DecodeError, Enc};
+use crate::codec::{Crc32, Dec, DecodeError, Enc};
 use crate::PersistError;
 
 /// File name of the log inside a WAL directory.
@@ -162,6 +162,15 @@ pub fn decode_batch(payload: &[u8]) -> Result<UpdateBatch, DecodeError> {
     Ok(UpdateBatch::from_mutations(mutations))
 }
 
+/// A frame's checksum: `crc32(seq_le ++ payload)`, without building that
+/// concatenation.
+fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&seq.to_le_bytes());
+    crc.update(payload);
+    crc.finish()
+}
+
 /// Result of scanning a log file.
 #[derive(Debug, Default)]
 pub struct WalScan {
@@ -235,10 +244,7 @@ pub fn read_wal(path: &Path) -> Result<WalScan, PersistError> {
             break;
         }
         let payload = &bytes[pos + FRAME_HEADER_LEN..frame_end];
-        let mut checked = Vec::with_capacity(8 + payload.len());
-        checked.extend_from_slice(&seq.to_le_bytes());
-        checked.extend_from_slice(payload);
-        if crc32(&checked) != crc {
+        if frame_crc(seq, payload) != crc {
             if frame_end == bytes.len() {
                 // Checksum failure on the final frame: torn write.
                 break;
@@ -343,10 +349,7 @@ impl WalWriter {
     pub fn append(&mut self, batch: &UpdateBatch) -> Result<u64, PersistError> {
         let seq = self.next_seq;
         let payload = encode_batch(batch);
-        let mut checked = Vec::with_capacity(8 + payload.len());
-        checked.extend_from_slice(&seq.to_le_bytes());
-        checked.extend_from_slice(&payload);
-        let crc = crc32(&checked);
+        let crc = frame_crc(seq, &payload);
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&seq.to_le_bytes());
@@ -450,12 +453,9 @@ mod tests {
         bytes.extend_from_slice(&1u32.to_le_bytes());
         for (seq, tag) in [(1u64, 0u32), (2, 10)] {
             let payload = encode_batch(&batch(tag));
-            let mut checked = Vec::with_capacity(8 + payload.len());
-            checked.extend_from_slice(&seq.to_le_bytes());
-            checked.extend_from_slice(&payload);
             bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             bytes.extend_from_slice(&seq.to_le_bytes());
-            bytes.extend_from_slice(&crc32(&checked).to_le_bytes());
+            bytes.extend_from_slice(&frame_crc(seq, &payload).to_le_bytes());
             bytes.extend_from_slice(&payload);
         }
         std::fs::write(&path, &bytes).unwrap();
@@ -474,6 +474,34 @@ mod tests {
         future[4..8].copy_from_slice(&99u32.to_le_bytes());
         std::fs::write(&path, &future).unwrap();
         assert!(matches!(read_wal(&path), Err(PersistError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn the_writer_produces_the_pinned_bytes() {
+        // One frame of every opcode, as the writer with the byte-at-a-time
+        // CRC over a `seq_le ++ payload` copy wrote it (commit 4e4941c).
+        const GOLDEN: &str = concat!(
+            "554e574c0200000031000000010000000000000003e011a60500000003030000",
+            "000003000000000000000000a03f020000000001000000000000400101000000",
+            "020000000402000000",
+        );
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let dir = tmp_dir("golden");
+        let mut b = UpdateBatch::new();
+        b.add_node(3);
+        b.add_edge(3, 0, 1.25)
+            .update_weight(0, 1, 2.0)
+            .remove_edge(1, 2);
+        b.remove_node(2);
+        let mut w = WalWriter::open(&dir, FsyncPolicy::Never).unwrap();
+        w.append(&b).unwrap();
+        drop(w);
+        assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), golden);
+        let scan = read_wal(&wal_path(&dir)).unwrap();
+        assert_eq!(scan.records[0].1.mutations(), b.mutations());
     }
 
     #[test]
